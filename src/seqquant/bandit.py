@@ -10,7 +10,8 @@ per-arm sample counts.
 Reproducibility: all sampling is by quantile transform of uniforms drawn as
 integers in (0, 2^53) / 2^53 from numpy PCG64 generators; per-run streams are
 derived by seeding with SeedSequence((seed, indices...)).  Radii depend only
-on the per-arm count, so they are memoized in tables shared across runs.
+on the per-arm count, so each configuration keeps a pair of
+`boundaries.RadiusSchedule` tables, shared across runs in one process.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import boundaries
+from .boundaries import RadiusSchedule
 from .empdist import OrderedMultiset, _level_ceil, _level_floor
 from .errors import ConfigurationError, DomainError, NumericalError
 
@@ -70,6 +72,10 @@ class ArmSpec:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.integers(1, 1 << 53, size=size) / _U53
         return np.asarray(self.quantile(u), dtype=float)
+
+    def quantile_at(self, level: float) -> float:
+        """The quantile at one level, through a one-element array as `sample` calls it."""
+        return float(np.asarray(self.quantile(np.array([level])), dtype=float)[0])
 
 
 def uniform_arm(a: float, b: float) -> ArmSpec:
@@ -149,53 +155,52 @@ class RunResult:
     total_samples: int
     per_arm_counts: tuple[int, ...]
     rounds: int
-    eps_optimal: bool | None
+    eps_optimal: bool
     stopped_by_cap: bool
 
 
 class _RadiusTable:
-    """Per-count radii (l_n at pi+eps, u_n at pi-eps), grown geometrically."""
+    """Per-count radii: `lower` gives l_n at pi+eps, `upper` gives u_n at pi-eps."""
 
     def __init__(self, cfg: QlucbConfig):
-        self.cfg = cfg
-        self._lo = np.empty(0)
-        self._hi = np.empty(0)
-        if cfg.cs_kind == "beta_binomial_one_sided":
-            alpha2 = 2.0 * cfg.delta_err / cfg.k_arms
-            self._r_lo = boundaries.tune_r(cfg.tune_m, cfg.pi_target + cfg.eps, alpha2)
-            self._r_hi = boundaries.tune_r(cfg.tune_m, cfg.pi_target - cfg.eps, alpha2)
-
-    def _build(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.cfg
         pi, eps = cfg.pi_target, cfg.eps
         if cfg.cs_kind == "stitched_qlucb":
-            ell = (1.4 * np.log(np.log(2.1 * n)) + math.log(5.0 * cfg.k_arms / cfg.delta_err)) / n
-            lo_level = 1.0 - (pi + eps)
-            hi_level = pi - eps
-            lo = 1.5 * np.sqrt(lo_level * (1.0 - lo_level) * ell) + 0.8 * ell
-            hi = 1.5 * np.sqrt(hi_level * (1.0 - hi_level) * ell) + 0.8 * ell
-            return lo, hi
-        if cfg.cs_kind == "beta_binomial_one_sided":
-            alpha1 = cfg.delta_err / cfg.k_arms
-            lo = boundaries.one_sided_beta_binomial_radius(n, 1.0 - (pi + eps), self._r_lo, alpha1)
-            hi = boundaries.one_sided_beta_binomial_radius(n, pi - eps, self._r_hi, alpha1)
-            return np.atleast_1d(lo), np.atleast_1d(hi)
-        # dkw_union_baseline: DKW with a quadratically decaying union bound
-        alpha2 = 2.0 * cfg.delta_err / cfg.k_arms
-        rad = np.full(n.shape, math.inf)
-        ok = n >= 32
-        if np.any(ok):
-            rad[ok] = boundaries.baseline_radius("szorenyi", n[ok], alpha=alpha2)
-        return rad, rad.copy()
+            log_term = math.log(5.0 * cfg.k_arms / cfg.delta_err)
 
-    def get(self, n: int) -> tuple[float, float]:
-        if n > len(self._lo):
-            new_cap = max(1024, 2 * len(self._lo), n)
-            grid = np.arange(len(self._lo) + 1, new_cap + 1, dtype=float)
-            lo, hi = self._build(grid)
-            self._lo = np.concatenate([self._lo, lo])
-            self._hi = np.concatenate([self._hi, hi])
-        return float(self._lo[n - 1]), float(self._hi[n - 1])
+            def stitched(level: float):
+                def radius(n):
+                    ell = (1.4 * np.log(np.log(2.1 * n)) + log_term) / n
+                    return 1.5 * np.sqrt(level * (1.0 - level) * ell) + 0.8 * ell
+
+                return RadiusSchedule(radius)
+
+            self.lower = stitched(1.0 - (pi + eps))
+            self.upper = stitched(pi - eps)
+        elif cfg.cs_kind == "beta_binomial_one_sided":
+            alpha1 = cfg.delta_err / cfg.k_arms
+            alpha2 = 2.0 * cfg.delta_err / cfg.k_arms
+            r_lo = boundaries.tune_r(cfg.tune_m, pi + eps, alpha2)
+            r_hi = boundaries.tune_r(cfg.tune_m, pi - eps, alpha2)
+            lo_level, hi_level = 1.0 - (pi + eps), pi - eps
+            self.lower = RadiusSchedule(
+                lambda n: boundaries.one_sided_beta_binomial_radius(n, lo_level, r_lo, alpha1)
+            )
+            self.upper = RadiusSchedule(
+                lambda n: boundaries.one_sided_beta_binomial_radius(n, hi_level, r_hi, alpha1)
+            )
+        else:
+            # dkw_union_baseline: DKW with a quadratically decaying union bound,
+            # the same radius on both sides
+            alpha2 = 2.0 * cfg.delta_err / cfg.k_arms
+
+            def szorenyi(n):
+                rad = np.full(n.shape, math.inf)
+                ok = n >= 32
+                if np.any(ok):
+                    rad[ok] = boundaries.baseline_radius("szorenyi", n[ok], alpha=alpha2)
+                return rad
+
+            self.lower = self.upper = RadiusSchedule(szorenyi)
 
 
 _TABLE_CACHE: dict[tuple, _RadiusTable] = {}
@@ -214,20 +219,17 @@ def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
     n = len(data)
     if n < 1:
         raise DomainError("confidence bounds need at least one observation")
-    lo_rad, hi_rad = _radius_table(cfg).get(n)
-    lower = data.upper_quantile(cfg.pi_target + cfg.eps - lo_rad)
-    upper = data.lower_quantile(cfg.pi_target - cfg.eps + hi_rad)
+    table = _radius_table(cfg)
+    lower = data.upper_quantile(cfg.pi_target + cfg.eps - table.lower.at(n))
+    upper = data.lower_quantile(cfg.pi_target - cfg.eps + table.upper.at(n))
     return lower, upper
 
 
 def eps_optimal_set(arms: Sequence[ArmSpec], pi_target: float, eps: float) -> set[int]:
     """Arms k with Q_k(pi+eps) >= max_j Q_j(pi-eps), up to a 1e-12 grace."""
-    lo_vals = [float(a.quantile(pi_target - eps)) for a in arms]
-    best = max(lo_vals)
+    best = max(a.quantile_at(pi_target - eps) for a in arms)
     tol = _TOL * max(1.0, abs(best))
-    return {
-        k for k, a in enumerate(arms) if float(a.quantile(pi_target + eps)) >= best - tol
-    }
+    return {k for k, a in enumerate(arms) if a.quantile_at(pi_target + eps) >= best - tol}
 
 
 def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
@@ -241,6 +243,7 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed,)))
     table = _radius_table(cfg)
+    lower_radius, upper_radius = table.lower.at, table.upper.at
     pi, eps = cfg.pi_target, cfg.eps
 
     data = [OrderedMultiset() for _ in range(k_arms)]
@@ -260,9 +263,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
         ms.insert(draw(k))
         counts[k] += 1
         n = counts[k]
-        lo_rad, hi_rad = table.get(n)
-        lo_level = pi + eps - lo_rad
-        hi_level = pi - eps + hi_rad
+        lo_level = pi + eps - lower_radius(n)
+        hi_level = pi - eps + upper_radius(n)
         k_lo = _level_floor(n, lo_level) + 1
         k_hi = _level_ceil(n, hi_level)
         lower[k] = ms.order_stat(k_lo) if 1 <= k_lo <= n else (-math.inf if k_lo < 1 else math.inf)
@@ -304,17 +306,12 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
             pull(k)
         rounds += 1
 
-    eps_opt: bool | None = None
-    try:
-        eps_opt = winner in eps_optimal_set(arms, pi, eps)
-    except Exception:
-        eps_opt = None
     return RunResult(
         chosen_arm=winner,
         total_samples=sum(counts),
         per_arm_counts=tuple(counts),
         rounds=rounds,
-        eps_optimal=eps_opt,
+        eps_optimal=winner in eps_optimal_set(arms, pi, eps),
         stopped_by_cap=capped,
     )
 
@@ -339,8 +336,7 @@ def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float,
     cap = min(pi_target, 1.0 - pi_target)
 
     def q(k: int, level: float) -> float:
-        level = min(max(level, 1e-15), 1.0 - 1e-15)
-        return float(arms[k].quantile(level))
+        return arms[k].quantile_at(min(max(level, 1e-15), 1.0 - 1e-15))
 
     def case_one(k: int) -> float:
         def holds(d: float) -> bool:

@@ -4,17 +4,20 @@ Every function here is pure: it maps (time, quantile level, parameters) to a
 radius in quantile space.  Radii are deliberately not clipped to [0, 1];
 consumers translate out-of-range levels into infinite order-statistic
 sentinels.  Functions accepting a time `t` also accept numpy arrays of times
-and broadcast over them.
+and broadcast over them; every radius evaluated over an array equals its
+scalar calls bit for bit, which lets `RadiusSchedule` tabulate a radius in
+vectorized chunks without changing any bound.
 
 Numeric contract: root-finding bisections run to 1e-9 absolute in the
-boundary-crossing variable (or 60 iterations); the eta-infimum behind the
-iterated-logarithm miscoverage rate uses a 512-point log grid refined by
-golden section to 1e-8.
+boundary-crossing variable (or 60 iterations), each element of an array
+stopping on its own bracket; the eta-infimum behind the iterated-logarithm
+miscoverage rate uses a 512-point log grid refined by golden section to 1e-8.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,6 +29,7 @@ from .errors import ConfigurationError, DomainError, NumericalError, TuningError
 from .specfun import expit, golden_section_min, lambert_wm1, log_beta, log_betainc, logit, zeta
 
 __all__ = [
+    "RadiusSchedule",
     "StitchConfig",
     "BetaBinomialConfig",
     "LilConfig",
@@ -80,6 +84,33 @@ def _times(t, minimum: float = 1.0):
 
 def _ret(arr, scalar):
     return float(arr[0]) if scalar else arr
+
+
+class RadiusSchedule:
+    """The radii of one boundary at t = 1, 2, 3, ..., looked up by t.
+
+    `radius` maps an array of times to the array of their radii, elementwise
+    (every radius function here does, and agrees bit for bit with its scalar
+    calls).  The first lookup past the end of the table extends it to
+    max(1024, 2 * size, t) entries with one vectorized call, so a stream
+    queried at every t pays O(log t) radius calls in all.  The table is an
+    `array("d")`, whose lookups return Python floats without a numpy scalar.
+    """
+
+    __slots__ = ("_radius", "_table")
+
+    def __init__(self, radius):
+        self._radius = radius
+        self._table = array("d")
+
+    def at(self, t: int) -> float:
+        table = self._table
+        if t > len(table):
+            grid = np.arange(len(table) + 1, max(1024, 2 * len(table), t) + 1, dtype=float)
+            table.extend(np.atleast_1d(self._radius(grid)).tolist())
+        elif t < 1:
+            raise DomainError(f"t must be >= 1, got {t}")
+        return table[t - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +370,26 @@ def one_sided_log_mixture(s_val, v, p: float, r: float):
 
 
 def _mixture_root(log_mix, t_arr, p: float, r: float, alpha: float):
-    """Bisect s in [0, (r+v)/p) for log_mix(s, v) = log(1/alpha); returns s/t."""
+    """Bisect s in [0, (r+v)/p) for log_mix(s, v) = log(1/alpha); returns s/t.
+
+    Each element stops once its own bracket is at most 1e-9 wide, so an
+    element of an array call takes the same steps as a scalar call at its t.
+    """
     v = p * (1.0 - p) * t_arr
     target = math.log(1.0 / alpha)
     s_hi = (r + v) / p * (1.0 - 1e-12)
     s_lo = np.zeros_like(v)
     never = log_mix(s_hi, v, p, r) < target
+    live = np.flatnonzero(s_hi - s_lo > 1e-9)
     for _ in range(60):
-        if np.max(s_hi - s_lo) <= 1e-9:
+        if live.size == 0:
             break
-        mid = 0.5 * (s_lo + s_hi)
-        ge = log_mix(mid, v, p, r) >= target
-        s_hi = np.where(ge, mid, s_hi)
-        s_lo = np.where(ge, s_lo, mid)
+        lo, hi = s_lo[live], s_hi[live]
+        mid = 0.5 * (lo + hi)
+        ge = log_mix(mid, v[live], p, r) >= target
+        s_hi[live] = np.where(ge, mid, hi)
+        s_lo[live] = np.where(ge, lo, mid)
+        live = live[s_hi[live] - s_lo[live] > 1e-9]
     root = 0.5 * (s_lo + s_hi)
     # If even the domain supremum keeps the mixture below 1/alpha the boundary
     # is never crossed and the radius is trivial.

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -148,19 +149,49 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _input_lines(path):
     if path in (None, "-"):
         return sys.stdin
-    return open(path, "r", encoding="utf-8")
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def _streams(args):
+    """The input handle and the output stream, opened in that order and closed on exit.
+
+    Opening the input first means an unreadable input fails before any
+    output, header included, is written.
+    """
+    handle = _input_lines(args.input)
+    try:
+        out, close = _open_out(args.out)
+        try:
+            yield handle, out
+        finally:
+            if close:
+                out.close()
+    finally:
+        if handle is not sys.stdin:
+            handle.close()
+
+
+def _finite(i: int, text: str) -> float:
+    """The finite number on line i; anything else (nan and +-inf too) is an ingest error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise IngestError(f"line {i}: expected a finite number, got {text!r}")
+    return value
 
 
 def _numeric_stream(handle):
     """Yield (line_number, value); blank lines are skipped."""
     for i, line in enumerate(handle, start=1):
         text = line.strip()
-        if not text:
-            continue
-        try:
-            yield i, float(text)
-        except ValueError:
-            raise IngestError(f"line {i}: expected a number, got {text!r}") from None
+        if text:
+            yield i, _finite(i, text)
 
 
 def _labeled_stream(handle):
@@ -172,10 +203,7 @@ def _labeled_stream(handle):
         parts = text.split(",")
         if len(parts) != 2:
             raise IngestError(f"line {i}: expected 'label,value', got {text!r}")
-        try:
-            yield i, parts[0].strip(), float(parts[1])
-        except ValueError:
-            raise IngestError(f"line {i}: expected a number, got {parts[1]!r}") from None
+        yield i, parts[0].strip(), _finite(i, parts[1])
 
 
 def _resolve_seed(args) -> int:
@@ -306,10 +334,8 @@ def cmd_track(args) -> int:
     meta = {"p": args.p, "method": args.method, "alpha": args.alpha}
     if isinstance(method, confseq.BetaBinomialMethod):
         meta["r"] = method.r
-    out, close = _open_out(args.out)
-    emitter = Emitter(out, args.format, columns, meta)
-    handle = _input_lines(args.input)
-    try:
+    with _streams(args) as (handle, out):
+        emitter = Emitter(out, args.format, columns, meta)
         for _, x in _numeric_stream(handle):
             lo, hi = cs.update(x)
             cells = [len(cs.data), x, lo, hi, cs.point_estimate()]
@@ -318,11 +344,6 @@ def cmd_track(args) -> int:
                 cells = [len(cs.data), x, ilo, ihi, cs.point_estimate(), empty]
             emitter.row(*cells)
         emitter.close()
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
-        if close:
-            out.close()
     return 0
 
 
@@ -336,10 +357,8 @@ def cmd_band(args) -> int:
     band = confseq.CdfBand(a_mult=args.a_mult, alpha=args.alpha, m_start=args.m)
     meta = {"alpha": args.alpha, "A": args.a_mult, "m": args.m,
             "C": boundaries.lil_C(args.a_mult, args.alpha)}
-    out, close = _open_out(args.out)
-    emitter = Emitter(out, args.format, ["t", "x", "ecdf", "lo", "hi"], meta)
-    handle = _input_lines(args.input)
-    try:
+    with _streams(args) as (handle, out):
+        emitter = Emitter(out, args.format, ["t", "x", "ecdf", "lo", "hi"], meta)
         remaining = list(checkpoints)
         for _, x in _numeric_stream(handle):
             band.update(x)
@@ -349,11 +368,6 @@ def cmd_band(args) -> int:
                 for v, f, lo, hi in band.band():
                     emitter.row(t, v, f, lo, hi)
         emitter.close()
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
-        if close:
-            out.close()
     return 0
 
 
@@ -368,14 +382,12 @@ def cmd_abtest(args) -> int:
     r = args.r if args.r is not None else boundaries.tune_r(args.tune_m, args.p, args.alpha)
     meta = {"p": args.p, "r": r, "delta_star": args.delta_star, "mode": args.mode,
             "alpha": args.alpha}
-    out, close = _open_out(args.out)
-    emitter = Emitter(out, args.format, ["t", "stat", "pvalue", "reject"], meta)
-    handle = _input_lines(args.input)
     labels: list[str] = []
     state = seqtest.AbTestState(args.p, r, args.delta_star, args.alpha)
     multi: list = []
     running_min = 1.0
-    try:
+    with _streams(args) as (handle, out):
+        emitter = Emitter(out, args.format, ["t", "stat", "pvalue", "reject"], meta)
         for i, label, value in _labeled_stream(handle):
             if label not in labels:
                 if args.mode == "global" or len(labels) < 2:
@@ -408,11 +420,6 @@ def cmd_abtest(args) -> int:
             pv = running_min if args.running_min else result.pvalue
             emitter.row(t, result.stat, pv, result.reject)
         emitter.close()
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
-        if close:
-            out.close()
     return 0
 
 
@@ -451,12 +458,10 @@ def cmd_ks(args) -> int:
     meta = {"mode": args.mode, "alpha": args.alpha, "A": args.a_mult, "m": args.m}
     if args.mode == "one_sample":
         meta["ref"] = args.ref
-    out, close = _open_out(args.out)
-    emitter = Emitter(out, args.format, ["t", "stat", "threshold", "reject"], meta)
-    handle = _input_lines(args.input)
     latched = False
     labels: list[str] = []
-    try:
+    with _streams(args) as (handle, out):
+        emitter = Emitter(out, args.format, ["t", "stat", "threshold", "reject"], meta)
         if args.mode == "one_sample":
             for _, x in _numeric_stream(handle):
                 state.add(x)
@@ -482,11 +487,6 @@ def cmd_ks(args) -> int:
                     f"{len(state.sample2)}"
                 )
         emitter.close()
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
-        if close:
-            out.close()
     return 0
 
 

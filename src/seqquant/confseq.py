@@ -2,9 +2,12 @@
 
 Each tracker owns an OrderedMultiset and a radius method; bounds are always a
 pair of realized order statistics or infinity sentinels, never interpolated.
-Radii are recomputed per query.  When a shifted level p +/- radius leaves
-[0, 1] the sentinel convention applies (no clamping to extreme order
-statistics), which keeps coverage conservative.
+A method's `radius(t, level)` must accept a numpy array of times as well as
+one time: `FixedQuantileCS` reads its two radii from `RadiusSchedule`
+tables filled in vectorized chunks, while `QuantileUniformCS` (whose level
+varies per query) and `CdfBand` evaluate radii per query.  When a shifted
+level p +/- radius leaves [0, 1] the sentinel convention applies (no clamping
+to extreme order statistics), which keeps coverage conservative.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import boundaries
-from .boundaries import DoubleStitchConfig, StitchConfig
+from .boundaries import DoubleStitchConfig, RadiusSchedule, StitchConfig
 from .empdist import NEG_INF, POS_INF, Extended, OrderedMultiset
 from .errors import ConfigurationError, StateError
 
@@ -73,7 +76,8 @@ class FixedQuantileCS:
     The lower endpoint is the upper sample quantile at p - radius(t, 1-p) and
     the upper endpoint the lower sample quantile at p + radius(t, p); the two
     sides use the radius at mirrored levels because the underlying centered
-    process has increments in [-p, 1-p].
+    process has increments in [-p, 1-p].  Both radii depend on t alone, so
+    each side keeps a `RadiusSchedule` of them.
     """
 
     def __init__(self, p: float, method, intersect: bool = False):
@@ -82,6 +86,8 @@ class FixedQuantileCS:
         self.p = p
         self.method = method
         self.intersect = intersect
+        self._lower_radius = RadiusSchedule(lambda t: method.radius(t, 1.0 - p))
+        self._upper_radius = RadiusSchedule(lambda t: method.radius(t, p))
         self.data = OrderedMultiset()
         self._run_lower: Extended = NEG_INF
         self._run_upper: Extended = POS_INF
@@ -101,10 +107,8 @@ class FixedQuantileCS:
         t = len(self.data)
         if t == 0:
             return NEG_INF, POS_INF
-        lower_radius = self.method.radius(t, 1.0 - self.p)
-        upper_radius = self.method.radius(t, self.p)
-        lower = self.data.upper_quantile(self.p - lower_radius)
-        upper = self.data.lower_quantile(self.p + upper_radius)
+        lower = self.data.upper_quantile(self.p - self._lower_radius.at(t))
+        upper = self.data.lower_quantile(self.p + self._upper_radius.at(t))
         return lower, upper
 
     def intersected_bounds(self) -> tuple[Extended, Extended, bool]:

@@ -509,15 +509,9 @@ def ab_vs_naive_benchmark(
     r_test = boundaries.tune_r(tune_m, pi, alpha)
     r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)
     schedule = _check_schedule(max_pairs)
-    radius_memo: dict[int, tuple[float, float]] = {}
-
-    def naive_radii(n: int) -> tuple[float, float]:
-        if n not in radius_memo:
-            radius_memo[n] = (
-                boundaries.beta_binomial_radius(n, 1.0 - pi, r_naive, alpha / 2.0),
-                boundaries.beta_binomial_radius(n, pi, r_naive, alpha / 2.0),
-            )
-        return radius_memo[n]
+    grid = np.asarray(schedule, dtype=float)
+    naive_lo = boundaries.beta_binomial_radius(grid, 1.0 - pi, r_naive, alpha / 2.0).tolist()
+    naive_hi = boundaries.beta_binomial_radius(grid, pi, r_naive, alpha / 2.0).tolist()
 
     log_thresh = math.log(1.0 / alpha)
     stops_test = []
@@ -531,17 +525,15 @@ def ab_vs_naive_benchmark(
         x1_all = arms[0].quantile(u1)
         x2_all = arms[1].quantile(u2)
         stop_test = stop_naive = None
-        for n in schedule:
+        for n, lo_rad, hi_rad in zip(schedule, naive_lo, naive_hi):
             x1 = np.sort(x1_all[:n])
             x2 = np.sort(x2_all[:n])
             if stop_test is None:
                 stat = _sorted_two_sided_stat(x1, x2, pi, r_test, 0.0, astar_cache)
                 if stat >= log_thresh:
                     stop_test = 2 * n
-            if stop_naive is None:
-                lo_rad, hi_rad = naive_radii(n)
-                if _naive_disjoint(x1, x2, pi, lo_rad, hi_rad):
-                    stop_naive = 2 * n
+            if stop_naive is None and _naive_disjoint(x1, x2, pi, lo_rad, hi_rad):
+                stop_naive = 2 * n
             if stop_test is not None and stop_naive is not None:
                 break
         if stop_test is None:

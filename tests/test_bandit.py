@@ -129,6 +129,19 @@ class TestQlucbRun:
         assert a == b
         assert repr(a) == repr(b)
 
+    def test_array_only_quantiles_get_an_eps_optimality_verdict(self):
+        # a quantile callable that only accepts arrays (the ArmSpec contract)
+        def shifted(shift):
+            return custom_arm(lambda u: np.array([float(v) + shift for v in u]))
+
+        arms = [shifted(0.0), shifted(1.0)]
+        assert eps_optimal_set(arms, 0.5, 0.1) == {1}
+        cfg = QlucbConfig(pi_target=0.5, eps=0.1, delta_err=0.05,
+                          cs_kind="stitched_qlucb", k_arms=2, seed=3)
+        res = qlucb_run(arms, cfg)
+        assert res.chosen_arm == 1
+        assert res.eps_optimal is True
+
     def test_mismatched_k_raises(self):
         arms = scenario_arms("uniform_shift", 3, 0.05, 0.5)
         cfg = QlucbConfig(pi_target=0.5, eps=0.05, k_arms=4)

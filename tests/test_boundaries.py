@@ -495,3 +495,61 @@ class TestOneSidedRadiusRoot:
             assert 0.0 < rad < 1.0
             rad1 = one_sided_beta_binomial_radius(1000, 0.5, 0.758, alpha)
             assert 0.0 < rad1 <= rad + 1e-12
+
+
+_SCHEDULE_R = 0.758
+_SCHEDULE_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9)
+# every radius a schedule tabulates, as f(t, level); lil ignores the level
+_SCHEDULE_RADII = {
+    "stitched": lambda t, q: stitched_radius(t, q, StitchConfig(eta=2.04, s_exp=1.4)),
+    "stitched_simple": lambda t, q: stitched_radius_simple(t, q, 0.05),
+    "normal_mixture": lambda t, q: normal_mixture_radius(t, 0.504, 0.05),
+    "beta_binomial": lambda t, q: beta_binomial_radius(t, q, _SCHEDULE_R, 0.05),
+    "beta_binomial_one_sided": lambda t, q: one_sided_beta_binomial_radius(
+        t, q, _SCHEDULE_R, 0.05),
+    "lil": lambda t, q: lil_radius(t, 0.85, lil_C(0.85, 0.05)),
+}
+_MIXTURES = ("beta_binomial", "beta_binomial_one_sided")
+# the bisected radii cost ~2 ms per scalar call, so they are compared with
+# scalar calls at every t around the chunk edges (1024/1025, 2048/2049) and
+# on a stride elsewhere; the closed forms at every t
+_MIXTURE_TIMES = sorted(
+    set(range(1, 65)) | set(range(1016, 1034)) | set(range(2040, 2058))
+    | set(range(2990, 3001)) | set(range(65, 3000, 31))
+)
+
+
+class TestRadiusSchedule:
+    @pytest.mark.parametrize("level", _SCHEDULE_LEVELS)
+    @pytest.mark.parametrize("name", sorted(_SCHEDULE_RADII))
+    def test_schedule_equals_scalar_calls_bit_for_bit(self, name, level):
+        radius = _SCHEDULE_RADII[name]
+        schedule = bd.RadiusSchedule(lambda t: radius(t, level))
+        table = [schedule.at(t) for t in range(1, 3001)]
+        times = _MIXTURE_TIMES if name in _MIXTURES else range(1, 3001)
+        mismatched = [t for t in times if table[t - 1] != radius(t, level)]
+        assert mismatched == []
+
+    def test_table_grows_in_doubling_chunks(self):
+        calls = []
+
+        def radius(t):
+            calls.append((int(t[0]), int(t[-1])))
+            return 1.0 / t
+
+        schedule = bd.RadiusSchedule(radius)
+        assert schedule.at(1) == 1.0
+        assert schedule.at(1024) == 1.0 / 1024
+        assert schedule.at(1025) == 1.0 / 1025
+        assert schedule.at(5000) == 1.0 / 5000
+        assert schedule.at(3) == 1.0 / 3
+        assert calls == [(1, 1024), (1025, 2048), (2049, 5000)]
+
+    def test_time_below_one_is_domain_error(self):
+        schedule = bd.RadiusSchedule(lambda t: 1.0 / t)
+        for t in (0, -3):
+            with pytest.raises(DomainError):
+                schedule.at(t)
+        schedule.at(10)
+        with pytest.raises(DomainError):
+            schedule.at(0)

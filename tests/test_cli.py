@@ -35,6 +35,12 @@ GOLDEN_CASES = {
     "bai.csv": ["bai", "--scenario", "uniform_shift", "--pi", "0.5", "--eps", "0.05",
                 "--delta", "0.2", "--cs-kinds", "stitched_qlucb", "--runs", "2",
                 "--k-arms", "3", "--seed", "7"],
+    # pin the beta-binomial tracker past the first radius-table chunk
+    # (t > 1024) and the scalar mixture radii bit for bit
+    "track_beta_binomial.csv": ["track", str(FIXTURES / "cauchy1100.txt"), "--p", "0.25",
+                                "--method", "beta_binomial"],
+    "bounds_mixtures.csv": ["bounds", "--methods", "beta_binomial,stitched,normal_mixture",
+                            "--t", "1,2,10,100,1000,1024,1025,3000", "--p", "0.25,0.5,0.9"],
 }
 
 
@@ -294,3 +300,37 @@ class TestNormalMixtureTuning:
         row = [l for l in out.splitlines() if l.startswith("100,")][0]
         # r = (32/8)/7.936 = 0.50402: radius matches the r=0.504 reference to 1e-3
         assert float(row.split(",")[3]) == pytest.approx(0.3368, abs=1e-3)
+
+
+class TestInputErrors:
+    NON_FINITE = {
+        "track": (["track", "--p", "0.5"], "1.0\n{}\n"),
+        "band": (["band", "--checkpoints", "5"], "1.0\n{}\n"),
+        "abtest": (["abtest", "--p", "0.5"], "a,1.0\nb,{}\n"),
+        "ks": (["ks", "--mode", "two_sample"], "x,1.0\ny,{}\n"),
+    }
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("command", sorted(NON_FINITE))
+    def test_non_finite_value_is_data_error(self, tmp_path, command, token):
+        argv, text = self.NON_FINITE[command]
+        data = tmp_path / "bad.txt"
+        data.write_text(text.format(token))
+        rc, _, err = run_cli(argv[:1] + [str(data)] + argv[1:])
+        assert rc == 3
+        assert err.startswith("data error: line 2")
+
+    @pytest.mark.parametrize("command", sorted(NON_FINITE))
+    def test_missing_input_is_data_error_without_output(self, tmp_path, command):
+        argv, _ = self.NON_FINITE[command]
+        missing = tmp_path / "absent.txt"
+        rc, out, err = run_cli(argv[:1] + [str(missing)] + argv[1:])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("data error: cannot read input")
+
+    def test_unreadable_input_leaves_output_file_unwritten(self, tmp_path):
+        target = tmp_path / "out.csv"
+        rc, _, _ = run_cli(["track", str(tmp_path), "--p", "0.5", "--out", str(target)])
+        assert rc == 3
+        assert not target.exists()
