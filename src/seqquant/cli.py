@@ -127,10 +127,22 @@ class Emitter:
         self.out.flush()
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """The output stream (stdout for None or "-"), closed on exit if it is a file.
+
+    An output that cannot be opened is a usage error raised before anything
+    is computed or written.
+    """
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    try:
+        out = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot open output {path!r}: {exc.strerror or exc}") from None
+    with out:
+        yield out
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -164,12 +176,8 @@ def _streams(args):
     """
     handle = _input_lines(args.input)
     try:
-        out, close = _open_out(args.out)
-        try:
+        with _output(args.out) as out:
             yield handle, out
-        finally:
-            if close:
-                out.close()
     finally:
         if handle is not sys.stdin:
             handle.close()
@@ -285,18 +293,15 @@ def cmd_bounds(args) -> int:
     for p in p_list:
         if "beta_binomial" in methods:
             meta[f"r[p={_fmt_cell(p)}]"] = boundaries.tune_r(args.tune_m, p, args.alpha)
-    out, close = _open_out(args.out)
-    emitter = Emitter(out, args.format, ["t", "p", "method", "radius", "radius_times_sqrt_t"], meta)
-    try:
+    with _output(args.out) as out:
+        emitter = Emitter(out, args.format, ["t", "p", "method", "radius", "radius_times_sqrt_t"],
+                          meta)
         for method in methods:
             for p in p_list:
                 for t in t_list:
                     rad = _radius_for(method, t, p, args.alpha, args.tune_m, r_cache)
                     emitter.row(t, p, method, rad, rad * math.sqrt(t))
         emitter.close()
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -425,24 +430,22 @@ def cmd_abtest(args) -> int:
 
 def _abtest_simulate(args) -> int:
     seed = _resolve_seed(args)
-    row = seqtest.ab_vs_naive_benchmark(
-        scenario=args.scenario, pi=args.p, alpha=args.alpha, runs=args.runs,
-        seed=seed, eps=args.eps, max_pairs=args.max_pairs,
-    )
     meta = {"scenario": args.scenario, "pi": args.p, "eps": args.eps,
             "alpha": args.alpha, "runs": args.runs, "seed": seed}
-    out, close = _open_out(args.out)
-    emitter = Emitter(
-        out, args.format,
-        ["scenario", "pi", "runs", "mean_t_test", "mean_t_naive", "ratio",
-         "capped_test", "capped_naive"],
-        meta,
-    )
-    emitter.row(row.scenario, row.pi, row.runs, row.mean_t_test, row.mean_t_naive,
-                row.ratio, row.capped_test, row.capped_naive)
-    emitter.close()
-    if close:
-        out.close()
+    with _output(args.out) as out:
+        row = seqtest.ab_vs_naive_benchmark(
+            scenario=args.scenario, pi=args.p, alpha=args.alpha, runs=args.runs,
+            seed=seed, eps=args.eps, max_pairs=args.max_pairs,
+        )
+        emitter = Emitter(
+            out, args.format,
+            ["scenario", "pi", "runs", "mean_t_test", "mean_t_naive", "ratio",
+             "capped_test", "capped_naive"],
+            meta,
+        )
+        emitter.row(row.scenario, row.pi, row.runs, row.mean_t_test, row.mean_t_naive,
+                    row.ratio, row.capped_test, row.capped_naive)
+        emitter.close()
     return 0
 
 
@@ -505,25 +508,24 @@ def cmd_bai(args) -> int:
     if args.scenario not in bandit.SCENARIOS:
         raise UsageError(f"unknown scenario {args.scenario!r}; valid: "
                          f"{', '.join(bandit.SCENARIOS)}")
-    rows = bandit.bai_benchmark(
-        scenario=args.scenario, pi_list=pi_list, eps=args.eps, delta_err=args.delta,
-        cs_kinds=kinds, runs=args.runs, seed=seed, k_arms=args.k_arms,
-        max_rounds=args.max_rounds,
-    )
     meta = {"scenario": args.scenario, "eps": args.eps, "delta": args.delta,
             "runs": args.runs, "K": args.k_arms, "seed": seed}
-    out, close = _open_out(args.out)
-    emitter = Emitter(
-        out, args.format,
-        ["scenario", "pi", "cs_kind", "runs", "mean_T", "median_T", "correct_rate", "capped"],
-        meta,
-    )
-    for row in rows:
-        emitter.row(row.scenario, row.pi, row.cs_kind, row.runs, row.mean_samples,
-                    row.median_samples, row.correct_rate, row.capped_runs)
-    emitter.close()
-    if close:
-        out.close()
+    with _output(args.out) as out:
+        rows = bandit.bai_benchmark(
+            scenario=args.scenario, pi_list=pi_list, eps=args.eps, delta_err=args.delta,
+            cs_kinds=kinds, runs=args.runs, seed=seed, k_arms=args.k_arms,
+            max_rounds=args.max_rounds,
+        )
+        emitter = Emitter(
+            out, args.format,
+            ["scenario", "pi", "cs_kind", "runs", "mean_T", "median_T", "correct_rate",
+             "capped"],
+            meta,
+        )
+        for row in rows:
+            emitter.row(row.scenario, row.pi, row.cs_kind, row.runs, row.mean_samples,
+                        row.median_samples, row.correct_rate, row.capped_runs)
+        emitter.close()
     return 0
 
 
@@ -538,6 +540,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--config", default=None, help="flat key=value defaults file")
     sub.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV} or 0)")
+    sub.set_defaults(subparser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,15 +631,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_flags(subparser) -> dict:
+    """Config key -> argparse action for every flag of a subcommand.
+
+    A key is a flag's long name or its dest, with '-' read as '_' (``tune-m``,
+    ``tune_m``; ``A``, ``a_mult``).
+    """
+    flags = {}
+    for action in subparser._actions:
+        if action.option_strings and action.dest != "help":
+            flags[action.dest] = action
+            for opt in action.option_strings:
+                flags[opt.lstrip("-").replace("-", "_")] = action
+    return flags
+
+
 def _apply_config(args, argv: list[str]) -> None:
     """Apply key=value defaults from --config for flags absent from argv."""
     if not args.config:
         return
+    flags = _config_flags(args.subparser)
     present = set()
     for tok in argv:
         if tok.startswith("--"):
-            present.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    with open(args.config, "r", encoding="utf-8") as fh:
+            action = flags.get(tok[2:].split("=", 1)[0].replace("-", "_"))
+            if action is not None:
+                present.add(action.dest)
+    try:
+        fh = open(args.config, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config {args.config!r}: {exc.strerror or exc}") from None
+    with fh:
         for i, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -644,19 +669,25 @@ def _apply_config(args, argv: list[str]) -> None:
             if "=" not in text:
                 raise UsageError(f"{args.config}:{i}: expected key=value, got {text!r}")
             key, _, val = text.partition("=")
-            key = key.strip().replace("-", "_")
+            key = key.strip()
             val = val.strip()
-            if key in present or not hasattr(args, key):
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise UsageError(f"{args.config}:{i}: unknown key {key!r}: "
+                                 f"not a flag of {args.command}")
+            if action.dest in present:
                 continue
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, key, int(val))
-            elif isinstance(current, float):
-                setattr(args, key, float(val))
+            if action.nargs == 0:  # store_true
+                value = val.lower() in ("1", "true", "yes")
             else:
-                setattr(args, key, val)
+                try:
+                    value = val if action.type is None else action.type(val)
+                except ValueError:
+                    raise UsageError(f"{args.config}:{i}: bad value {val!r} for {key!r}") from None
+                if action.choices is not None and value not in action.choices:
+                    raise UsageError(f"{args.config}:{i}: {key!r} must be one of "
+                                     f"{', '.join(action.choices)}, got {val!r}")
+            setattr(args, action.dest, value)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,9 +1,11 @@
 """Streaming empirical distribution with logarithmic rank/select queries.
 
-The container is a size-augmented AVL tree over distinct values, with
-duplicates stored as per-node multiplicities, so rank queries count
-multiplicity exactly.  Values may be any totally ordered type; float NaN is
-rejected at insertion because it breaks rank semantics.
+The container is a thin wrapper over one ``sortedcontainers.SortedList``
+holding every observation, duplicates as repeated entries, so rank queries
+count multiplicity exactly.  Equal values keep their insertion order, and
+``items`` reports each distinct value by its first-inserted representative.
+Values may be any totally ordered type; float NaN is rejected at insertion
+because it breaks rank semantics.
 
 Quantile conventions: the upper sample quantile at level p is the
 floor(t p) + 1 order statistic, the lower one the ceil(t p) order statistic,
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import math
 from typing import Any, Iterable, Iterator
+
+from sortedcontainers import SortedList
 
 from .errors import QueryError
 
@@ -40,8 +44,6 @@ class _Sentinel:
     def __lt__(self, other) -> bool:
         if other is self:
             return False
-        if isinstance(other, _Sentinel):
-            return self._neg
         return self._neg
 
     def __le__(self, other) -> bool:
@@ -50,8 +52,6 @@ class _Sentinel:
     def __gt__(self, other) -> bool:
         if other is self:
             return False
-        if isinstance(other, _Sentinel):
-            return not self._neg
         return not self._neg
 
     def __ge__(self, other) -> bool:
@@ -99,143 +99,63 @@ def _level_ceil(t: int, p) -> int:
     return -((t * -pn) // pd)
 
 
-class OrderedMultiset:
-    """Rank-augmented balanced search tree over a stream of observations."""
+def _runs(values: Iterable) -> Iterator[tuple[Any, int]]:
+    """(value, run length) for each run of equal values in a sorted iterable."""
+    it = iter(values)
+    for head in it:
+        break
+    else:
+        return
+    n = 1
+    for v in it:
+        if v == head:
+            n += 1
+        else:
+            yield head, n
+            head, n = v, 1
+    yield head, n
 
-    __slots__ = ("_val", "_cnt", "_size", "_ht", "_left", "_right", "_root", "_t")
+
+class OrderedMultiset:
+    """Sorted multiset of a stream of observations with rank/select queries."""
+
+    __slots__ = ("_sl",)
 
     def __init__(self, values: Iterable | None = None):
-        self._val: list = []
-        self._cnt: list[int] = []
-        self._size: list[int] = []
-        self._ht: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._root = -1
-        self._t = 0
+        self._sl = SortedList()
         if values is not None:
             for x in values:
                 self.insert(x)
 
     def __len__(self) -> int:
-        return self._t
+        return len(self._sl)
 
     @property
     def count(self) -> int:
-        return self._t
+        return len(self._sl)
 
     def copy(self) -> "OrderedMultiset":
-        """Structural snapshot (O(n)); safe to query while the original grows."""
+        """Snapshot (O(n)); safe to query while the original grows."""
         other = OrderedMultiset()
-        other._val = self._val.copy()
-        other._cnt = self._cnt.copy()
-        other._size = self._size.copy()
-        other._ht = self._ht.copy()
-        other._left = self._left.copy()
-        other._right = self._right.copy()
-        other._root = self._root
-        other._t = self._t
+        other._sl = self._sl.copy()
         return other
-
-    # -- structure maintenance ------------------------------------------------
-
-    def _new_node(self, x) -> int:
-        self._val.append(x)
-        self._cnt.append(1)
-        self._size.append(1)
-        self._ht.append(1)
-        self._left.append(-1)
-        self._right.append(-1)
-        return len(self._val) - 1
-
-    def _h(self, i: int) -> int:
-        return self._ht[i] if i >= 0 else 0
-
-    def _s(self, i: int) -> int:
-        return self._size[i] if i >= 0 else 0
-
-    def _refresh(self, i: int) -> None:
-        l, r = self._left[i], self._right[i]
-        hl = self._ht[l] if l >= 0 else 0
-        hr = self._ht[r] if r >= 0 else 0
-        self._ht[i] = (hl if hl > hr else hr) + 1
-        self._size[i] = self._cnt[i] + (self._size[l] if l >= 0 else 0) + (
-            self._size[r] if r >= 0 else 0
-        )
-
-    def _rotate_left(self, i: int) -> int:
-        r = self._right[i]
-        self._right[i] = self._left[r]
-        self._left[r] = i
-        self._refresh(i)
-        self._refresh(r)
-        return r
-
-    def _rotate_right(self, i: int) -> int:
-        l = self._left[i]
-        self._left[i] = self._right[l]
-        self._right[l] = i
-        self._refresh(i)
-        self._refresh(l)
-        return l
-
-    def _rebalance(self, i: int) -> int:
-        bal = self._h(self._left[i]) - self._h(self._right[i])
-        if bal > 1:
-            l = self._left[i]
-            if self._h(self._left[l]) < self._h(self._right[l]):
-                self._left[i] = self._rotate_left(l)
-            return self._rotate_right(i)
-        if bal < -1:
-            r = self._right[i]
-            if self._h(self._right[r]) < self._h(self._left[r]):
-                self._right[i] = self._rotate_right(r)
-            return self._rotate_left(i)
-        return i
 
     def insert(self, x) -> int:
         """Insert one observation (duplicates allowed); returns the new count."""
         if isinstance(x, float) and x != x:
             raise ValueError("NaN is not insertable: it breaks rank semantics")
-        self._t += 1
-        if self._root < 0:
-            self._root = self._new_node(x)
-            return self._t
-        path = []
-        i = self._root
-        val = self._val
-        while i >= 0:
-            path.append(i)
-            v = val[i]
-            if x == v:
-                self._cnt[i] += 1
-                for j in path:
-                    self._size[j] += 1
-                return self._t
-            i = self._left[i] if x < v else self._right[i]
-        leaf = path[-1]
-        node = self._new_node(x)
-        if x < val[leaf]:
-            self._left[leaf] = node
-        else:
-            self._right[leaf] = node
-        for k in range(len(path) - 1, -1, -1):
-            cur = path[k]
-            self._refresh(cur)
-            new_sub = self._rebalance(cur)
-            if new_sub != cur:
-                if k == 0:
-                    self._root = new_sub
-                else:
-                    par = path[k - 1]
-                    if self._left[par] == cur:
-                        self._left[par] = new_sub
-                    else:
-                        self._right[par] = new_sub
-        return self._t
+        self._sl.add(x)
+        return len(self._sl)
 
     def height(self) -> int:
-        return self._h(self._root)
+        """Levels on a rank/select search path, in O(1).
+
+        A positional lookup descends the SortedList's binary index over its
+        sublists, ceil(log2 m) levels for m sublists, then indexes one
+        sublist: O(log t) levels, since sublists hold at most a fixed load.
+        """
+        m = len(self._sl._lists)
+        return (m - 1).bit_length() + 1 if m else 0
 
     # -- rank / select queries -------------------------------------------------
 
@@ -243,104 +163,54 @@ class OrderedMultiset:
         """k-th smallest value; NEG_INF for k < 1, POS_INF for k > count."""
         if k < 1:
             return NEG_INF
-        if k > self._t:
+        if k > len(self._sl):
             return POS_INF
-        i = self._root
-        while True:
-            left = self._left[i]
-            ls = self._size[left] if left >= 0 else 0
-            if k <= ls:
-                i = left
-            elif k <= ls + self._cnt[i]:
-                return self._val[i]
-            else:
-                k -= ls + self._cnt[i]
-                i = self._right[i]
+        return self._sl[k - 1]
 
     def count_le(self, x) -> int:
         """Number of stored values <= x (sentinels allowed for x)."""
-        c = 0
-        i = self._root
-        while i >= 0:
-            if self._val[i] <= x:
-                left = self._left[i]
-                c += (self._size[left] if left >= 0 else 0) + self._cnt[i]
-                i = self._right[i]
-            else:
-                i = self._left[i]
-        return c
+        return self._sl.bisect_right(x)
 
     def count_lt(self, x) -> int:
-        c = 0
-        i = self._root
-        while i >= 0:
-            if self._val[i] < x:
-                left = self._left[i]
-                c += (self._size[left] if left >= 0 else 0) + self._cnt[i]
-                i = self._right[i]
-            else:
-                i = self._left[i]
-        return c
+        return self._sl.bisect_left(x)
 
     def cdf_at(self, x) -> tuple[float, float]:
         """(F^-(x), F(x)) = (#<x, #<=x) / count, in O(log count)."""
-        if self._t == 0:
+        t = len(self._sl)
+        if t == 0:
             raise QueryError("empirical CDF is undefined for an empty distribution")
-        return self.count_lt(x) / self._t, self.count_le(x) / self._t
+        return self.count_lt(x) / t, self.count_le(x) / t
 
     def upper_quantile(self, p) -> Extended:
         """Q_t(p): the floor(t p) + 1 order statistic."""
-        if self._t == 0:
+        t = len(self._sl)
+        if t == 0:
             raise QueryError("sample quantile is undefined for an empty distribution")
-        return self.order_stat(_level_floor(self._t, p) + 1)
+        return self.order_stat(_level_floor(t, p) + 1)
 
     def lower_quantile(self, p) -> Extended:
         """Q^-_t(p): the ceil(t p) order statistic."""
-        if self._t == 0:
+        t = len(self._sl)
+        if t == 0:
             raise QueryError("sample quantile is undefined for an empty distribution")
-        return self.order_stat(_level_ceil(self._t, p))
+        return self.order_stat(_level_ceil(t, p))
 
     def min(self) -> Extended:
         return self.order_stat(1)
 
     def max(self) -> Extended:
-        return self.order_stat(self._t) if self._t else NEG_INF
+        t = len(self._sl)
+        return self.order_stat(t) if t else NEG_INF
 
     # -- iteration ---------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """(value, multiplicity) pairs in increasing value order."""
-        stack = []
-        i = self._root
-        while stack or i >= 0:
-            while i >= 0:
-                stack.append(i)
-                i = self._left[i]
-            i = stack.pop()
-            yield self._val[i], self._cnt[i]
-            i = self._right[i]
+        return _runs(self._sl)
 
     def __iter__(self) -> Iterator:
-        for v, c in self.items():
-            for _ in range(c):
-                yield v
+        return iter(self._sl)
 
     def items_between(self, lo, hi) -> Iterator[tuple[Any, int]]:
         """(value, multiplicity) for distinct values in [lo, hi], in order."""
-        stack = []
-        i = self._root
-        while stack or i >= 0:
-            while i >= 0:
-                if self._val[i] < lo:
-                    i = self._right[i]
-                else:
-                    stack.append(i)
-                    i = self._left[i]
-            if not stack:
-                return
-            i = stack.pop()
-            v = self._val[i]
-            if v > hi:
-                return
-            yield v, self._cnt[i]
-            i = self._right[i]
+        return _runs(self._sl.irange(lo, hi))

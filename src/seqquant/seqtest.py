@@ -227,10 +227,7 @@ def global_null_pvalue(
     Bonferroni combination (K - 1) exp(-max_k min_x [G+_1(x) + G-_k(x)]),
     clamped to 1.
     """
-    best = _global_null_best_stat(control, treatments, p, r)
-    if best <= 0.0:
-        return 1.0
-    return min(1.0, len(treatments) * math.exp(-best))
+    return global_null_result(control, treatments, p, r).pvalue
 
 
 def global_null_result(

@@ -334,3 +334,68 @@ class TestInputErrors:
         rc, _, _ = run_cli(["track", str(tmp_path), "--p", "0.5", "--out", str(target)])
         assert rc == 3
         assert not target.exists()
+
+
+class TestOutputErrors:
+    COMMANDS = {
+        "bounds": ["bounds", "--methods", "dkw_fixed", "--t", "100"],
+        "track": ["track", str(FIXTURES / "stream10.txt"), "--p", "0.5"],
+        "band": ["band", str(FIXTURES / "stream10.txt"), "--checkpoints", "5"],
+        "abtest": ["abtest", str(FIXTURES / "ab8.txt"), "--p", "0.5", "--r", "0.758"],
+        "abtest_simulate": ["abtest", "--simulate", "--runs", "2", "--max-pairs", "200"],
+        "ks": ["ks", str(FIXTURES / "ks6.txt"), "--mode", "two_sample"],
+        "bai": ["bai", "--pi", "0.5", "--eps", "0.05", "--delta", "0.2", "--runs", "2",
+                "--k-arms", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unopenable_output_is_usage_error_without_output(self, tmp_path, command):
+        target = tmp_path / "missing_dir" / "out.csv"
+        rc, out, err = run_cli(self.COMMANDS[command] + ["--out", str(target)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot open output")
+        assert not target.parent.exists()
+
+
+class TestConfigErrors:
+    def test_missing_config_is_usage_error(self, tmp_path):
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                                "--config", str(tmp_path / "absent.cfg")])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot read config")
+
+    def test_unknown_key_names_key_and_line(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# defaults\ntune-m=64\nalhpa=0.2\n")
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                                "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {cfg}:3: unknown key 'alhpa'")
+
+    def test_values_are_typed_by_their_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("r=0.5\nA=0.9\n")
+        rc, out, err = run_cli(["track", str(FIXTURES / "stream10.txt"), "--p", "0.5",
+                                "--method", "beta_binomial", "--config", str(cfg)])
+        assert rc == 2 and "unknown key 'A'" in err  # track has no --A
+        cfg.write_text("r=0.5\n")
+        rc, out, _ = run_cli(["track", str(FIXTURES / "stream10.txt"), "--p", "0.5",
+                              "--method", "beta_binomial", "--config", str(cfg)])
+        assert rc == 0
+        assert "# r=0.5" in out
+        cfg.write_text("A=0.9\nalpha=0.2\n")
+        rc, out, _ = run_cli(["band", str(FIXTURES / "stream10.txt"), "--checkpoints", "5",
+                              "--A", "0.8", "--config", str(cfg)])
+        assert rc == 0
+        assert "# A=0.8" in out and "# alpha=0.2" in out
+
+    def test_bad_value_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("runs=many\n")
+        rc, out, err = run_cli(["bai", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {cfg}:1: bad value 'many'")

@@ -141,6 +141,23 @@ def test_oracle_equivalence_discrete(values):
         assert ms.lower_quantile(p) == oracle.lower_quantile(p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-8, max_value=8), min_size=0, max_size=64))
+def test_oracle_equivalence_iteration(values):
+    ms = OrderedMultiset(values)
+    oracle = SortedOracle(values)
+    runs = [(v, oracle.xs.count(v)) for v in sorted(set(oracle.xs))]
+    assert list(ms.items()) == runs
+    assert list(ms) == oracle.xs
+    probes = [-100, 100] + [v + d for v in set(values) for d in (-0.5, 0, 0.5)]
+    for lo in probes:
+        for hi in probes:
+            assert list(ms.items_between(lo, hi)) == [(v, c) for v, c in runs if lo <= v <= hi]
+    for x in (NEG_INF, POS_INF):
+        assert ms.count_le(x) == oracle.count_le(x)
+        assert ms.count_lt(x) == oracle.count_lt(x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1,
                 max_size=200))
