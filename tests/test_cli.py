@@ -41,6 +41,13 @@ GOLDEN_CASES = {
                                 "--method", "beta_binomial"],
     "bounds_mixtures.csv": ["bounds", "--methods", "beta_binomial,stitched,normal_mixture",
                             "--t", "1,2,10,100,1000,1024,1025,3000", "--p", "0.25,0.5,0.9"],
+    # pin every sequential-test statistic on ~200 seeded lines: Cauchy arms,
+    # the last arm shifted by 0.5 (0.3 and rounded to 0.1 for the tied stream)
+    "abtest_one_sided.csv": ["abtest", str(FIXTURES / "ab_shift200.txt"), "--mode", "one_sided"],
+    "abtest_global.csv": ["abtest", str(FIXTURES / "ab3_210.txt"), "--mode", "global"],
+    "abtest_ties.csv": ["abtest", str(FIXTURES / "ab_ties200.txt"), "--delta-star", "0.3"],
+    "ks_dominance.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "dominance"],
+    "ks_two_sample.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "two_sample"],
 }
 
 
