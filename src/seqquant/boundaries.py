@@ -91,10 +91,12 @@ class RadiusSchedule:
 
     `radius` maps an array of times to the array of their radii, elementwise
     (every radius function here does, and agrees bit for bit with its scalar
-    calls).  The first lookup past the end of the table extends it to
-    max(1024, 2 * size, t) entries with one vectorized call, so a stream
-    queried at every t pays O(log t) radius calls in all.  The table is an
-    `array("d")`, whose lookups return Python floats without a numpy scalar.
+    calls); any other elementwise function of t tabulates the same way, as
+    `seqtest` does for the minimizing level a*.  The first lookup past the
+    end of the table extends it to max(1024, 2 * size, t) entries with one
+    vectorized call, so a stream queried at every t pays O(log t) radius
+    calls in all.  The table is an `array("d")`, whose lookups return Python
+    floats without a numpy scalar.
     """
 
     __slots__ = ("_radius", "_table")
@@ -357,16 +359,20 @@ def one_sided_log_mixture(s_val, v, p: float, r: float):
     if np.any(v_arr < 0.0):
         raise DomainError("intrinsic time v must be nonnegative")
     a, b = _mixture_args(s_arr, v_arr, p, r)
-    x = 1.0 - p
-    log_num = log_betainc(a, b, x) + log_beta(a, b)
-    log_den = log_betainc(r / p, r / (1.0 - p), x) + log_beta(r / p, r / (1.0 - p))
+    log_num = log_betainc(a, b, 1.0 - p) + log_beta(a, b)
     out = (
         -(v_arr / (1.0 - p) + s_arr) * math.log(p)
         - (v_arr / p - s_arr) * math.log(1.0 - p)
         + log_num
-        - log_den
+        - _one_sided_log_den(p, r)
     )
     return _ret(out, scalar)
+
+
+@lru_cache(maxsize=256)
+def _one_sided_log_den(p: float, r: float) -> float:
+    """The one-sided mixture's normalizer log(I_{1-p}(r/p, r/(1-p)) B(r/p, r/(1-p)))."""
+    return log_betainc(r / p, r / (1.0 - p), 1.0 - p) + log_beta(r / p, r / (1.0 - p))
 
 
 def _mixture_root(log_mix, t_arr, p: float, r: float, alpha: float):

@@ -646,17 +646,35 @@ def _config_flags(subparser) -> dict:
     return flags
 
 
+def _given_flags(subparser, argv: list[str]) -> set[str]:
+    """Dests of the flags in argv, spelled out or by a prefix argparse accepts.
+
+    argparse takes a prefix of a long flag when it names one flag only, so
+    ``--alph`` gives ``--alpha``.
+    """
+    options = subparser._option_string_actions
+    given = set()
+    for tok in argv:
+        if tok == "--":
+            break
+        if not tok.startswith("--"):
+            continue
+        name = tok.split("=", 1)[0]
+        if name in options:
+            given.add(options[name].dest)
+            continue
+        matches = {action.dest for opt, action in options.items() if opt.startswith(name)}
+        if len(matches) == 1:
+            given |= matches
+    return given
+
+
 def _apply_config(args, argv: list[str]) -> None:
     """Apply key=value defaults from --config for flags absent from argv."""
     if not args.config:
         return
     flags = _config_flags(args.subparser)
-    present = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            action = flags.get(tok[2:].split("=", 1)[0].replace("-", "_"))
-            if action is not None:
-                present.add(action.dest)
+    present = _given_flags(args.subparser, argv)
     try:
         fh = open(args.config, "r", encoding="utf-8")
     except OSError as exc:

@@ -10,19 +10,29 @@ The minimization candidates are the shifted second-arm observations: the
 objective G_1(x) + G_2(x + d) only steps downward where x + d crosses an
 observation of arm 2, i.e. at x = X_{2,s} - d (together with the two interval
 endpoints derived from the per-arm argmin quantiles).
+
+Test states hold real numbers.  Every statistic is computed by one numpy
+kernel on sorted float snapshots of the arms, taken at evaluation time:
+empirical CDFs are `searchsorted` counts, out-of-range order statistics are
+-inf/+inf (the float form of the NEG_INF/POS_INF sentinels), and all
+candidates go through one vectorized mixture call per arm.  Each candidate
+is evaluated with the same IEEE operations as the per-x `GEvaluator`, so the
+kernels return the bits a scan over the multiset would.  The minimizing
+level a* depends only on (n, p, r) and is tabulated over n per (p, r).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import boundaries
 from .boundaries import beta_binomial_log_mixture, lil_C, lil_radius, one_sided_log_mixture
-from .empdist import NEG_INF, OrderedMultiset, _level_ceil, _level_floor
+from .empdist import OrderedMultiset, _level_ceil, _level_floor
 from .errors import ConfigurationError, PairingError, StateError
 from .specfun import golden_section_min
 
@@ -50,25 +60,47 @@ def _pvalue(stat: float) -> float:
     return min(1.0, math.exp(-stat))
 
 
+def _check_mixture_params(p: float, r: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ConfigurationError(f"p must lie in (0, 1), got {p}")
+    if r <= 0.0:
+        raise ConfigurationError(f"r must be positive, got {r}")
+
+
+def _astar(n, p: float, r: float) -> np.ndarray:
+    """a* at each count of the array n: the argmin of log M_{p,r}((a-p)n, p(1-p)n) over [0, 1].
+
+    One vectorized golden-section search whose elements equal scalar
+    searches at their n bit for bit.
+    """
+    n = np.asarray(n, dtype=float)
+    v = p * (1.0 - p) * n
+    return golden_section_min(
+        lambda a, i: beta_binomial_log_mixture((a - p) * n[i], v[i], p, r),
+        np.zeros_like(n), np.ones_like(n), tol=1e-10,
+    )
+
+
+@lru_cache(maxsize=64)
+def _astar_table(p: float, r: float) -> boundaries.RadiusSchedule:
+    """a* by count for one (p, r); entry t holds a* at n = t - 1, so n = 0 is covered."""
+    return boundaries.RadiusSchedule(lambda t: _astar(t - 1.0, p, r))
+
+
 class GEvaluator:
     """Per-arm log evidence against the premise that the p-quantile equals x.
 
-    Caches the level a* minimizing log M_{p,r}((a-p)N, p(1-p)N) over [0, 1];
-    the cache is invalidated whenever the arm's count changes.  Each query is
+    The level a* minimizing log M_{p,r}((a-p)N, p(1-p)N) over [0, 1] is read
+    from the a* table of (p, r) at the arm's current count.  Each query is
     then O(log N): the minimizing level inside [F^-(x), F(x)] is a* clamped
     into that interval.
     """
 
     def __init__(self, arm: OrderedMultiset, p: float, r: float):
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"p must lie in (0, 1), got {p}")
-        if r <= 0.0:
-            raise ConfigurationError(f"r must be positive, got {r}")
+        _check_mixture_params(p, r)
         self.arm = arm
         self.p = p
         self.r = r
-        self._astar_n = -1
-        self._astar = p
 
     def _n_v(self) -> tuple[int, float]:
         n = len(self.arm)
@@ -76,14 +108,7 @@ class GEvaluator:
 
     @property
     def astar(self) -> float:
-        n, v = self._n_v()
-        if n != self._astar_n:
-            p, r = self.p, self.r
-            self._astar = golden_section_min(
-                lambda a: beta_binomial_log_mixture((a - p) * n, v, p, r), 0.0, 1.0, tol=1e-10
-            )
-            self._astar_n = n
-        return self._astar
+        return _astar_table(self.p, self.r).at(len(self.arm) + 1)
 
     def two_sided(self, x) -> float:
         """G(x) = min over a in [F^-(x), F(x)] of log M_{p,r}((a-p)N, p(1-p)N)."""
@@ -111,36 +136,100 @@ class GEvaluator:
         return one_sided_log_mixture(-(f - self.p) * n, v, 1.0 - self.p, self.r)
 
 
-def _min_sum_two_sided(ev_a: GEvaluator, ev_b: GEvaluator, shift: float) -> float:
+# ---------------------------------------------------------------------------
+# evidence kernels on sorted float arrays
+# ---------------------------------------------------------------------------
+
+
+def _snapshot(arm: OrderedMultiset) -> np.ndarray:
+    """The arm's values as a sorted float array."""
+    return np.fromiter(arm, dtype=float, count=len(arm))
+
+
+def _distinct(data: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, in order."""
+    if data.size < 2:
+        return data
+    return data[np.concatenate(([True], data[1:] != data[:-1]))]
+
+
+def _order_stat(data: np.ndarray, k: int) -> float:
+    """k-th smallest value of a sorted array; -inf for k < 1, +inf for k > len(data)."""
+    if k < 1:
+        return -math.inf
+    if k > len(data):
+        return math.inf
+    return float(data[k - 1])
+
+
+def _sorted_g2(xs, data: np.ndarray, astar: float, p: float, r: float):
+    """Vector of two-sided G values over query points xs for one sorted arm."""
+    n = len(data)
+    v = p * (1.0 - p) * n
+    f_minus = np.searchsorted(data, xs, side="left") / n
+    f = np.searchsorted(data, xs, side="right") / n
+    a = np.minimum(np.maximum(astar, f_minus), f)
+    return beta_binomial_log_mixture((a - p) * n, v, p, r)
+
+
+def _directed_two_sided(a: np.ndarray, a_star: float, b: np.ndarray, b_star: float,
+                        p: float, r: float, shift: float) -> float:
     """min over x of G_a(x) + G_b(x + shift), assuming Q_a(a*_a) <= Q_b(a*_b) - shift.
 
-    Evaluations at shifted arm-b observations use the stored value exactly on
-    the b side to avoid losing the atom to float cancellation.
+    The candidates are x_minus = Q_a(a*_a), x_plus = Q^-_b(a*_b) - shift and
+    every distinct w of arm b in [x_minus + shift, Q^-_b(a*_b)] at x = w - shift.
+    The b side is evaluated at w itself so float cancellation cannot lose
+    the atom.
     """
-    x_minus = ev_a.arm.upper_quantile(ev_a.astar)
-    b_hi = ev_b.arm.lower_quantile(ev_b.astar)
+    x_minus = _order_stat(a, _level_floor(len(a), a_star) + 1)
+    b_hi = _order_stat(b, _level_ceil(len(b), b_star))
     x_plus = b_hi - shift
-    best = ev_a.two_sided(x_minus) + ev_b.two_sided(x_minus + shift)
+    lo = np.searchsorted(b, x_minus + shift, side="left")
+    hi = np.searchsorted(b, b_hi, side="right")
+    w = _distinct(b[lo:hi])
+    vals = (_sorted_g2(np.concatenate(([x_minus, x_plus], w - shift)), a, a_star, p, r)
+            + _sorted_g2(np.concatenate(([x_minus + shift, b_hi], w)), b, b_star, p, r))
     if x_plus < x_minus:
         # The objective is nonincreasing up to x_minus and already
         # nondecreasing there; the minimum sits at x_minus.
-        return best
-    best = min(best, ev_a.two_sided(x_plus) + ev_b.two_sided(b_hi))
-    for w, _ in ev_b.arm.items_between(x_minus + shift, b_hi):
-        cand = ev_a.two_sided(w - shift) + ev_b.two_sided(w)
-        if cand < best:
-            best = cand
-    return best
+        return float(vals[0])
+    return float(np.min(vals))
 
 
-def _min_sum_one_sided(ev_a: GEvaluator, ev_b: GEvaluator, shift: float) -> float:
-    """min over x of G+_a(x) + G-_b(x + shift): nondecreasing plus nonincreasing."""
-    best = ev_a.one_sided_plus(NEG_INF) + ev_b.one_sided_minus(NEG_INF)
-    for w, _ in ev_b.arm.items():
-        cand = ev_a.one_sided_plus(w - shift) + ev_b.one_sided_minus(w)
-        if cand < best:
-            best = cand
-    return best
+def _sorted_two_sided_stat(x1: np.ndarray, x2: np.ndarray, p: float, r: float,
+                           delta_star: float, astars: tuple[float, float] | None = None) -> float:
+    """min over x of G_1(x) + G_2(x + delta_star) on sorted arrays.
+
+    astars is (a*_1, a*_2), read from the a* table of (p, r) when omitted.
+    The arm whose argmin quantile lies lower, after the shift, is the one
+    scanned from.
+    """
+    if astars is None:
+        table = _astar_table(p, r)
+        astars = (table.at(len(x1) + 1), table.at(len(x2) + 1))
+    a1, a2 = astars
+    q1 = _order_stat(x1, _level_floor(len(x1), a1) + 1)
+    q2 = _order_stat(x2, _level_floor(len(x2), a2) + 1)
+    if q1 <= q2 - delta_star:
+        return _directed_two_sided(x1, a1, x2, a2, p, r, delta_star)
+    return _directed_two_sided(x2, a2, x1, a1, p, r, -delta_star)
+
+
+def _sorted_one_sided_stat(a: np.ndarray, b: np.ndarray, p: float, r: float,
+                           shift: float) -> float:
+    """min over x of G+_a(x) + G-_b(x + shift) on sorted arrays.
+
+    G+_a is nondecreasing and G-_b nonincreasing, and the sum only steps down
+    where x + shift reaches a value of b: the candidates are x = -inf and
+    x = w - shift for every distinct w of arm b.
+    """
+    w = np.concatenate(([-math.inf], _distinct(b)))
+    na, nb = len(a), len(b)
+    f_minus = np.searchsorted(a, w - shift, side="left") / na
+    f = np.searchsorted(b, w, side="right") / nb
+    plus = one_sided_log_mixture((f_minus - p) * na, p * (1.0 - p) * na, p, r)
+    minus = one_sided_log_mixture(-(f - p) * nb, p * (1.0 - p) * nb, 1.0 - p, r)
+    return float(np.min(plus + minus))
 
 
 class AbTestState:
@@ -151,10 +240,7 @@ class AbTestState:
     """
 
     def __init__(self, p: float, r: float, delta_star: float = 0.0, alpha: float = 0.05):
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"p must lie in (0, 1), got {p}")
-        if r <= 0.0:
-            raise ConfigurationError(f"r must be positive, got {r}")
+        _check_mixture_params(p, r)
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
         self.p = p
@@ -163,8 +249,6 @@ class AbTestState:
         self.alpha = alpha
         self.arm1 = OrderedMultiset()
         self.arm2 = OrderedMultiset()
-        self._ev1 = GEvaluator(self.arm1, p, r)
-        self._ev2 = GEvaluator(self.arm2, p, r)
 
     def add(self, arm: int, x: float) -> None:
         if arm == 1:
@@ -174,27 +258,23 @@ class AbTestState:
         else:
             raise StateError(f"arm must be 1 or 2, got {arm}")
 
-    def _require_data(self) -> None:
+    def _snapshots(self) -> tuple[np.ndarray, np.ndarray]:
         if len(self.arm1) == 0 or len(self.arm2) == 0:
             raise StateError("both arms need at least one observation")
+        return _snapshot(self.arm1), _snapshot(self.arm2)
+
+    def _result(self, stat: float) -> TestResult:
+        return TestResult(stat, _pvalue(stat), stat >= math.log(1.0 / self.alpha))
 
     def two_sided(self) -> TestResult:
         """min_x [G_1(x) + G_2(x + delta_star)] versus log(1/alpha)."""
-        self._require_data()
-        d = self.delta_star
-        if self._ev1.arm.upper_quantile(self._ev1.astar) <= (
-            self._ev2.arm.upper_quantile(self._ev2.astar) - d
-        ):
-            stat = _min_sum_two_sided(self._ev1, self._ev2, d)
-        else:
-            stat = _min_sum_two_sided(self._ev2, self._ev1, -d)
-        return TestResult(stat, _pvalue(stat), stat >= math.log(1.0 / self.alpha))
+        x1, x2 = self._snapshots()
+        return self._result(_sorted_two_sided_stat(x1, x2, self.p, self.r, self.delta_star))
 
     def one_sided(self) -> TestResult:
         """min_x [G+_1(x) + G-_2(x + delta_star)] versus log(1/alpha)."""
-        self._require_data()
-        stat = _min_sum_one_sided(self._ev1, self._ev2, self.delta_star)
-        return TestResult(stat, _pvalue(stat), stat >= math.log(1.0 / self.alpha))
+        x1, x2 = self._snapshots()
+        return self._result(_sorted_one_sided_stat(x1, x2, self.p, self.r, self.delta_star))
 
 
 def _global_null_best_stat(
@@ -207,13 +287,9 @@ def _global_null_best_stat(
         raise ValueError("global null requires at least one treatment arm")
     if len(control) == 0 or any(len(a) == 0 for a in treatments):
         raise StateError("all arms need at least one observation")
-    ev_c = GEvaluator(control, p, r)
-    best = -math.inf
-    for arm in treatments:
-        stat = _min_sum_one_sided(ev_c, GEvaluator(arm, p, r), 0.0)
-        if stat > best:
-            best = stat
-    return best
+    _check_mixture_params(p, r)
+    c = _snapshot(control)
+    return max(_sorted_one_sided_stat(c, _snapshot(arm), p, r, 0.0) for arm in treatments)
 
 
 def global_null_pvalue(
@@ -253,29 +329,6 @@ class KsResult(NamedTuple):
     stat: float
     threshold: float
     reject: bool
-
-
-def _merged_cdf_steps(s1: OrderedMultiset, s2: OrderedMultiset):
-    """Yield (value, F1, F2) at each distinct pooled value, in order."""
-    n1, n2 = len(s1), len(s2)
-    it1 = iter(s1.items())
-    it2 = iter(s2.items())
-    a = next(it1, None)
-    b = next(it2, None)
-    c1 = c2 = 0
-    while a is not None or b is not None:
-        if b is None or (a is not None and a[0] <= b[0]):
-            v = a[0]
-            c1 += a[1]
-            if b is not None and b[0] == v:
-                c2 += b[1]
-                b = next(it2, None)
-            a = next(it1, None)
-        else:
-            v = b[0]
-            c2 += b[1]
-            b = next(it2, None)
-        yield v, c1 / n1, c2 / n2
 
 
 class KsTestState:
@@ -362,84 +415,21 @@ class KsTestState:
             raise StateError("no data")
         t = t1
         thr = self.threshold(t)
+        # F1 - F2 steps only at pooled values, where both ECDFs are counts <= x
+        x1, x2 = _snapshot(self.sample1), _snapshot(self.sample2)
+        pooled = np.concatenate((x1, x2))
+        diff = (np.searchsorted(x1, pooled, side="right") / t
+                - np.searchsorted(x2, pooled, side="right") / t)
         if self.mode == "two_sample":
-            stat = 0.0
-            for _, f1, f2 in _merged_cdf_steps(self.sample1, self.sample2):
-                gap = abs(f1 - f2)
-                if gap > stat:
-                    stat = gap
-            return KsResult(t, stat, thr, stat > thr)
+            diff = np.abs(diff)
         # dominance: one-sided supremum of F1 - F2, strict exceedance to reject
-        stat = 0.0
-        for _, f1, f2 in _merged_cdf_steps(self.sample1, self.sample2):
-            gap = f1 - f2
-            if gap > stat:
-                stat = gap
+        stat = max(0.0, float(np.max(diff)))
         return KsResult(t, stat, thr, stat > thr)
 
 
 # ---------------------------------------------------------------------------
-# fast evaluation on sorted arrays (simulation / benchmark internals)
+# test versus naive confidence sequences (simulation)
 # ---------------------------------------------------------------------------
-
-
-def _sorted_astar(n: int, p: float, r: float, cache: dict | None = None) -> float:
-    if cache is not None and n in cache:
-        return cache[n]
-    v = p * (1.0 - p) * n
-    out = golden_section_min(
-        lambda a: beta_binomial_log_mixture((a - p) * n, v, p, r), 0.0, 1.0, tol=1e-10
-    )
-    if cache is not None:
-        cache[n] = out
-    return out
-
-
-def _sorted_g2(xs, data: np.ndarray, astar: float, p: float, r: float):
-    """Vector of two-sided G values over query points xs for one sorted arm."""
-    n = len(data)
-    v = p * (1.0 - p) * n
-    f_minus = np.searchsorted(data, xs, side="left") / n
-    f = np.searchsorted(data, xs, side="right") / n
-    a = np.clip(astar, f_minus, f)
-    return beta_binomial_log_mixture((a - p) * n, v, p, r)
-
-
-def _sorted_two_sided_stat(x1: np.ndarray, x2: np.ndarray, p: float, r: float,
-                           delta_star: float, astar_cache: dict | None = None) -> float:
-    """Candidate-point statistic on sorted arrays; mirrors AbTestState.two_sided."""
-
-    def directed(a: np.ndarray, b: np.ndarray, shift: float) -> float:
-        na, nb = len(a), len(b)
-        a1 = _sorted_astar(na, p, r, astar_cache)
-        a2 = _sorted_astar(nb, p, r, astar_cache)
-        x_minus = a[_level_floor(na, a1)]  # floor(n a*) + 1 order stat, 0-based
-        b_hi = b[_level_ceil(nb, a2) - 1]
-        x_plus = b_hi - shift
-        base = float(
-            _sorted_g2(np.array([x_minus]), a, a1, p, r)[0]
-            + _sorted_g2(np.array([x_minus + shift]), b, a2, p, r)[0]
-        )
-        if x_plus < x_minus:
-            return base
-        lo = np.searchsorted(b, x_minus + shift, side="left")
-        hi = np.searchsorted(b, b_hi, side="right")
-        w = np.unique(b[lo:hi])
-        cands = float(
-            _sorted_g2(np.array([x_plus]), a, a1, p, r)[0]
-            + _sorted_g2(np.array([b_hi]), b, a2, p, r)[0]
-        )
-        if len(w):
-            vals = _sorted_g2(w - shift, a, a1, p, r) + _sorted_g2(w, b, a2, p, r)
-            cands = min(cands, float(np.min(vals)))
-        return min(base, cands)
-
-    na, nb = len(x1), len(x2)
-    a1 = _sorted_astar(na, p, r, astar_cache)
-    a2 = _sorted_astar(nb, p, r, astar_cache)
-    if x1[_level_floor(na, a1)] <= x2[_level_floor(nb, a2)] - delta_star:
-        return directed(x1, x2, delta_star)
-    return directed(x2, x1, -delta_star)
 
 
 def _naive_disjoint(x1: np.ndarray, x2: np.ndarray, p: float, lo_rad: float,
@@ -450,9 +440,7 @@ def _naive_disjoint(x1: np.ndarray, x2: np.ndarray, p: float, lo_rad: float,
         n = len(data)
         k_lo = _level_floor(n, p - lo_rad) + 1
         k_hi = _level_ceil(n, p + hi_rad)
-        lo = data[k_lo - 1] if 1 <= k_lo <= n else (-math.inf if k_lo < 1 else math.inf)
-        hi = data[k_hi - 1] if 1 <= k_hi <= n else (-math.inf if k_hi < 1 else math.inf)
-        return lo, hi
+        return _order_stat(data, k_lo), _order_stat(data, k_hi)
 
     lo1, hi1 = interval(x1)
     lo2, hi2 = interval(x2)
@@ -509,12 +497,12 @@ def ab_vs_naive_benchmark(
     grid = np.asarray(schedule, dtype=float)
     naive_lo = boundaries.beta_binomial_radius(grid, 1.0 - pi, r_naive, alpha / 2.0).tolist()
     naive_hi = boundaries.beta_binomial_radius(grid, pi, r_naive, alpha / 2.0).tolist()
+    astars = _astar(grid, pi, r_test).tolist()
 
     log_thresh = math.log(1.0 / alpha)
     stops_test = []
     stops_naive = []
     capped_test = capped_naive = 0
-    astar_cache: dict[int, float] = {}
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         u1 = (rng.integers(1, 1 << 53, size=max_pairs) / float(1 << 53))
@@ -522,11 +510,11 @@ def ab_vs_naive_benchmark(
         x1_all = arms[0].quantile(u1)
         x2_all = arms[1].quantile(u2)
         stop_test = stop_naive = None
-        for n, lo_rad, hi_rad in zip(schedule, naive_lo, naive_hi):
+        for n, a_star, lo_rad, hi_rad in zip(schedule, astars, naive_lo, naive_hi):
             x1 = np.sort(x1_all[:n])
             x2 = np.sort(x2_all[:n])
             if stop_test is None:
-                stat = _sorted_two_sided_stat(x1, x2, pi, r_test, 0.0, astar_cache)
+                stat = _sorted_two_sided_stat(x1, x2, pi, r_test, 0.0, (a_star, a_star))
                 if stat >= log_thresh:
                     stop_test = 2 * n
             if stop_naive is None and _naive_disjoint(x1, x2, pi, lo_rad, hi_rad):

@@ -175,8 +175,16 @@ def lambert_wm1(x: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Golden-section minimizer for a unimodal f on [lo, hi]; returns argmin."""
+def golden_section_min(f, lo, hi, tol: float = 1e-10, max_iter: int = 200):
+    """Golden-section minimizer for a unimodal f on [lo, hi]; returns argmin.
+
+    With one-dimensional array brackets, minimizes one function per element:
+    f(x, idx) returns the values at the points x of the elements idx.  Each
+    element stops once its own bracket is at most tol wide, so it takes the
+    same steps, and returns the same bits, as a scalar call on its function.
+    """
+    if np.ndim(lo) or np.ndim(hi):
+        return _golden_section_min_array(f, lo, hi, tol, max_iter)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -193,6 +201,34 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-10, max_iter: in
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _golden_section_min_array(f, lo, hi, tol: float, max_iter: int) -> np.ndarray:
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    idx = np.arange(a.size)
+    fc = np.asarray(f(c, idx), dtype=float)
+    fd = np.asarray(f(d, idx), dtype=float)
+    live = idx[b - a > tol]
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        al, bl, cl, dl, fcl, fdl = a[live], b[live], c[live], d[live], fc[live], fd[live]
+        lt = fcl < fdl
+        # fc < fd: the bracket keeps [a, d] and probes a new c; else [c, b] and a new d
+        a_new = np.where(lt, al, cl)
+        b_new = np.where(lt, dl, bl)
+        x = np.where(lt, b_new - invphi * (b_new - a_new), a_new + invphi * (b_new - a_new))
+        fx = f(x, live)
+        a[live], b[live] = a_new, b_new
+        c[live] = np.where(lt, x, dl)
+        d[live] = np.where(lt, cl, x)
+        fc[live] = np.where(lt, fx, fdl)
+        fd[live] = np.where(lt, fcl, fx)
+        live = live[b_new - a_new > tol]
     return 0.5 * (a + b)
 
 

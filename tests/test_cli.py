@@ -406,3 +406,18 @@ class TestConfigErrors:
         assert rc == 2
         assert out == ""
         assert err.startswith(f"usage error: {cfg}:1: bad value 'many'")
+
+    def test_abbreviated_flag_wins_over_config(self, tmp_path):
+        # argparse accepts a unique prefix of a long flag; it counts as given
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("alpha=0.2\ntune-m=64\n")
+        for flag in (["--alph", "0.3"], ["--alph=0.3"]):
+            rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100", *flag,
+                                    "--config", str(cfg)])
+            assert rc == 0, err
+            assert "# alpha=0.3" in out
+            assert "# tune_m=64.0" in out
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                                "--tune", "16", "--config", str(cfg)])
+        assert rc == 0, err
+        assert "# tune_m=16.0" in out and "# alpha=0.2" in out

@@ -20,11 +20,12 @@ from seqquant.seqtest import (
     AbTestState,
     GEvaluator,
     KsTestState,
-    _min_sum_one_sided,
+    _astar,
     _sorted_two_sided_stat,
     ab_vs_naive_benchmark,
     global_null_pvalue,
 )
+from seqquant.specfun import golden_section_min
 
 
 def _rand_arm(rng, n, discrete=False):
@@ -169,6 +170,45 @@ def _random_state(rng, trial):
     return state
 
 
+def _scan_two_sided(state):
+    """The two-sided candidate scan with per-x evaluators, in scalar arithmetic."""
+    evs = [GEvaluator(state.arm1, state.p, state.r), GEvaluator(state.arm2, state.p, state.r)]
+    shift = state.delta_star
+    if evs[0].arm.upper_quantile(evs[0].astar) > evs[1].arm.upper_quantile(evs[1].astar) - shift:
+        evs.reverse()
+        shift = -shift
+    ev_a, ev_b = evs
+    x_minus = ev_a.arm.upper_quantile(ev_a.astar)
+    b_hi = ev_b.arm.lower_quantile(ev_b.astar)
+    best = ev_a.two_sided(x_minus) + ev_b.two_sided(x_minus + shift)
+    if b_hi - shift < x_minus:
+        return best
+    cands = [ev_a.two_sided(b_hi - shift) + ev_b.two_sided(b_hi)]
+    cands += [ev_a.two_sided(w - shift) + ev_b.two_sided(w)
+              for w, _ in ev_b.arm.items_between(x_minus + shift, b_hi)]
+    return min([best] + cands)
+
+
+def _scan_one_sided(state):
+    ev1 = GEvaluator(state.arm1, state.p, state.r)
+    ev2 = GEvaluator(state.arm2, state.p, state.r)
+    d = state.delta_star
+    cands = [ev1.one_sided_plus(-math.inf) + ev2.one_sided_minus(-math.inf)]
+    cands += [ev1.one_sided_plus(w - d) + ev2.one_sided_minus(w) for w, _ in state.arm2.items()]
+    return min(cands)
+
+
+class TestKernelBits:
+    def test_kernels_equal_per_x_scans_bit_for_bit(self):
+        # the sorted-array kernels evaluate the same candidates with the same
+        # float operations as a scan with the public per-x evaluators
+        rng = np.random.default_rng(20240104)
+        for trial in range(120):
+            state = _random_state(rng, trial)
+            assert state.two_sided().stat == _scan_two_sided(state)
+            assert state.one_sided().stat == _scan_one_sided(state)
+
+
 class TestAbTwoSided:
     def test_candidate_points_match_brute_force(self):
         rng = np.random.default_rng(20240102)
@@ -210,6 +250,33 @@ class TestAbTwoSided:
             assert _sorted_two_sided_stat(np.sort(x1), np.sort(x2), p, r, d) == pytest.approx(
                 state.two_sided().stat, abs=1e-12
             )
+
+
+class TestAstar:
+    def test_table_equals_scalar_search_bit_for_bit(self):
+        # past the first table chunk too (n > 1023), and at n = 0
+        ns = list(range(0, 30)) + [1023, 1024, 1025, 2100]
+        for p, r in ((0.5, 0.758), (0.1, 0.3), (0.9, 2.0)):
+            vector = _astar(np.array(ns, dtype=float), p, r)
+            for n, from_vector in zip(ns, vector):
+                v = p * (1 - p) * n
+                want = golden_section_min(
+                    lambda a: beta_binomial_log_mixture((a - p) * n, v, p, r), 0.0, 1.0,
+                    tol=1e-10,
+                )
+                assert GEvaluator(OrderedMultiset([0.0] * n), p, r).astar == want
+                assert from_vector == want
+
+    @pytest.mark.parametrize("astars", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_levels_at_the_unit_interval_edges(self, astars):
+        # a* = 1 asks for the (n + 1)-th order statistic and a* = 0 for the
+        # 0-th; both read as infinities instead of indexing out of range
+        rng = np.random.default_rng(91)
+        x1 = np.sort(rng.normal(size=7))
+        x2 = np.sort(rng.normal(size=5))
+        for d in (-0.5, 0.0, 0.5):
+            stat = _sorted_two_sided_stat(x1, x2, 0.5, 0.758, d, astars)
+            assert isinstance(stat, float) and math.isfinite(stat)
 
 
 class TestAbOneSided:
@@ -290,7 +357,6 @@ class TestNullValidityMonteCarlo:
                                                   for k in range(1, 100)
                                                   if 50 * 1.08 ** k <= max_pairs]))
         log_thresh = math.log(1 / alpha)
-        astar_cache: dict[int, float] = {}
         crossed_2000 = 0
         crossed_5000 = 0
         rng = np.random.default_rng(987)
@@ -301,7 +367,7 @@ class TestNullValidityMonteCarlo:
             for n in checks:
                 s1 = np.sort(x1[:n])
                 s2 = np.sort(x2[:n])
-                if _sorted_two_sided_stat(s1, s2, p, r, 0.0, astar_cache) >= log_thresh:
+                if _sorted_two_sided_stat(s1, s2, p, r, 0.0) >= log_thresh:
                     first_cross = 2 * n
                     break
             if first_cross is not None:
@@ -311,6 +377,63 @@ class TestNullValidityMonteCarlo:
         sigma = math.sqrt(alpha * (1 - alpha) / reps)
         assert crossed_2000 / reps <= alpha + 3 * sigma
         assert crossed_5000 / reps <= alpha + 3 * sigma
+
+    # The checks below evaluate the streaming test after every pair (every
+    # round of three for the global null), so a crossing at any step counts.
+
+    @staticmethod
+    def _assert_ever_rate_valid(crossed, reps, alpha=0.05):
+        sigma = math.sqrt(alpha * (1 - alpha) / reps)
+        assert crossed / reps <= alpha + 3 * sigma
+
+    def test_one_sided_ever_rejection_rate_every_pair(self):
+        # both arms uniform(0,1): H0 Q_2 - Q_1 <= 0 holds on its boundary
+        reps, horizon = 200, 120
+        rng = np.random.default_rng(1201)
+        crossed = 0
+        for _ in range(reps):
+            state = AbTestState(0.5, 0.758, 0.0, 0.05)
+            for x1, x2 in rng.random((horizon, 2)).tolist():
+                state.add(1, x1)
+                state.add(2, x2)
+                if state.one_sided().reject:
+                    crossed += 1
+                    break
+        self._assert_ever_rate_valid(crossed, reps)
+
+    def test_global_null_ever_rejection_rate_every_round(self):
+        # control and two treatments uniform(0,1): every treatment's quantile
+        # equals the control's, the boundary of H0
+        from seqquant.seqtest import global_null_result
+
+        reps, horizon = 120, 100
+        rng = np.random.default_rng(1202)
+        crossed = 0
+        for _ in range(reps):
+            arms = [OrderedMultiset() for _ in range(3)]
+            for row in rng.random((horizon, 3)).tolist():
+                for arm, x in zip(arms, row):
+                    arm.insert(x)
+                if global_null_result(arms[0], arms[1:], 0.5, 0.758, alpha=0.05).reject:
+                    crossed += 1
+                    break
+        self._assert_ever_rate_valid(crossed, reps)
+
+    @pytest.mark.parametrize("mode", ["two_sample", "dominance"])
+    def test_ks_ever_rejection_rate_every_pair(self, mode):
+        # equal distributions: both the two-sample and the dominance null hold
+        reps, horizon = 200, 300
+        rng = np.random.default_rng(1203)
+        crossed = 0
+        for _ in range(reps):
+            state = KsTestState(mode, alpha=0.05)
+            for x1, x2 in rng.random((horizon, 2)).tolist():
+                state.add(x1, 1)
+                state.add(x2, 2)
+                if state.evaluate().reject:
+                    crossed += 1
+                    break
+        self._assert_ever_rate_valid(crossed, reps)
 
     def test_running_min_pvalue_is_monotone_and_valid(self):
         rng = np.random.default_rng(31)

@@ -116,6 +116,22 @@ class TestGoldenSection:
         x = golden_section_min(lambda z: z, 0.0, 1.0, tol=1e-12)
         assert 0.0 < x < 1e-9
 
+    def test_array_brackets_equal_scalar_searches_bit_for_bit(self):
+        # per-element minima, a flat stretch, a boundary minimum, and brackets
+        # of different widths, so elements stop after different step counts
+        centers = np.array([0.3, 0.7, -1.0, 2.0, 0.5])
+        lo = np.array([0.0, 0.0, 0.0, 0.0, 0.25])
+        hi = np.array([1.0, 1.0, 1.0, 1.0, 0.2500001])
+
+        def f(z, c):
+            return np.maximum((z - c) ** 2, 0.01)
+
+        got = golden_section_min(lambda z, i: f(z, centers[i]), lo, hi, tol=1e-10)
+        for k in range(len(centers)):
+            want = golden_section_min(lambda z: float(f(z, centers[k])), float(lo[k]),
+                                      float(hi[k]), tol=1e-10)
+            assert got[k] == want
+
 
 class TestLogitExpit:
     def test_roundtrip(self):
