@@ -188,6 +188,25 @@ class TestEpsOptimalAndGaps:
 
 
 class TestTauBound:
+    # (delta_k, eps, pi_target, k_arms, delta_err) -> tau, pinned values
+    PINNED = (
+        ((0.1, 0.025, 0.5, 10, 0.05), 3022),
+        ((0.2, 0.025, 0.5, 10, 0.05), 780),
+        ((0.05, 0.025, 0.5, 10, 0.05), 11957),
+        ((0.1, 0.025, 0.5, 100, 0.05), 3595),
+        ((0.15, 0.025, 0.5, 10, 0.05), 1363),
+        ((0.0, 0.05, 0.2, 3, 0.2), 8406),
+        ((0.3, 0.01, 0.9, 2, 0.01), 257),
+        ((0.01, 0.0, 0.5, 4, 0.1), 263225),
+        ((0.08, 0.04, 0.1, 5, 0.5), 2700),
+        ((0.5, 0.1, 0.7, 20, 0.001), 184),
+        ((0.003, 0.002, 0.3, 2, 0.05), 2760420),
+    )
+
+    @pytest.mark.parametrize("args,expected", PINNED)
+    def test_pinned_values(self, args, expected):
+        assert tau_bound(*args) == expected
+
     def test_monotone_in_gap(self):
         assert tau_bound(0.1, 0.025, 0.5, 10, 0.05) > tau_bound(0.2, 0.025, 0.5, 10, 0.05)
 

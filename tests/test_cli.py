@@ -48,6 +48,19 @@ GOLDEN_CASES = {
     "abtest_ties.csv": ["abtest", str(FIXTURES / "ab_ties200.txt"), "--delta-star", "0.3"],
     "ks_dominance.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "dominance"],
     "ks_two_sample.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "two_sample"],
+    # pin every bounds method, the stitched and normal-mixture trackers, and
+    # every QLUCB confidence-sequence kind
+    "bounds_all.csv": ["bounds", "--methods", ",".join(cli.BOUNDS_METHODS),
+                       "--t", "32,33,100,1000,1024,1025,10000,1000000",
+                       "--p", "0.05,0.5,0.9"],
+    "track_stitched.csv": ["track", str(FIXTURES / "cauchy1100.txt"), "--p", "0.25",
+                           "--method", "stitched"],
+    "track_normal_mixture.csv": ["track", str(FIXTURES / "cauchy1100.txt"), "--p", "0.9",
+                                 "--method", "normal_mixture"],
+    "bai_cs_kinds.csv": ["bai", "--scenario", "uniform_shift", "--pi", "0.5", "--eps", "0.05",
+                         "--delta", "0.2", "--cs-kinds",
+                         "stitched_qlucb,beta_binomial_one_sided,dkw_union_baseline",
+                         "--runs", "2", "--k-arms", "3", "--seed", "7"],
 }
 
 
