@@ -8,9 +8,7 @@ plus a reproducible benchmark harness and CLI.
 
 from . import bandit, boundaries, confseq, empdist, seqtest
 from .boundaries import (
-    BetaBinomialConfig,
     DoubleStitchConfig,
-    LilConfig,
     StitchConfig,
     baseline_radius,
     beta_binomial_log_mixture,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import median
 from typing import Callable, Sequence
 
@@ -159,59 +160,50 @@ class RunResult:
     stopped_by_cap: bool
 
 
-class _RadiusTable:
-    """Per-count radii: `lower` gives l_n at pi+eps, `upper` gives u_n at pi-eps."""
-
-    def __init__(self, cfg: QlucbConfig):
-        pi, eps = cfg.pi_target, cfg.eps
-        if cfg.cs_kind == "stitched_qlucb":
-            log_term = math.log(5.0 * cfg.k_arms / cfg.delta_err)
-
-            def stitched(level: float):
-                def radius(n):
-                    ell = (1.4 * np.log(np.log(2.1 * n)) + log_term) / n
-                    return 1.5 * np.sqrt(level * (1.0 - level) * ell) + 0.8 * ell
-
-                return RadiusSchedule(radius)
-
-            self.lower = stitched(1.0 - (pi + eps))
-            self.upper = stitched(pi - eps)
-        elif cfg.cs_kind == "beta_binomial_one_sided":
-            alpha1 = cfg.delta_err / cfg.k_arms
-            alpha2 = 2.0 * cfg.delta_err / cfg.k_arms
-            r_lo = boundaries.tune_r(cfg.tune_m, pi + eps, alpha2)
-            r_hi = boundaries.tune_r(cfg.tune_m, pi - eps, alpha2)
-            lo_level, hi_level = 1.0 - (pi + eps), pi - eps
-            self.lower = RadiusSchedule(
-                lambda n: boundaries.one_sided_beta_binomial_radius(n, lo_level, r_lo, alpha1)
-            )
-            self.upper = RadiusSchedule(
-                lambda n: boundaries.one_sided_beta_binomial_radius(n, hi_level, r_hi, alpha1)
-            )
-        else:
-            # dkw_union_baseline: DKW with a quadratically decaying union bound,
-            # the same radius on both sides
-            alpha2 = 2.0 * cfg.delta_err / cfg.k_arms
-
-            def szorenyi(n):
-                rad = np.full(n.shape, math.inf)
-                ok = n >= 32
-                if np.any(ok):
-                    rad[ok] = boundaries.baseline_radius("szorenyi", n[ok], alpha=alpha2)
-                return rad
-
-            self.lower = self.upper = RadiusSchedule(szorenyi)
+def _qlucb_radius(n, level: float, k_arms: int, delta_err: float):
+    """The QLUCB stitched radius at per-arm count(s) n: the rounded closed form
+    1.5 sqrt(level(1-level) l(n)) + 0.8 l(n), l(n) = (1.4 log log(2.1 n) + log(5K/delta)) / n.
+    """
+    ell = (1.4 * np.log(np.log(2.1 * n)) + math.log(5.0 * k_arms / delta_err)) / n
+    return 1.5 * np.sqrt(level * (1.0 - level) * ell) + 0.8 * ell
 
 
-_TABLE_CACHE: dict[tuple, _RadiusTable] = {}
+@lru_cache(maxsize=None)
+def _radius_schedules(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int,
+                      tune_m: float) -> tuple[RadiusSchedule, RadiusSchedule]:
+    """Per-count radii (lower, upper): l_n at pi+eps and u_n at pi-eps, shared by all runs."""
+    lo_level, hi_level = 1.0 - (pi + eps), pi - eps
+    if cs_kind == "stitched_qlucb":
+        return (RadiusSchedule(lambda n: _qlucb_radius(n, lo_level, k_arms, delta_err)),
+                RadiusSchedule(lambda n: _qlucb_radius(n, hi_level, k_arms, delta_err)))
+    alpha2 = 2.0 * delta_err / k_arms
+    if cs_kind == "beta_binomial_one_sided":
+        alpha1 = delta_err / k_arms
+        r_lo = boundaries.tune_r(tune_m, pi + eps, alpha2)
+        r_hi = boundaries.tune_r(tune_m, pi - eps, alpha2)
+        return (
+            RadiusSchedule(lambda n: boundaries.one_sided_beta_binomial_radius(
+                n, lo_level, r_lo, alpha1)),
+            RadiusSchedule(lambda n: boundaries.one_sided_beta_binomial_radius(
+                n, hi_level, r_hi, alpha1)),
+        )
+
+    # dkw_union_baseline: DKW with a quadratically decaying union bound,
+    # the same radius on both sides
+    def szorenyi(n):
+        rad = np.full(n.shape, math.inf)
+        ok = n >= 32
+        if np.any(ok):
+            rad[ok] = boundaries.baseline_radius("szorenyi", n[ok], alpha=alpha2)
+        return rad
+
+    schedule = RadiusSchedule(szorenyi)
+    return schedule, schedule
 
 
-def _radius_table(cfg: QlucbConfig) -> _RadiusTable:
-    key = (cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms, cfg.tune_m)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = _TABLE_CACHE[key] = _RadiusTable(cfg)
-    return table
+def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
+    return _radius_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms,
+                             cfg.tune_m)
 
 
 def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
@@ -219,9 +211,9 @@ def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
     n = len(data)
     if n < 1:
         raise DomainError("confidence bounds need at least one observation")
-    table = _radius_table(cfg)
-    lower = data.upper_quantile(cfg.pi_target + cfg.eps - table.lower.at(n))
-    upper = data.lower_quantile(cfg.pi_target - cfg.eps + table.upper.at(n))
+    lower_radius, upper_radius = _schedules(cfg)
+    lower = data.upper_quantile(cfg.pi_target + cfg.eps - lower_radius.at(n))
+    upper = data.lower_quantile(cfg.pi_target - cfg.eps + upper_radius.at(n))
     return lower, upper
 
 
@@ -242,8 +234,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
         raise ConfigurationError(f"config says k_arms={cfg.k_arms}, got {k_arms} arms")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed,)))
-    table = _radius_table(cfg)
-    lower_radius, upper_radius = table.lower.at, table.upper.at
+    lower_schedule, upper_schedule = _schedules(cfg)
+    lower_radius, upper_radius = lower_schedule.at, upper_schedule.at
     pi, eps = cfg.pi_target, cfg.eps
 
     data = [OrderedMultiset() for _ in range(k_arms)]
@@ -397,14 +389,12 @@ def tau_bound(delta_k: float, eps: float, pi_target: float, k_arms: int,
     if target <= 0.0:
         raise DomainError("gap and eps are both zero: the bound is unbounded")
     c_add = 0.8 * math.log(1612.0 * k_arms / delta_err)
-    log5k = math.log(5.0 * k_arms / delta_err)
+    lo_level = 1.0 - (pi_target + eps)
 
-    def radius_sum(n: float) -> float:
-        g = 0.85 * math.sqrt((math.log(math.log(math.e * n)) + c_add) / n)
-        ell = (1.4 * math.log(math.log(2.1 * n)) + log5k) / n
-        u = 1.5 * math.sqrt((pi_target) * (1.0 - pi_target) * ell) + 0.8 * ell
-        lo_level = 1.0 - (pi_target + eps)
-        l = 1.5 * math.sqrt(lo_level * (1.0 - lo_level) * ell) + 0.8 * ell
+    def radius_sum(n: int) -> float:
+        g = boundaries.lil_radius(n, 0.85, c_add)
+        u = _qlucb_radius(n, pi_target, k_arms, delta_err)
+        l = _qlucb_radius(n, lo_level, k_arms, delta_err)
         return g + max(u, l)
 
     n = 1

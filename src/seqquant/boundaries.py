@@ -31,8 +31,6 @@ from .specfun import expit, golden_section_min, lambert_wm1, log_beta, log_betai
 __all__ = [
     "RadiusSchedule",
     "StitchConfig",
-    "BetaBinomialConfig",
-    "LilConfig",
     "DoubleStitchConfig",
     "stitched_radius",
     "stitched_radius_simple",
@@ -150,38 +148,6 @@ class StitchConfig:
     @property
     def k2(self) -> float:
         return (math.sqrt(self.eta) + 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class BetaBinomialConfig:
-    """Beta-binomial mixture parameters for a fixed target level p."""
-
-    p: float
-    r: float
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        _check_open_unit(self.p)
-        if self.r <= 0.0:
-            raise ConfigurationError(f"r must be positive, got {self.r}")
-        _check_alpha(self.alpha)
-
-
-@dataclass(frozen=True)
-class LilConfig:
-    """Iterated-logarithm boundary parameters A, C and start time m."""
-
-    a_mult: float = 0.85
-    c_add: float = 8.123
-    m_start: float = 1.0
-
-    def __post_init__(self):
-        if self.a_mult <= 1.0 / _SQRT2:
-            raise ConfigurationError(f"a_mult must exceed 1/sqrt(2), got {self.a_mult}")
-        if self.c_add <= 0.0:
-            raise ConfigurationError(f"c_add must be positive, got {self.c_add}")
-        if self.m_start < 1.0:
-            raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
 
 
 @dataclass(frozen=True)

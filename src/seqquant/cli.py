@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -258,27 +259,34 @@ def _reference_cdf(spec: str):
 # ---------------------------------------------------------------------------
 
 
-def _radius_for(method: str, t: int, p: float, alpha: float, tune_m: float,
-                r_cache: dict) -> float:
+def _radius(method: str, p: float, alpha: float, tune_m: float, stitch, r: float | None = None):
+    """The radius(t, level) a method name stands for, and the mixture r it uses.
+
+    A mixture method tunes r to `tune_m` at level p unless `r` is given; the
+    other methods return r = None.  `stitch` builds the stitched method's
+    `StitchConfig` and is called only for that method, so flags only it
+    reads are checked only when it is chosen.
+    """
     if method == "stitched":
-        cfg = StitchConfig(eta=2.04, s_exp=1.4, m_start=tune_m, alpha=alpha)
-        return boundaries.stitched_radius(t, p, cfg)
+        cfg = stitch()
+        return lambda t, level: boundaries.stitched_radius(t, level, cfg), None
+    if method == "stitched_simple":
+        return lambda t, level: boundaries.stitched_radius_simple(t, level, alpha), None
     if method == "beta_binomial":
-        if p not in r_cache:
-            r_cache[p] = boundaries.tune_r(tune_m, p, alpha)
-        return boundaries.beta_binomial_radius(t, p, r_cache[p], alpha)
+        if r is None:
+            r = boundaries.tune_r(tune_m, p, alpha)
+        return lambda t, level: boundaries.beta_binomial_radius(t, level, r, alpha), r
     if method == "normal_mixture":
-        if "normal" not in r_cache:
+        if r is None:
             # intrinsic-time m/8 convention: reproduces r = 0.504 at m=32, alpha=0.05
-            r_cache["normal"] = tune_m / 8.0 / boundaries.tuning_denominator(alpha)
-        return boundaries.normal_mixture_radius(t, r_cache["normal"], alpha)
+            r = tune_m / 8.0 / boundaries.tuning_denominator(alpha)
+        return lambda t, level: boundaries.normal_mixture_radius(t, r, alpha), r
     if method == "lil_uniform":
-        c = boundaries.lil_C(0.85, alpha)
-        return boundaries.lil_radius(t, 0.85, c, tune_m)
+        return confseq.LilMethod(a_mult=0.85, alpha=alpha, m_start=tune_m).radius, None
     if method == "double_stitch":
         cfg = DoubleStitchConfig.default_preset(alpha=alpha, m_start=tune_m)
-        return boundaries.double_stitch_radius(t, p, cfg)
-    return boundaries.baseline_radius(method, t, p, alpha)
+        return lambda t, level: boundaries.double_stitch_radius(t, level, cfg), None
+    return lambda t, level: boundaries.baseline_radius(method, t, level, alpha), None
 
 
 def cmd_bounds(args) -> int:
@@ -288,19 +296,23 @@ def cmd_bounds(args) -> int:
             raise UsageError(f"unknown method {m!r}; valid methods: {', '.join(BOUNDS_METHODS)}")
     p_list = _parse_float_list(args.p, "p") or [0.5]
     t_list = _parse_int_list(args.t, "t")
+    t_grid = np.array(t_list, dtype=float)
+    stitch = partial(StitchConfig, eta=2.04, s_exp=1.4, m_start=args.tune_m, alpha=args.alpha)
     meta = {"alpha": args.alpha, "tune_m": args.tune_m}
-    r_cache: dict = {}
-    for p in p_list:
-        if "beta_binomial" in methods:
-            meta[f"r[p={_fmt_cell(p)}]"] = boundaries.tune_r(args.tune_m, p, args.alpha)
     with _output(args.out) as out:
-        emitter = Emitter(out, args.format, ["t", "p", "method", "radius", "radius_times_sqrt_t"],
-                          meta)
+        # every radius is computed before anything is written
+        rows = []
         for method in methods:
             for p in p_list:
-                for t in t_list:
-                    rad = _radius_for(method, t, p, args.alpha, args.tune_m, r_cache)
-                    emitter.row(t, p, method, rad, rad * math.sqrt(t))
+                radius, r = _radius(method, p, args.alpha, args.tune_m, stitch)
+                if method == "beta_binomial":
+                    meta[f"r[p={_fmt_cell(p)}]"] = r
+                for t, rad in zip(t_list, radius(t_grid, p).tolist()):
+                    rows.append((t, p, method, rad, rad * math.sqrt(t)))
+        emitter = Emitter(out, args.format, ["t", "p", "method", "radius", "radius_times_sqrt_t"],
+                          meta)
+        for row in rows:
+            emitter.row(*row)
         emitter.close()
     return 0
 
@@ -310,35 +322,17 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _track_method(args):
-    if args.method == "stitched":
-        cfg = StitchConfig(eta=args.eta, s_exp=args.s_exp, m_start=args.m, alpha=args.alpha)
-        return confseq.StitchedMethod(cfg)
-    if args.method == "stitched_simple":
-        return confseq.StitchedSimpleMethod(alpha=args.alpha)
-    if args.method == "beta_binomial":
-        r = args.r if args.r is not None else boundaries.tune_r(args.tune_m, args.p, args.alpha)
-        return confseq.BetaBinomialMethod(r=r, alpha=args.alpha)
-    if args.method == "normal_mixture":
-        if args.r is not None:
-            r = args.r
-        else:
-            r = args.tune_m / 8.0 / boundaries.tuning_denominator(args.alpha)
-        return confseq.NormalMixtureMethod(r=r, alpha=args.alpha)
-    raise UsageError(
-        "unknown method; valid: stitched, stitched_simple, beta_binomial, normal_mixture"
-    )
-
-
 def cmd_track(args) -> int:
-    method = _track_method(args)
-    cs = confseq.FixedQuantileCS(args.p, method, intersect=args.intersect)
+    stitch = partial(StitchConfig, eta=args.eta, s_exp=args.s_exp, m_start=args.m,
+                     alpha=args.alpha)
+    radius, r = _radius(args.method, args.p, args.alpha, args.tune_m, stitch, args.r)
+    cs = confseq.FixedQuantileCS(args.p, radius, intersect=args.intersect)
     columns = ["t", "x", "lower", "upper", "point_estimate"]
     if args.intersect:
         columns.append("empty")
     meta = {"p": args.p, "method": args.method, "alpha": args.alpha}
-    if isinstance(method, confseq.BetaBinomialMethod):
-        meta["r"] = method.r
+    if args.method == "beta_binomial":
+        meta["r"] = r
     with _streams(args) as (handle, out):
         emitter = Emitter(out, args.format, columns, meta)
         for _, x in _numeric_stream(handle):
@@ -360,8 +354,7 @@ def cmd_track(args) -> int:
 def cmd_band(args) -> int:
     checkpoints = sorted(set(_parse_int_list(args.checkpoints, "checkpoints")))
     band = confseq.CdfBand(a_mult=args.a_mult, alpha=args.alpha, m_start=args.m)
-    meta = {"alpha": args.alpha, "A": args.a_mult, "m": args.m,
-            "C": boundaries.lil_C(args.a_mult, args.alpha)}
+    meta = {"alpha": args.alpha, "A": args.a_mult, "m": args.m, "C": band.method.c_add}
     with _streams(args) as (handle, out):
         emitter = Emitter(out, args.format, ["t", "x", "ecdf", "lo", "hi"], meta)
         remaining = list(checkpoints)

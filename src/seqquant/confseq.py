@@ -1,13 +1,17 @@
 """Stateful confidence-sequence trackers.
 
-Each tracker owns an OrderedMultiset and a radius method; bounds are always a
-pair of realized order statistics or infinity sentinels, never interpolated.
-A method's `radius(t, level)` must accept a numpy array of times as well as
-one time: `FixedQuantileCS` reads its two radii from `RadiusSchedule`
-tables filled in vectorized chunks, while `QuantileUniformCS` (whose level
-varies per query) and `CdfBand` evaluate radii per query.  When a shifted
-level p +/- radius leaves [0, 1] the sentinel convention applies (no clamping
-to extreme order statistics), which keeps coverage conservative.
+Each tracker owns an OrderedMultiset and a radius; bounds are always a pair
+of realized order statistics or infinity sentinels, never interpolated.  A
+radius is a function `radius(t, level)` that must accept a numpy array of
+times as well as one time, such as
+`lambda t, level: boundaries.beta_binomial_radius(t, level, r, alpha)`.
+`FixedQuantileCS` reads its two radii from `RadiusSchedule` tables filled in
+vectorized chunks, while `QuantileUniformCS` (whose level varies per query)
+and `CdfBand` evaluate radii per query.  `LilMethod` is the one radius kept
+as an object: it resolves the iterated-logarithm constant C from alpha, and
+its type picks the bracket of the uniform bound.  When a shifted level
+p +/- radius leaves [0, 1] the sentinel convention applies (no clamping to
+extreme order statistics), which keeps coverage conservative.
 """
 
 from __future__ import annotations
@@ -15,59 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import boundaries
-from .boundaries import DoubleStitchConfig, RadiusSchedule, StitchConfig
+from .boundaries import RadiusSchedule
 from .empdist import NEG_INF, POS_INF, Extended, OrderedMultiset
 from .errors import ConfigurationError, StateError
 
 __all__ = [
-    "StitchedSimpleMethod",
-    "StitchedMethod",
-    "BetaBinomialMethod",
-    "NormalMixtureMethod",
     "LilMethod",
-    "DoubleStitchMethod",
     "FixedQuantileCS",
     "QuantileUniformCS",
     "CdfBand",
 ]
-
-
-@dataclass(frozen=True)
-class StitchedSimpleMethod:
-    """Closed-form stitched radius with conservatively rounded constants."""
-
-    alpha: float = 0.05
-
-    def radius(self, t: int, level: float) -> float:
-        return boundaries.stitched_radius_simple(t, level, self.alpha)
-
-
-@dataclass(frozen=True)
-class StitchedMethod:
-    config: StitchConfig
-
-    def radius(self, t: int, level: float) -> float:
-        return boundaries.stitched_radius(t, level, self.config)
-
-
-@dataclass(frozen=True)
-class BetaBinomialMethod:
-    r: float
-    alpha: float = 0.05
-
-    def radius(self, t: int, level: float) -> float:
-        return boundaries.beta_binomial_radius(t, level, self.r, self.alpha)
-
-
-@dataclass(frozen=True)
-class NormalMixtureMethod:
-    """Sub-Gaussian mixture radius; lacks the sqrt(p(1-p)) level dependence."""
-
-    r: float
-    alpha: float = 0.05
-
-    def radius(self, t: int, level: float) -> float:
-        return boundaries.normal_mixture_radius(t, self.r, self.alpha)
 
 
 class FixedQuantileCS:
@@ -77,7 +38,9 @@ class FixedQuantileCS:
     the upper endpoint the lower sample quantile at p + radius(t, p); the two
     sides use the radius at mirrored levels because the underlying centered
     process has increments in [-p, 1-p].  Both radii depend on t alone, so
-    each side keeps a `RadiusSchedule` of them.
+    each side keeps a `RadiusSchedule` of `method(t, level)`.  The first
+    chunk of each is filled here, so a bad radius parameter fails before any
+    observation is taken.
     """
 
     def __init__(self, p: float, method, intersect: bool = False):
@@ -86,8 +49,10 @@ class FixedQuantileCS:
         self.p = p
         self.method = method
         self.intersect = intersect
-        self._lower_radius = RadiusSchedule(lambda t: method.radius(t, 1.0 - p))
-        self._upper_radius = RadiusSchedule(lambda t: method.radius(t, p))
+        self._lower_radius = RadiusSchedule(lambda t: method(t, 1.0 - p))
+        self._upper_radius = RadiusSchedule(lambda t: method(t, p))
+        self._lower_radius.at(1)
+        self._upper_radius.at(1)
         self.data = OrderedMultiset()
         self._run_lower: Extended = NEG_INF
         self._run_upper: Extended = POS_INF
@@ -124,38 +89,38 @@ class FixedQuantileCS:
 
 @dataclass(frozen=True)
 class LilMethod:
-    """Level-independent iterated-logarithm radius g_t for the uniform band."""
+    """Level-independent iterated-logarithm radius g_t for the uniform band.
+
+    C is `c_add` when given, else the smallest C whose crossing probability
+    is at most alpha (`boundaries.lil_C`); it is resolved into `c_add`, and
+    the parameters checked, when the method is built.
+    """
 
     a_mult: float = 0.85
     c_add: float | None = None
     alpha: float | None = 0.05
     m_start: float = 1.0
 
-    def resolved_c(self) -> float:
-        if self.c_add is not None:
-            return self.c_add
-        if self.alpha is None:
-            raise ConfigurationError("LilMethod needs either c_add or alpha")
-        return boundaries.lil_C(self.a_mult, self.alpha)
+    def __post_init__(self):
+        if self.m_start < 1.0:
+            raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
+        if self.c_add is None:
+            if self.alpha is None:
+                raise ConfigurationError("LilMethod needs either c_add or alpha")
+            object.__setattr__(self, "c_add", boundaries.lil_C(self.a_mult, self.alpha))
 
-    def radius(self, t: int) -> float:
-        return boundaries.lil_radius(t, self.a_mult, self.resolved_c(), self.m_start)
-
-
-@dataclass(frozen=True)
-class DoubleStitchMethod:
-    config: DoubleStitchConfig
-
-    def radius(self, t: int, level: float) -> float:
-        return boundaries.double_stitch_radius(t, level, self.config)
+    def radius(self, t, level: float | None = None):
+        """g_t at time(s) t; the level is ignored, so this is a radius(t, level)."""
+        return boundaries.lil_radius(t, self.a_mult, self.c_add, self.m_start)
 
 
 class QuantileUniformCS:
     """Confidence sequences valid uniformly over time and all quantiles.
 
-    The two available methods bracket with opposite sample-quantile sides:
-    the iterated-logarithm bound uses [Q^-_t(p - g_t), Q_t(p + g_t)] while
-    the double-stitch bound uses [Q_t(p - g~(1-p)/t), Q^-_t(p + g~(p)/t)];
+    `method` is a `LilMethod` or a radius(t, level) such as the
+    double-stitch radius.  The two bracket with opposite sample-quantile
+    sides: the iterated-logarithm bound uses [Q^-_t(p - g_t), Q_t(p + g_t)]
+    while the double-stitch bound uses [Q_t(p - g~(1-p)/t), Q^-_t(p + g~(p)/t)];
     this asymmetry is exactly as the two results are stated.
     """
 
@@ -175,8 +140,8 @@ class QuantileUniformCS:
         if isinstance(self.method, LilMethod):
             g = self.method.radius(t)
             return self.data.lower_quantile(p - g), self.data.upper_quantile(p + g)
-        lower = self.data.upper_quantile(p - self.method.radius(t, 1.0 - p))
-        upper = self.data.lower_quantile(p + self.method.radius(t, p))
+        lower = self.data.upper_quantile(p - self.method(t, 1.0 - p))
+        upper = self.data.lower_quantile(p + self.method(t, p))
         return lower, upper
 
 

@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import boundaries
-from .boundaries import beta_binomial_log_mixture, lil_C, lil_radius, one_sided_log_mixture
+from .boundaries import beta_binomial_log_mixture, one_sided_log_mixture
+from .confseq import LilMethod
 from .empdist import OrderedMultiset, _level_ceil, _level_floor
 from .errors import ConfigurationError, PairingError, StateError
 from .specfun import golden_section_min
@@ -334,11 +335,11 @@ class KsResult(NamedTuple):
 class KsTestState:
     """Sequential one-sample, two-sample, and stochastic-dominance KS tests.
 
-    Thresholds follow the iterated-logarithm band with the constant C(A, .)
-    obtained by numerically inverting the band's crossing probability:
-    one-sample uses C(A, alpha) with width A sqrt(.), the paired modes use
-    width 2A sqrt(.) with C(A, alpha/2) for two_sample and C(A, alpha) for
-    dominance (one-sided bands suffice there).
+    Thresholds follow the iterated-logarithm band `lil`, a `LilMethod` whose
+    constant C(A, .) inverts the band's crossing probability: one-sample
+    uses C(A, alpha) with width g_t, the paired modes use width 2 g_t with
+    C(A, alpha/2) for two_sample and C(A, alpha) for dominance (one-sided
+    bands suffice there).
 
     Dominance tests H0: F1 <= F2 pointwise and rejects on evidence that
     F1(x) > F2(x) somewhere, i.e. when sup_x [F1(x) - F2(x)] strictly exceeds
@@ -368,6 +369,8 @@ class KsTestState:
         self.a_mult = a_mult
         self.alpha = alpha
         self.m_start = m_start
+        self.lil = LilMethod(a_mult=a_mult, alpha=alpha / 2.0 if mode == "two_sample" else alpha,
+                             m_start=m_start)
         self.sample1 = OrderedMultiset()
         self.sample2 = OrderedMultiset()
 
@@ -382,14 +385,8 @@ class KsTestState:
             raise StateError(f"sample must be 1 or 2, got {sample}")
 
     def threshold(self, t: int) -> float:
-        if self.mode == "one_sample":
-            c = lil_C(self.a_mult, self.alpha)
-            return lil_radius(t, self.a_mult, c, self.m_start)
-        if self.mode == "two_sample":
-            c = lil_C(self.a_mult, self.alpha / 2.0)
-        else:
-            c = lil_C(self.a_mult, self.alpha)
-        return 2.0 * lil_radius(t, self.a_mult, c, self.m_start)
+        g = self.lil.radius(t)
+        return g if self.mode == "one_sample" else 2.0 * g
 
     def evaluate(self) -> KsResult:
         if self.mode == "one_sample":

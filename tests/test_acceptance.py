@@ -8,6 +8,7 @@ tolerance is fixed here, nothing is calibrated at run time.
 import math
 import time
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from seqquant.boundaries import (
     stitched_radius_simple,
     tune_r,
 )
-from seqquant.confseq import BetaBinomialMethod, FixedQuantileCS, StitchedSimpleMethod
+from seqquant.confseq import FixedQuantileCS
 from seqquant.empdist import OrderedMultiset, _level_ceil, _level_floor
 from seqquant.specfun import expit, logit
 
@@ -92,11 +93,11 @@ def test_criterion_04_coverage():
     t_grid = np.arange(1, horizon + 1, dtype=float)
 
     # the rank shortcut must agree with the real tracker, stream by stream
-    for method, p in ((StitchedSimpleMethod(alpha), 0.5),
-                      (BetaBinomialMethod(tune_r(32, 0.5, alpha), alpha), 0.5)):
+    for method, p in ((partial(stitched_radius_simple, alpha=alpha), 0.5),
+                      (partial(beta_binomial_radius, r=tune_r(32, 0.5, alpha), alpha=alpha), 0.5)):
         rng = np.random.default_rng(2024)
-        lows = np.array([method.radius(t, 1 - p) for t in range(1, 301)])
-        highs = np.array([method.radius(t, p) for t in range(1, 301)])
+        lows = np.array([method(t, 1 - p) for t in range(1, 301)])
+        highs = np.array([method(t, p) for t in range(1, 301)])
         k_lo, k_hi = _miscoverage_indices(p, lows, highs)
         for _ in range(8):
             xs = rng.random(300)

@@ -508,12 +508,17 @@ _SCHEDULE_RADII = {
     "beta_binomial_one_sided": lambda t, q: one_sided_beta_binomial_radius(
         t, q, _SCHEDULE_R, 0.05),
     "lil": lambda t, q: lil_radius(t, 0.85, lil_C(0.85, 0.05)),
+    "double_stitch": lambda t, q: double_stitch_radius(
+        t, q, DoubleStitchConfig.default_preset(0.05, m_start=32.0)),
+    # the baselines defined from t = 1; szorenyi and dr1967 are compared below
+    **{kind: (lambda kind: lambda t, q: baseline_radius(kind, t, q, 0.05))(kind)
+       for kind in ("dkw_fixed", "dr1968", "clt_pointwise", "hoeffding_kl", "linear_warmup")},
 }
-_MIXTURES = ("beta_binomial", "beta_binomial_one_sided")
-# the bisected radii cost ~2 ms per scalar call, so they are compared with
-# scalar calls at every t around the chunk edges (1024/1025, 2048/2049) and
-# on a stride elsewhere; the closed forms at every t
-_MIXTURE_TIMES = sorted(
+_BISECTED = ("beta_binomial", "beta_binomial_one_sided", "hoeffding_kl")
+# the bisected radii cost up to ~2 ms per scalar call, so they are compared
+# with scalar calls at every t around the chunk edges (1024/1025, 2048/2049)
+# and on a stride elsewhere; the closed forms at every t
+_BISECTED_TIMES = sorted(
     set(range(1, 65)) | set(range(1016, 1034)) | set(range(2040, 2058))
     | set(range(2990, 3001)) | set(range(65, 3000, 31))
 )
@@ -526,8 +531,16 @@ class TestRadiusSchedule:
         radius = _SCHEDULE_RADII[name]
         schedule = bd.RadiusSchedule(lambda t: radius(t, level))
         table = [schedule.at(t) for t in range(1, 3001)]
-        times = _MIXTURE_TIMES if name in _MIXTURES else range(1, 3001)
+        times = _BISECTED_TIMES if name in _BISECTED else range(1, 3001)
         mismatched = [t for t in times if table[t - 1] != radius(t, level)]
+        assert mismatched == []
+
+    @pytest.mark.parametrize("kind,start", [("szorenyi", 32), ("dr1967", 2)])
+    def test_late_starting_baselines_equal_scalar_calls_bit_for_bit(self, kind, start):
+        times = np.concatenate([np.arange(start, 3001), np.geomspace(1e3, 1e6, 61).round()])
+        radii = baseline_radius(kind, times, alpha=0.05).tolist()
+        mismatched = [t for t, rad in zip(times.tolist(), radii)
+                      if rad != baseline_radius(kind, t, alpha=0.05)]
         assert mismatched == []
 
     def test_table_grows_in_doubling_chunks(self):

@@ -104,6 +104,16 @@ class TestBounds:
         assert rc == 2
         assert "valid methods" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--methods", "dkw_fixed,szorenyi", "--t", "100,10"],  # szorenyi needs t >= 32
+        ["--methods", "dkw_fixed", "--t", "0"],
+    ])
+    def test_data_error_writes_nothing(self, argv):
+        rc, out, err = run_cli(["bounds", *argv])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("data error:")
+
 
 class TestTrack:
     def test_small_stream_gives_sentinels(self):
@@ -379,6 +389,27 @@ class TestOutputErrors:
 
 
 class TestConfigErrors:
+    STREAM = str(FIXTURES / "stream10.txt")
+    PAIRS = str(FIXTURES / "ks6.txt")
+    BAD_PARAMETERS = {
+        "track_stitched_simple_alpha": ["track", STREAM, "--p", "0.5",
+                                        "--method", "stitched_simple", "--alpha", "1.5"],
+        "track_beta_binomial_r": ["track", STREAM, "--p", "0.5",
+                                  "--method", "beta_binomial", "--r", "-1"],
+        "track_normal_mixture_r": ["track", STREAM, "--p", "0.5",
+                                   "--method", "normal_mixture", "--r", "-1"],
+        "band_m": ["band", STREAM, "--checkpoints", "5", "--m", "0.5"],
+        "ks_A": ["ks", PAIRS, "--A", "0.5"],
+        "ks_m": ["ks", PAIRS, "--m", "0.5"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+    def test_bad_radius_parameter_writes_nothing(self, case):
+        rc, out, err = run_cli(self.BAD_PARAMETERS[case])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_missing_config_is_usage_error(self, tmp_path):
         rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
                                 "--config", str(tmp_path / "absent.cfg")])

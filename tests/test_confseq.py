@@ -6,26 +6,28 @@ import math
 import numpy as np
 import pytest
 
+from functools import partial
+
 from seqquant import boundaries
-from seqquant.boundaries import DoubleStitchConfig, baseline_radius, lil_C, tune_r
-from seqquant.confseq import (
-    BetaBinomialMethod,
-    CdfBand,
-    DoubleStitchMethod,
-    FixedQuantileCS,
-    LilMethod,
-    NormalMixtureMethod,
-    QuantileUniformCS,
-    StitchedSimpleMethod,
+from seqquant.boundaries import (
+    DoubleStitchConfig,
+    baseline_radius,
+    beta_binomial_radius,
+    double_stitch_radius,
+    lil_C,
+    normal_mixture_radius,
+    stitched_radius_simple,
+    tune_r,
 )
+from seqquant.confseq import CdfBand, FixedQuantileCS, LilMethod, QuantileUniformCS
 from seqquant.empdist import _level_ceil, _level_floor, is_neg_inf, is_pos_inf
-from seqquant.errors import StateError
+from seqquant.errors import ConfigurationError, StateError
 
 
 class TestFixedQuantileCS:
     def test_chained_example_t1000(self):
         # radius 0.07421... puts the bounds at order stats 426 and 575
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05))
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         for x in range(1, 1001):
             cs.update(float(x))
         lo, hi = cs.bounds()
@@ -33,21 +35,23 @@ class TestFixedQuantileCS:
         assert hi == 575.0
 
     def test_small_t_gives_sentinels(self):
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05))
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         for x in [1.0, 2.0, 3.0, 4.0]:
             lo, hi = cs.update(x)
         assert is_neg_inf(lo) and is_pos_inf(hi)
 
     def test_symmetric_radius_at_median(self):
-        for method in (StitchedSimpleMethod(0.05), BetaBinomialMethod(0.758, 0.05),
-                       NormalMixtureMethod(0.504, 0.05)):
-            assert method.radius(500, 0.5) == pytest.approx(method.radius(500, 0.5), rel=0)
+        for method in (partial(stitched_radius_simple, alpha=0.05),
+                       partial(beta_binomial_radius, r=0.758, alpha=0.05),
+                       lambda t, level: normal_mixture_radius(t, 0.504, 0.05)):
+            assert method(500, 0.5) == pytest.approx(method(500, 0.5), rel=0)
             # f_t(1-p) == f_t(p) at p = 1/2
-            assert method.radius(500, 1 - 0.5) == method.radius(500, 0.5)
+            assert method(500, 1 - 0.5) == method(500, 0.5)
 
     def test_bounds_are_realized_order_stats(self):
         rng = np.random.default_rng(3)
-        cs = FixedQuantileCS(0.3, BetaBinomialMethod(tune_r(32, 0.3, 0.05), 0.05))
+        cs = FixedQuantileCS(0.3, partial(beta_binomial_radius, r=tune_r(32, 0.3, 0.05),
+                                          alpha=0.05))
         seen = []
         for x in rng.normal(size=400):
             seen.append(float(x))
@@ -56,7 +60,7 @@ class TestFixedQuantileCS:
                 assert is_neg_inf(b) or is_pos_inf(b) or b in seen
 
     def test_point_estimate_is_upper_sample_quantile(self):
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05))
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         for x in [5.0, 1.0, 3.0]:
             cs.update(x)
         assert cs.point_estimate() == cs.data.upper_quantile(0.5) == 3.0
@@ -64,7 +68,7 @@ class TestFixedQuantileCS:
 
 class TestIntersection:
     def test_single_step_matches_instantaneous(self):
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05), intersect=True)
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05), intersect=True)
         cs.update(1.0)
         lo, hi, empty = cs.intersected_bounds()
         assert (lo, hi) == cs.bounds()
@@ -72,7 +76,7 @@ class TestIntersection:
 
     def test_contained_in_instantaneous(self):
         rng = np.random.default_rng(11)
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05), intersect=True)
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05), intersect=True)
         for x in rng.normal(size=800):
             lo, hi = cs.update(float(x))
             ilo, ihi, _ = cs.intersected_bounds()
@@ -81,7 +85,7 @@ class TestIntersection:
 
     def test_empty_flag_fires_iff_crossed(self):
         # adversarial non-i.i.d. stream: 500 zeros then 500 ones
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05), intersect=True)
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05), intersect=True)
         for _ in range(500):
             cs.update(0.0)
         for _ in range(500):
@@ -90,10 +94,38 @@ class TestIntersection:
         assert empty == (lo > hi)
 
     def test_requires_flag(self):
-        cs = FixedQuantileCS(0.5, StitchedSimpleMethod(0.05))
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         cs.update(1.0)
         with pytest.raises(StateError):
             cs.intersected_bounds()
+
+    @pytest.mark.parametrize("method", [
+        partial(stitched_radius_simple, alpha=1.5),
+        partial(beta_binomial_radius, r=-1.0, alpha=0.05),
+        lambda t, level: normal_mixture_radius(t, -1.0, 0.05),
+    ])
+    def test_bad_radius_parameter_fails_when_built(self, method):
+        with pytest.raises(ConfigurationError):
+            FixedQuantileCS(0.5, method)
+
+
+class TestLilMethod:
+    def test_resolves_c_when_built(self):
+        assert LilMethod(a_mult=0.85, alpha=0.05).c_add == lil_C(0.85, 0.05)
+        assert LilMethod(a_mult=0.85, c_add=7.0, alpha=0.05).c_add == 7.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"m_start": 0.5}, {"a_mult": 0.5}, {"alpha": 1.5}, {"alpha": None},
+    ])
+    def test_bad_parameter_fails_when_built(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            LilMethod(**kwargs)
+
+    def test_level_is_ignored(self):
+        method = LilMethod(alpha=0.05)
+        t = np.arange(1.0, 50.0)
+        assert np.array_equal(method.radius(t, 0.1), method.radius(t))
+        assert method.radius(7, 0.9) == boundaries.lil_radius(7, 0.85, lil_C(0.85, 0.05))
 
 
 class TestUniformCS:
@@ -114,7 +146,8 @@ class TestUniformCS:
         rng = np.random.default_rng(123)
         xs = [float(v) for v in rng.normal(size=5000)]
         lil = QuantileUniformCS(LilMethod(a_mult=0.85, alpha=0.05, m_start=1.0))
-        ds = QuantileUniformCS(DoubleStitchMethod(DoubleStitchConfig.default_preset(0.05)))
+        ds = QuantileUniformCS(partial(double_stitch_radius,
+                                       cfg=DoubleStitchConfig.default_preset(0.05)))
         for x in xs:
             lil.update(x)
             ds.update(x)
@@ -124,8 +157,8 @@ class TestUniformCS:
         lo, hi = lil.bounds(p)
         assert lo == lil.data.lower_quantile(p - g)
         assert hi == lil.data.upper_quantile(p + g)
-        gl = ds.method.radius(t, 1 - p)
-        gu = ds.method.radius(t, p)
+        gl = ds.method(t, 1 - p)
+        gu = ds.method(t, p)
         lo2, hi2 = ds.bounds(p)
         assert lo2 == ds.data.upper_quantile(p - gl)
         assert hi2 == ds.data.lower_quantile(p + gu)
@@ -201,18 +234,18 @@ class TestCoverageMachinery:
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_tracker_equivalence_stitched(self, p):
-        self._run(p, StitchedSimpleMethod(0.05))
+        self._run(p, partial(stitched_radius_simple, alpha=0.05))
 
     def test_tracker_equivalence_beta_binomial(self):
-        self._run(0.5, BetaBinomialMethod(tune_r(32, 0.5, 0.05), 0.05))
+        self._run(0.5, partial(beta_binomial_radius, r=tune_r(32, 0.5, 0.05), alpha=0.05))
 
     @staticmethod
     def _run(p, method):
         rng = np.random.default_rng(round(p * 1000))
         horizon = 400
         t_grid = np.arange(1, horizon + 1)
-        lows = np.array([method.radius(int(t), 1 - p) for t in t_grid])
-        highs = np.array([method.radius(int(t), p) for t in t_grid])
+        lows = np.array([method(int(t), 1 - p) for t in t_grid])
+        highs = np.array([method(int(t), p) for t in t_grid])
         for _ in range(12):
             xs = rng.random(horizon)
             fast = _vectorized_miscoverage(xs, p, lows, highs)
