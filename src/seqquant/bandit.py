@@ -5,13 +5,16 @@ The algorithm samples the arm with the highest lower confidence bound on the
 bound on the (pi-eps)-quantile among the rest, and stops as soon as some
 arm's lower bound clears every other arm's upper bound.  Confidence bounds
 are order statistics at levels shifted by time-uniform radii evaluated at
-per-arm sample counts.
+per-arm sample counts.  The shifted levels (pi+eps) - l_n and
+(pi-eps) + u_n, and so the ranks of the two order statistics, depend only
+on the per-arm count n, so each configuration keeps a pair of
+`boundaries.RadiusSchedule` tables of those ranks (`empdist.upper_ranks`
+and `lower_ranks`), shared across runs in one process.  A rank outside
+[1, n] reads the NEG_INF/POS_INF sentinel, as in every other tracker.
 
 Reproducibility: all sampling is by quantile transform of uniforms drawn as
 integers in (0, 2^53) / 2^53 from numpy PCG64 generators; per-run streams are
-derived by seeding with SeedSequence((seed, indices...)).  Radii depend only
-on the per-arm count, so each configuration keeps a pair of
-`boundaries.RadiusSchedule` tables, shared across runs in one process.
+derived by seeding with SeedSequence((seed, indices...)).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from scipy.special import ndtri
 
 from . import boundaries
 from .boundaries import RadiusSchedule
-from .empdist import OrderedMultiset, _level_ceil, _level_floor
+from .empdist import NEG_INF, POS_INF, OrderedMultiset, lower_ranks, upper_ranks
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
@@ -168,25 +171,19 @@ def _qlucb_radius(n, level: float, k_arms: int, delta_err: float):
     return 1.5 * np.sqrt(level * (1.0 - level) * ell) + 0.8 * ell
 
 
-@lru_cache(maxsize=None)
-def _radius_schedules(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int,
-                      tune_m: float) -> tuple[RadiusSchedule, RadiusSchedule]:
-    """Per-count radii (lower, upper): l_n at pi+eps and u_n at pi-eps, shared by all runs."""
+def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int, tune_m: float):
+    """Per-count radius functions (l_n at pi+eps, u_n at pi-eps) of one CS kind."""
     lo_level, hi_level = 1.0 - (pi + eps), pi - eps
     if cs_kind == "stitched_qlucb":
-        return (RadiusSchedule(lambda n: _qlucb_radius(n, lo_level, k_arms, delta_err)),
-                RadiusSchedule(lambda n: _qlucb_radius(n, hi_level, k_arms, delta_err)))
+        return (lambda n: _qlucb_radius(n, lo_level, k_arms, delta_err),
+                lambda n: _qlucb_radius(n, hi_level, k_arms, delta_err))
     alpha2 = 2.0 * delta_err / k_arms
     if cs_kind == "beta_binomial_one_sided":
         alpha1 = delta_err / k_arms
         r_lo = boundaries.tune_r(tune_m, pi + eps, alpha2)
         r_hi = boundaries.tune_r(tune_m, pi - eps, alpha2)
-        return (
-            RadiusSchedule(lambda n: boundaries.one_sided_beta_binomial_radius(
-                n, lo_level, r_lo, alpha1)),
-            RadiusSchedule(lambda n: boundaries.one_sided_beta_binomial_radius(
-                n, hi_level, r_hi, alpha1)),
-        )
+        return (lambda n: boundaries.one_sided_beta_binomial_radius(n, lo_level, r_lo, alpha1),
+                lambda n: boundaries.one_sided_beta_binomial_radius(n, hi_level, r_hi, alpha1))
 
     # dkw_union_baseline: DKW with a quadratically decaying union bound,
     # the same radius on both sides
@@ -197,13 +194,26 @@ def _radius_schedules(cs_kind: str, pi: float, eps: float, delta_err: float, k_a
             rad[ok] = boundaries.baseline_radius("szorenyi", n[ok], alpha=alpha2)
         return rad
 
-    schedule = RadiusSchedule(szorenyi)
-    return schedule, schedule
+    return szorenyi, szorenyi
+
+
+@lru_cache(maxsize=None)
+def _rank_schedules(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int,
+                    tune_m: float) -> tuple[RadiusSchedule, RadiusSchedule]:
+    """Per-count ranks of L and U, floor(n((pi+eps) - l_n)) + 1 and
+    ceil(n((pi-eps) + u_n)), shared by all runs; the first chunk is filled here.
+    """
+    lower_radius, upper_radius = _radii(cs_kind, pi, eps, delta_err, k_arms, tune_m)
+    lower = RadiusSchedule(lambda n: upper_ranks(n, (pi + eps) - lower_radius(n)))
+    upper = RadiusSchedule(lambda n: lower_ranks(n, (pi - eps) + upper_radius(n)))
+    lower.at(1)
+    upper.at(1)
+    return lower, upper
 
 
 def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
-    return _radius_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms,
-                             cfg.tune_m)
+    return _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms,
+                           cfg.tune_m)
 
 
 def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
@@ -211,10 +221,8 @@ def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
     n = len(data)
     if n < 1:
         raise DomainError("confidence bounds need at least one observation")
-    lower_radius, upper_radius = _schedules(cfg)
-    lower = data.upper_quantile(cfg.pi_target + cfg.eps - lower_radius.at(n))
-    upper = data.lower_quantile(cfg.pi_target - cfg.eps + upper_radius.at(n))
-    return lower, upper
+    lower_rank, upper_rank = _schedules(cfg)
+    return data.order_stat(lower_rank.at(n)), data.order_stat(upper_rank.at(n))
 
 
 def eps_optimal_set(arms: Sequence[ArmSpec], pi_target: float, eps: float) -> set[int]:
@@ -235,13 +243,12 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed,)))
     lower_schedule, upper_schedule = _schedules(cfg)
-    lower_radius, upper_radius = lower_schedule.at, upper_schedule.at
-    pi, eps = cfg.pi_target, cfg.eps
+    lower_rank, upper_rank = lower_schedule.at, upper_schedule.at
 
     data = [OrderedMultiset() for _ in range(k_arms)]
     counts = [0] * k_arms
-    lower = [-math.inf] * k_arms
-    upper = [math.inf] * k_arms
+    lower = [NEG_INF] * k_arms
+    upper = [POS_INF] * k_arms
     buffers = [[] for _ in range(k_arms)]
 
     def draw(k: int) -> float:
@@ -255,19 +262,17 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
         ms.insert(draw(k))
         counts[k] += 1
         n = counts[k]
-        lo_level = pi + eps - lower_radius(n)
-        hi_level = pi - eps + upper_radius(n)
-        k_lo = _level_floor(n, lo_level) + 1
-        k_hi = _level_ceil(n, hi_level)
-        lower[k] = ms.order_stat(k_lo) if 1 <= k_lo <= n else (-math.inf if k_lo < 1 else math.inf)
-        upper[k] = ms.order_stat(k_hi) if 1 <= k_hi <= n else (-math.inf if k_hi < 1 else math.inf)
+        lower[k] = ms.order_stat(lower_rank(n))
+        upper[k] = ms.order_stat(upper_rank(n))
 
     for k in range(k_arms):
         pull(k)
     rounds = 1
     capped = False
     while True:
-        # top-2 upper bounds for the "max over others" tests
+        # top-2 upper bounds for the "max over others" tests; the float -inf
+        # start keeps most comparisons float-to-float (a sentinel would make
+        # each one a Python-level call)
         max1 = -math.inf
         max1_idx = -1
         max2 = -math.inf
@@ -303,7 +308,7 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
         total_samples=sum(counts),
         per_arm_counts=tuple(counts),
         rounds=rounds,
-        eps_optimal=winner in eps_optimal_set(arms, pi, eps),
+        eps_optimal=winner in eps_optimal_set(arms, cfg.pi_target, cfg.eps),
         stopped_by_cap=capped,
     )
 

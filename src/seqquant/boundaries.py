@@ -85,16 +85,19 @@ def _ret(arr, scalar):
 
 
 class RadiusSchedule:
-    """The radii of one boundary at t = 1, 2, 3, ..., looked up by t.
+    """The values of one function of t at t = 1, 2, 3, ..., looked up by t.
 
-    `radius` maps an array of times to the array of their radii, elementwise
-    (every radius function here does, and agrees bit for bit with its scalar
-    calls); any other elementwise function of t tabulates the same way, as
-    `seqtest` does for the minimizing level a*.  The first lookup past the
-    end of the table extends it to max(1024, 2 * size, t) entries with one
-    vectorized call, so a stream queried at every t pays O(log t) radius
-    calls in all.  The table is an `array("d")`, whose lookups return Python
-    floats without a numpy scalar.
+    `radius` maps an array of times to an array of values, elementwise:
+    every radius function here does, and agrees bit for bit with its scalar
+    calls.  Any other elementwise function of t tabulates the same way, as
+    `confseq` and `bandit` do for the order-statistic ranks behind their
+    bounds (`empdist.upper_ranks`/`lower_ranks` of the radius-shifted
+    levels) and `seqtest` for the minimizing level a*.  The first lookup
+    past the end of the table extends it to max(1024, 2 * size, t) entries
+    with one vectorized call, so a stream queried at every t pays O(log t)
+    calls in all.  The table is an `array` of doubles, or of 64-bit
+    integers when the function returns integers, whose lookups return
+    Python floats or ints without a numpy scalar.
     """
 
     __slots__ = ("_radius", "_table")
@@ -103,11 +106,14 @@ class RadiusSchedule:
         self._radius = radius
         self._table = array("d")
 
-    def at(self, t: int) -> float:
+    def at(self, t: int):
         table = self._table
         if t > len(table):
             grid = np.arange(len(table) + 1, max(1024, 2 * len(table), t) + 1, dtype=float)
-            table.extend(np.atleast_1d(self._radius(grid)).tolist())
+            values = np.atleast_1d(self._radius(grid))
+            if not table and values.dtype.kind in "iu":
+                table = self._table = array("q")
+            table.extend(values.tolist())
         elif t < 1:
             raise DomainError(f"t must be >= 1, got {t}")
         return table[t - 1]

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -130,20 +131,35 @@ class Emitter:
 
 @contextmanager
 def _output(path):
-    """The output stream (stdout for None or "-"), closed on exit if it is a file.
+    """The output stream: stdout for None or "-", else a file at `path` written on success.
 
-    An output that cannot be opened is a usage error raised before anything
-    is computed or written.
+    A file output goes to a new temporary file beside `path` that replaces
+    it only when the command succeeds, so a failed run leaves an earlier
+    file at `path` as it was.  The temporary file is opened first, so an
+    output that cannot be opened is a usage error raised before anything
+    is computed or written.  An existing path that is not a regular file
+    (a device or a pipe) is written in place.
     """
     if path in (None, "-"):
         yield sys.stdout
         return
+    tmp = None
+    if os.path.isfile(path) or not os.path.exists(path):
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{secrets.token_hex(6)}.tmp")
     try:
-        out = open(path, "w", encoding="utf-8")
+        out = open(tmp or path, "x" if tmp else "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot open output {path!r}: {exc.strerror or exc}") from None
-    with out:
-        yield out
+    try:
+        with out:
+            yield out
+        if tmp is not None:
+            os.replace(tmp, path)
+    except BaseException:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -159,11 +175,25 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return [int(round(v)) for v in _parse_float_list(text, what)]
 
 
+def _open_text(path: str):
+    """`path` opened for reading UTF-8 text, its undecodable bytes kept as lone surrogates."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8(text: str) -> bool:
+    """Whether text holds no lone surrogate, i.e. it came from valid UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _input_lines(path):
     if path in (None, "-"):
         return sys.stdin
     try:
-        return open(path, "r", encoding="utf-8")
+        return _open_text(path)
     except OSError as exc:
         raise IngestError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
 
@@ -195,20 +225,29 @@ def _finite(i: int, text: str) -> float:
     return value
 
 
-def _numeric_stream(handle):
-    """Yield (line_number, value); blank lines are skipped."""
+def _text_lines(handle):
+    """Yield (line_number, stripped text) of the non-blank lines.
+
+    A line that is not valid UTF-8 is an ingest error: the input is read
+    with surrogateescape, so such a line holds a lone surrogate.
+    """
     for i, line in enumerate(handle, start=1):
         text = line.strip()
         if text:
-            yield i, _finite(i, text)
+            if not _utf8(text):
+                raise IngestError(f"line {i}: not valid UTF-8")
+            yield i, text
+
+
+def _numeric_stream(handle):
+    """Yield (line_number, value); blank lines are skipped."""
+    for i, text in _text_lines(handle):
+        yield i, _finite(i, text)
 
 
 def _labeled_stream(handle):
     """Yield (line_number, label, value) from 'label,value' lines."""
-    for i, line in enumerate(handle, start=1):
-        text = line.strip()
-        if not text:
-            continue
+    for i, text in _text_lines(handle):
         parts = text.split(",")
         if len(parts) != 2:
             raise IngestError(f"line {i}: expected 'label,value', got {text!r}")
@@ -669,12 +708,14 @@ def _apply_config(args, argv: list[str]) -> None:
     flags = _config_flags(args.subparser)
     present = _given_flags(args.subparser, argv)
     try:
-        fh = open(args.config, "r", encoding="utf-8")
+        fh = _open_text(args.config)
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config!r}: {exc.strerror or exc}") from None
     with fh:
         for i, line in enumerate(fh, start=1):
             text = line.strip()
+            if not _utf8(text):
+                raise UsageError(f"{args.config}:{i}: not valid UTF-8")
             if not text or text.startswith("#"):
                 continue
             if "=" not in text:

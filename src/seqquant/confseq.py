@@ -5,22 +5,27 @@ of realized order statistics or infinity sentinels, never interpolated.  A
 radius is a function `radius(t, level)` that must accept a numpy array of
 times as well as one time, such as
 `lambda t, level: boundaries.beta_binomial_radius(t, level, r, alpha)`.
-`FixedQuantileCS` reads its two radii from `RadiusSchedule` tables filled in
-vectorized chunks, while `QuantileUniformCS` (whose level varies per query)
-and `CdfBand` evaluate radii per query.  `LilMethod` is the one radius kept
-as an object: it resolves the iterated-logarithm constant C from alpha, and
-its type picks the bracket of the uniform bound.  When a shifted level
-p +/- radius leaves [0, 1] the sentinel convention applies (no clamping to
-extreme order statistics), which keeps coverage conservative.
+`FixedQuantileCS` shifts its fixed level by the radius, so both of its
+bounds are order statistics whose ranks depend on t alone; it tabulates
+those ranks in `RadiusSchedule` tables filled in vectorized chunks (the
+`empdist.upper_ranks`/`lower_ranks` rule) and reads `order_stat` at each
+update.  `QuantileUniformCS` (whose level varies per query) and `CdfBand`
+evaluate radii per query.  `LilMethod` is the one radius kept as an object:
+it resolves the iterated-logarithm constant C from alpha, and its type
+picks the bracket of the uniform bound.  When a shifted level p +/- radius
+leaves [0, 1] the rank leaves [1, t] and the sentinel convention applies
+(no clamping to extreme order statistics), which keeps coverage
+conservative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import boundaries
 from .boundaries import RadiusSchedule
-from .empdist import NEG_INF, POS_INF, Extended, OrderedMultiset
+from .empdist import NEG_INF, POS_INF, Extended, OrderedMultiset, lower_ranks, upper_ranks
 from .errors import ConfigurationError, StateError
 
 __all__ = [
@@ -37,10 +42,11 @@ class FixedQuantileCS:
     The lower endpoint is the upper sample quantile at p - radius(t, 1-p) and
     the upper endpoint the lower sample quantile at p + radius(t, p); the two
     sides use the radius at mirrored levels because the underlying centered
-    process has increments in [-p, 1-p].  Both radii depend on t alone, so
-    each side keeps a `RadiusSchedule` of `method(t, level)`.  The first
-    chunk of each is filled here, so a bad radius parameter fails before any
-    observation is taken.
+    process has increments in [-p, 1-p].  Both are order statistics whose
+    ranks, floor(t (p - radius(t, 1-p))) + 1 and ceil(t (p + radius(t, p))),
+    depend on t alone, so each side keeps a `RadiusSchedule` of its ranks.
+    The first chunk of each is filled here, so a bad radius parameter fails
+    before any observation is taken.
     """
 
     def __init__(self, p: float, method, intersect: bool = False):
@@ -49,10 +55,10 @@ class FixedQuantileCS:
         self.p = p
         self.method = method
         self.intersect = intersect
-        self._lower_radius = RadiusSchedule(lambda t: method(t, 1.0 - p))
-        self._upper_radius = RadiusSchedule(lambda t: method(t, p))
-        self._lower_radius.at(1)
-        self._upper_radius.at(1)
+        self._lower_rank = RadiusSchedule(lambda t: upper_ranks(t, p - method(t, 1.0 - p)))
+        self._upper_rank = RadiusSchedule(lambda t: lower_ranks(t, p + method(t, p)))
+        self._lower_rank.at(1)
+        self._upper_rank.at(1)
         self.data = OrderedMultiset()
         self._run_lower: Extended = NEG_INF
         self._run_upper: Extended = POS_INF
@@ -72,9 +78,8 @@ class FixedQuantileCS:
         t = len(self.data)
         if t == 0:
             return NEG_INF, POS_INF
-        lower = self.data.upper_quantile(self.p - self._lower_radius.at(t))
-        upper = self.data.lower_quantile(self.p + self._upper_radius.at(t))
-        return lower, upper
+        data = self.data
+        return data.order_stat(self._lower_rank.at(t)), data.order_stat(self._upper_rank.at(t))
 
     def intersected_bounds(self) -> tuple[Extended, Extended, bool]:
         """Running intersection; the empty flag is evidence of violated assumptions."""
@@ -102,6 +107,8 @@ class LilMethod:
     m_start: float = 1.0
 
     def __post_init__(self):
+        if self.a_mult <= 1.0 / math.sqrt(2.0):
+            raise ConfigurationError(f"a_mult must exceed 1/sqrt(2), got {self.a_mult}")
         if self.m_start < 1.0:
             raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
         if self.c_add is None:

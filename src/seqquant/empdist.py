@@ -13,6 +13,8 @@ and out-of-range order statistics are the NEG_INF / POS_INF sentinels (the
 supremum of an empty set is the space's infimum, and vice versa).  Levels are
 interpreted exactly as the dyadic rationals the incoming floats denote, so
 knife-edge levels p = k/t behave consistently with the count queries.
+`upper_ranks` and `lower_ranks` give the same two ranks for arrays of
+(t, level), so a tracker whose levels depend on t alone can tabulate them.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Iterator
 
+import numpy as np
 from sortedcontainers import SortedList
 
 from .errors import QueryError
 
-__all__ = ["OrderedMultiset", "NEG_INF", "POS_INF", "is_neg_inf", "is_pos_inf", "Extended"]
+__all__ = ["OrderedMultiset", "NEG_INF", "POS_INF", "is_neg_inf", "is_pos_inf", "Extended",
+           "upper_ranks", "lower_ranks"]
 
 
 class _Sentinel:
@@ -97,6 +101,34 @@ def _level_ceil(t: int, p) -> int:
             return t + 1 if p > 0 else 0
     pn, pd = p.as_integer_ratio()
     return -((t * -pn) // pd)
+
+
+def _rounded_products(t, levels, rounding, scalar_rule) -> np.ndarray:
+    """scalar_rule(t, level) elementwise, as int64, from the rounded float product.
+
+    The float product t * level can land on the other side of an integer
+    from the exact product only by rounding onto that integer, so every
+    element whose product is an integer, or is not finite, is recomputed
+    with the scalar rule; the rest are exact already.
+    """
+    t, levels = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(levels, dtype=float))
+    product = t * levels
+    rounded = rounding(product)
+    redo = np.flatnonzero(~np.isfinite(product) | (rounded == product))
+    ranks = np.where(np.isfinite(rounded), rounded, 0.0).astype(np.int64)
+    for i in redo.tolist():
+        ranks.flat[i] = scalar_rule(int(t.flat[i]), float(levels.flat[i]))
+    return ranks
+
+
+def upper_ranks(t, levels) -> np.ndarray:
+    """floor(t level) + 1 elementwise: the ranks `upper_quantile` reads, as int64."""
+    return _rounded_products(t, levels, np.floor, _level_floor) + 1
+
+
+def lower_ranks(t, levels) -> np.ndarray:
+    """ceil(t level) elementwise: the ranks `lower_quantile` reads, as int64."""
+    return _rounded_products(t, levels, np.ceil, _level_ceil)
 
 
 def _runs(values: Iterable) -> Iterator[tuple[Any, int]]:

@@ -33,7 +33,7 @@ import numpy as np
 from . import boundaries
 from .boundaries import beta_binomial_log_mixture, one_sided_log_mixture
 from .confseq import LilMethod
-from .empdist import OrderedMultiset, _level_ceil, _level_floor
+from .empdist import OrderedMultiset, _level_ceil, _level_floor, lower_ranks, upper_ranks
 from .errors import ConfigurationError, PairingError, StateError
 from .specfun import golden_section_min
 
@@ -429,19 +429,10 @@ class KsTestState:
 # ---------------------------------------------------------------------------
 
 
-def _naive_disjoint(x1: np.ndarray, x2: np.ndarray, p: float, lo_rad: float,
-                    hi_rad: float) -> bool:
-    """Whether per-arm fixed-quantile CS intervals are disjoint (sorted inputs)."""
-
-    def interval(data: np.ndarray):
-        n = len(data)
-        k_lo = _level_floor(n, p - lo_rad) + 1
-        k_hi = _level_ceil(n, p + hi_rad)
-        return _order_stat(data, k_lo), _order_stat(data, k_hi)
-
-    lo1, hi1 = interval(x1)
-    lo2, hi2 = interval(x2)
-    return hi1 < lo2 or hi2 < lo1
+def _naive_disjoint(x1: np.ndarray, x2: np.ndarray, k_lo: int, k_hi: int) -> bool:
+    """Whether the per-arm CS intervals [X_(k_lo), X_(k_hi)] are disjoint (sorted, equal sizes)."""
+    return (_order_stat(x1, k_hi) < _order_stat(x2, k_lo)
+            or _order_stat(x2, k_hi) < _order_stat(x1, k_lo))
 
 
 def _check_schedule(max_pairs: int) -> list[int]:
@@ -492,8 +483,10 @@ def ab_vs_naive_benchmark(
     r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)
     schedule = _check_schedule(max_pairs)
     grid = np.asarray(schedule, dtype=float)
-    naive_lo = boundaries.beta_binomial_radius(grid, 1.0 - pi, r_naive, alpha / 2.0).tolist()
-    naive_hi = boundaries.beta_binomial_radius(grid, pi, r_naive, alpha / 2.0).tolist()
+    naive_lo_ranks = upper_ranks(
+        grid, pi - boundaries.beta_binomial_radius(grid, 1.0 - pi, r_naive, alpha / 2.0)).tolist()
+    naive_hi_ranks = lower_ranks(
+        grid, pi + boundaries.beta_binomial_radius(grid, pi, r_naive, alpha / 2.0)).tolist()
     astars = _astar(grid, pi, r_test).tolist()
 
     log_thresh = math.log(1.0 / alpha)
@@ -507,14 +500,14 @@ def ab_vs_naive_benchmark(
         x1_all = arms[0].quantile(u1)
         x2_all = arms[1].quantile(u2)
         stop_test = stop_naive = None
-        for n, a_star, lo_rad, hi_rad in zip(schedule, astars, naive_lo, naive_hi):
+        for n, a_star, k_lo, k_hi in zip(schedule, astars, naive_lo_ranks, naive_hi_ranks):
             x1 = np.sort(x1_all[:n])
             x2 = np.sort(x2_all[:n])
             if stop_test is None:
                 stat = _sorted_two_sided_stat(x1, x2, pi, r_test, 0.0, (a_star, a_star))
                 if stat >= log_thresh:
                     stop_test = 2 * n
-            if stop_naive is None and _naive_disjoint(x1, x2, pi, lo_rad, hi_rad):
+            if stop_naive is None and _naive_disjoint(x1, x2, k_lo, k_hi):
                 stop_naive = 2 * n
             if stop_test is not None and stop_naive is not None:
                 break

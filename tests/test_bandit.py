@@ -21,7 +21,7 @@ from seqquant.bandit import (
     tau_bound,
     uniform_arm,
 )
-from seqquant.empdist import OrderedMultiset, is_neg_inf, is_pos_inf
+from seqquant.empdist import OrderedMultiset, _level_ceil, _level_floor, is_neg_inf, is_pos_inf
 from seqquant.errors import ConfigurationError, DomainError
 
 
@@ -86,6 +86,33 @@ class TestConfidenceBounds:
         data = OrderedMultiset([1.0] * 2000)
         lo, hi = qlucb_confidence_bounds(data, cfg)
         assert lo == 1.0 and hi == 1.0
+
+
+class TestRankTables:
+    """Each CS kind's pair of rank tables equals the scalar rank rule at the
+    shifted levels (pi+eps) - l_n and (pi-eps) + u_n, at every n in 1..3000."""
+
+    @pytest.mark.parametrize("cs_kind", bandit.CS_KINDS)
+    def test_tables_equal_scalar_rank_rule(self, cs_kind):
+        pi, eps, delta, k_arms, tune_m = 0.3, 0.025, 0.05, 10, 32.0
+        lower, upper = bandit._rank_schedules(cs_kind, pi, eps, delta, k_arms, tune_m)
+        lower_radius, upper_radius = bandit._radii(cs_kind, pi, eps, delta, k_arms, tune_m)
+        counts = range(1, 3001)
+        n = np.arange(1.0, 3001.0)
+        k_lo = [_level_floor(m, (pi + eps) - r) + 1 for m, r in zip(counts, lower_radius(n))]
+        k_hi = [_level_ceil(m, (pi - eps) + r) for m, r in zip(counts, upper_radius(n))]
+        assert [lower.at(m) for m in counts] == k_lo
+        assert [upper.at(m) for m in counts] == k_hi
+
+    def test_infinite_baseline_radius_reads_sentinels(self):
+        # the DKW union baseline has an infinite radius below 32 samples
+        cfg = QlucbConfig(pi_target=0.5, eps=0.025, cs_kind="dkw_union_baseline", k_arms=3)
+        data = OrderedMultiset([float(v) for v in range(31)])
+        lo, hi = qlucb_confidence_bounds(data, cfg)
+        assert is_neg_inf(lo) and is_pos_inf(hi)
+        data.insert(31.0)
+        lo, hi = qlucb_confidence_bounds(data, cfg)
+        assert not is_neg_inf(lo) or not is_pos_inf(hi)
 
 
 def _point_mass(value: float):

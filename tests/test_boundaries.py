@@ -558,6 +558,13 @@ class TestRadiusSchedule:
         assert schedule.at(3) == 1.0 / 3
         assert calls == [(1, 1024), (1025, 2048), (2049, 5000)]
 
+    def test_integer_values_are_stored_as_integers(self):
+        # values past 2^53 would lose their low bits in a table of doubles
+        schedule = bd.RadiusSchedule(lambda t: t.astype(np.int64) + (1 << 60))
+        assert schedule.at(3) == (1 << 60) + 3
+        assert type(schedule.at(1500)) is int
+        assert schedule.at(2049) == (1 << 60) + 2049
+
     def test_time_below_one_is_domain_error(self):
         schedule = bd.RadiusSchedule(lambda t: 1.0 / t)
         for t in (0, -3):

@@ -8,6 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqquant import boundaries, cli
 
@@ -386,6 +388,121 @@ class TestOutputErrors:
         assert out == ""
         assert err.startswith("usage error: cannot open output")
         assert not target.parent.exists()
+
+
+class TestOutputReplacedOnSuccess:
+    FAILING = ["bounds", "--methods", "dkw_fixed", "--t", "0"]
+
+    def test_failed_run_leaves_existing_output_unchanged(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous output\n")
+        rc, out, err = run_cli(self.FAILING + ["--out", str(target)])
+        assert rc == 3
+        assert err.startswith("data error:")
+        assert target.read_text() == "previous output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_failed_run_creates_no_output(self, tmp_path):
+        target = tmp_path / "out.csv"
+        rc, _, _ = run_cli(self.FAILING + ["--out", str(target)])
+        assert rc == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_successful_run_replaces_existing_output(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous output\n")
+        rc, stdout, _ = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100"])
+        assert rc == 0
+        rc, _, _ = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                            "--out", str(target)])
+        assert rc == 0
+        assert target.read_text() == stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_device_output_is_written_in_place(self):
+        rc, _, _ = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                            "--out", os.devnull])
+        assert rc == 0
+        assert not os.path.isfile(os.devnull)
+
+    def test_directory_output_is_usage_error(self, tmp_path):
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                                "--out", str(tmp_path)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot open output")
+
+
+class TestNonUtf8Input:
+    def test_input_file_is_data_error_naming_the_line(self, tmp_path):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"1.0\n\xff\xfe\n2.0\n")
+        rc, _, err = run_cli(["track", str(data), "--p", "0.5"])
+        assert rc == 3
+        assert err.startswith("data error: line 2: not valid UTF-8")
+
+    def test_label_is_data_error_naming_the_line(self, tmp_path):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"a,1.0\nb,2.0\n\xff,3.0\n")
+        rc, _, err = run_cli(["abtest", str(data)])
+        assert rc == 3
+        assert err.startswith("data error: line 3: not valid UTF-8")
+
+    def test_config_file_is_usage_error_naming_the_line(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"alpha=0.1\ntune-m=\xff\xfe\n")
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                                "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {cfg}:2: not valid UTF-8")
+
+    def test_valid_non_ascii_text_is_read(self, tmp_path):
+        data = tmp_path / "pairs.txt"
+        data.write_text("\u00e9,1.0\n\u00fc,2.0\n", encoding="utf-8")
+        rc, _, err = run_cli(["abtest", str(data)])
+        assert rc == 0, err
+
+
+_FUZZ_COMMANDS = {
+    "track": ["track", "--p", "0.5"],
+    "band": ["band", "--checkpoints", "2,4"],
+    "abtest_two_sided": ["abtest", "--mode", "two_sided"],
+    "abtest_one_sided": ["abtest", "--mode", "one_sided"],
+    "abtest_global": ["abtest", "--mode", "global"],
+    "ks_one_sample": ["ks", "--mode", "one_sample"],
+    "ks_two_sample": ["ks", "--mode", "two_sample"],
+}
+# short inputs of random bytes, or of lines mixing valid rows with the
+# tokens the parsers must reject
+_FUZZ_LINE = st.one_of(
+    st.sampled_from([b"", b"1.5", b"-2", b"0", b"1e308", b"a,1", b"b,-0.5", b"c,3",
+                     b"a,1e-300", b"nan", b"b,inf", b",", b"a,", b"a,1,2", b"\xff\xfe",
+                     b"a,\xc3", b"\xe9,1", b"\x00", b" \t"]),
+    st.binary(max_size=6),
+)
+_FUZZ_INPUT = st.one_of(
+    st.binary(max_size=40),
+    st.lists(_FUZZ_LINE, max_size=12).map(b"\n".join),
+    st.lists(_FUZZ_LINE, max_size=12).map(b"\r\n".join),
+)
+
+
+class TestArbitraryInputBytes:
+    """Any input file exits 0, 2, 3 or 4, with a classified message on failure."""
+
+    @pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=_FUZZ_INPUT)
+    def test_exit_code_contract(self, tmp_path, command, payload):
+        data = tmp_path / "input.bin"
+        data.write_bytes(payload)
+        argv = _FUZZ_COMMANDS[command]
+        rc, _, err = run_cli(argv[:1] + [str(data)] + argv[1:])
+        assert rc in (0, 2, 3, 4)
+        if rc:
+            assert err.startswith(("usage error:", "data error:", "numerical failure:"))
 
 
 class TestConfigErrors:

@@ -11,11 +11,13 @@ from functools import partial
 from seqquant import boundaries
 from seqquant.boundaries import (
     DoubleStitchConfig,
+    StitchConfig,
     baseline_radius,
     beta_binomial_radius,
     double_stitch_radius,
     lil_C,
     normal_mixture_radius,
+    stitched_radius,
     stitched_radius_simple,
     tune_r,
 )
@@ -109,6 +111,45 @@ class TestIntersection:
             FixedQuantileCS(0.5, method)
 
 
+# the radius of each `track` method at level p, with the CLI's default parameters
+_TRACK_RADII = {
+    "stitched": lambda p: partial(stitched_radius, cfg=StitchConfig(eta=2.04, s_exp=1.4)),
+    "stitched_simple": lambda p: partial(stitched_radius_simple, alpha=0.05),
+    "beta_binomial": lambda p: partial(beta_binomial_radius, r=tune_r(32.0, p, 0.05),
+                                       alpha=0.05),
+    "normal_mixture": lambda p: lambda t, level: normal_mixture_radius(t, 0.504, 0.05),
+}
+
+
+class TestRankTables:
+    """The tabulated ranks equal the scalar rank rule at every t in 1..3000,
+    across the chunk edges at 1024 and 2048."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("name", sorted(_TRACK_RADII))
+    def test_tables_equal_scalar_rank_rule(self, name, p):
+        radius = _TRACK_RADII[name](p)
+        cs = FixedQuantileCS(p, radius)
+        t = np.arange(1.0, 3001.0)
+        lows = radius(t, 1.0 - p).tolist()
+        highs = radius(t, p).tolist()
+        k_lo = [cs._lower_rank.at(n) for n in range(1, 3001)]
+        k_hi = [cs._upper_rank.at(n) for n in range(1, 3001)]
+        assert k_lo == [_level_floor(n, p - l) + 1 for n, l in zip(range(1, 3001), lows)]
+        assert k_hi == [_level_ceil(n, p + u) for n, u in zip(range(1, 3001), highs)]
+
+    def test_bounds_read_the_tabulated_order_statistics(self):
+        rng = np.random.default_rng(12)
+        p = 0.25
+        radius = partial(stitched_radius_simple, alpha=0.05)
+        cs = FixedQuantileCS(p, radius)
+        for x in rng.standard_cauchy(size=1100):
+            lo, hi = cs.update(float(x))
+            t = len(cs.data)
+            assert lo == cs.data.upper_quantile(p - radius(t, 1.0 - p))
+            assert hi == cs.data.lower_quantile(p + radius(t, p))
+
+
 class TestLilMethod:
     def test_resolves_c_when_built(self):
         assert LilMethod(a_mult=0.85, alpha=0.05).c_add == lil_C(0.85, 0.05)
@@ -120,6 +161,10 @@ class TestLilMethod:
     def test_bad_parameter_fails_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
             LilMethod(**kwargs)
+
+    def test_a_at_most_one_over_sqrt2_fails_even_with_c_given(self):
+        with pytest.raises(ConfigurationError):
+            LilMethod(a_mult=0.5, c_add=7.0).radius(10)
 
     def test_level_is_ignored(self):
         method = LilMethod(alpha=0.05)

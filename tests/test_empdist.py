@@ -16,7 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqquant.empdist import NEG_INF, POS_INF, OrderedMultiset, is_neg_inf, is_pos_inf
+from seqquant.empdist import (
+    NEG_INF,
+    POS_INF,
+    OrderedMultiset,
+    _level_ceil,
+    _level_floor,
+    is_neg_inf,
+    is_pos_inf,
+    lower_ranks,
+    upper_ranks,
+)
 from seqquant.errors import QueryError
 
 
@@ -243,6 +253,65 @@ class TestImplicationTable:
                 tp = Fraction(*p.as_integer_ratio()) * t
                 if tp.denominator != 1 or not 1 <= tp.numerator <= t - 1:
                     assert lo == hi
+
+
+def _knife_edge_levels():
+    """(t, level) arrays: k/t and 1-2 ulps either side, for k in -2..t+2, plus +-inf."""
+    ts, levels = [], []
+    for t in list(range(1, 257)) + [1023, 1024, 1025, 4097, 10 ** 6 + 3]:
+        k = np.arange(-2, t + 3, max(1, t // 256))
+        exact = k / t
+        shifted = [exact]
+        for direction in (-np.inf, np.inf):
+            once = np.nextafter(exact, direction)
+            shifted += [once, np.nextafter(once, direction)]
+        edge = np.concatenate(shifted + [[-np.inf, np.inf]])
+        ts.append(np.full(edge.shape, t))
+        levels.append(edge)
+    return np.concatenate(ts), np.concatenate(levels)
+
+
+class TestRankArrays:
+    """upper_ranks / lower_ranks equal the scalar rules element by element."""
+
+    @staticmethod
+    def _assert_equal_to_scalar(t, levels):
+        scalar_upper = [_level_floor(int(n), float(p)) + 1 for n, p in zip(t, levels)]
+        scalar_lower = [_level_ceil(int(n), float(p)) for n, p in zip(t, levels)]
+        assert upper_ranks(t, levels).tolist() == scalar_upper
+        assert lower_ranks(t, levels).tolist() == scalar_lower
+
+    def test_knife_edge_levels(self):
+        t, levels = _knife_edge_levels()
+        self._assert_equal_to_scalar(t, levels)
+        # the inputs do reach the cases a plain float floor gets wrong
+        finite = np.isfinite(levels)
+        naive = np.floor(t[finite] * levels[finite]) + 1
+        assert np.any(naive != upper_ranks(t, levels)[finite])
+
+    def test_random_levels_and_times(self):
+        rng = np.random.default_rng(2024)
+        t = rng.integers(1, 10 ** 7, size=20_000)
+        levels = rng.uniform(-0.2, 1.2, size=20_000)
+        self._assert_equal_to_scalar(t, levels)
+
+    def test_float_times_and_scalar_arguments(self):
+        t = np.arange(1.0, 200.0)
+        assert upper_ranks(t, 0.3).tolist() == [_level_floor(n, 0.3) + 1 for n in range(1, 200)]
+        assert lower_ranks(t, 0.3).tolist() == [_level_ceil(n, 0.3) for n in range(1, 200)]
+        assert upper_ranks(10, 0.5) == 6 and lower_ranks(10, 0.5) == 5
+        assert upper_ranks(t, 0.3).dtype == np.int64
+
+    def test_infinite_levels_give_out_of_range_ranks(self):
+        assert upper_ranks([5, 5], [-np.inf, np.inf]).tolist() == [0, 6]
+        assert lower_ranks([5, 5], [-np.inf, np.inf]).tolist() == [0, 6]
+
+    def test_nan_level_raises_like_the_scalar_rule(self):
+        for rule in (upper_ranks, lower_ranks):
+            with pytest.raises(ValueError, match="NaN"):
+                rule([3, 4, 5], [0.5, math.nan, 0.5])
+        with pytest.raises(ValueError, match="NaN"):
+            _level_floor(4, math.nan)
 
 
 class TestComplexity:
