@@ -7,10 +7,10 @@ arm's lower bound clears every other arm's upper bound.  Confidence bounds
 are order statistics at levels shifted by time-uniform radii evaluated at
 per-arm sample counts.  The shifted levels (pi+eps) - l_n and
 (pi-eps) + u_n, and so the ranks of the two order statistics, depend only
-on the per-arm count n, so each configuration keeps a pair of
-`boundaries.RadiusSchedule` tables of those ranks (`empdist.upper_ranks`
-and `lower_ranks`), shared across runs in one process.  A rank outside
-[1, n] reads the NEG_INF/POS_INF sentinel, as in every other tracker.
+on the per-arm count n, so each configuration keeps the pair of rank
+tables `confseq.rank_schedules` builds, shared across runs in one process.
+A rank outside [1, n] reads the NEG_INF/POS_INF sentinel, as in every
+other tracker.
 
 Reproducibility: all sampling is by quantile transform of uniforms drawn as
 integers in (0, 2^53) / 2^53 from numpy PCG64 generators; per-run streams are
@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from . import boundaries
+from . import boundaries, confseq
 from .boundaries import RadiusSchedule
-from .empdist import NEG_INF, POS_INF, OrderedMultiset, lower_ranks, upper_ranks
+from .empdist import NEG_INF, POS_INF, OrderedMultiset
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
@@ -201,14 +201,10 @@ def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int, t
 def _rank_schedules(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int,
                     tune_m: float) -> tuple[RadiusSchedule, RadiusSchedule]:
     """Per-count ranks of L and U, floor(n((pi+eps) - l_n)) + 1 and
-    ceil(n((pi-eps) + u_n)), shared by all runs; the first chunk is filled here.
+    ceil(n((pi-eps) + u_n)), shared by all runs.
     """
     lower_radius, upper_radius = _radii(cs_kind, pi, eps, delta_err, k_arms, tune_m)
-    lower = RadiusSchedule(lambda n: upper_ranks(n, (pi + eps) - lower_radius(n)))
-    upper = RadiusSchedule(lambda n: lower_ranks(n, (pi - eps) + upper_radius(n)))
-    lower.at(1)
-    upper.at(1)
-    return lower, upper
+    return confseq.rank_schedules(pi + eps, lower_radius, pi - eps, upper_radius)
 
 
 def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
@@ -270,12 +266,15 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
     rounds = 1
     capped = False
     while True:
-        # top-2 upper bounds for the "max over others" tests; the float -inf
-        # start keeps most comparisons float-to-float (a sentinel would make
-        # each one a Python-level call)
+        # top-2 upper bounds for the "max over others" tests, and the leader h
+        # (highest lower bound, lowest index on ties); the float -inf start
+        # keeps most comparisons float-to-float (a sentinel would make each
+        # one a Python-level call)
         max1 = -math.inf
         max1_idx = -1
         max2 = -math.inf
+        h = 0
+        lower_h = lower[0]
         for j in range(k_arms):
             u = upper[j]
             if u > max1:
@@ -283,6 +282,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
                 max1, max1_idx = u, j
             elif u > max2:
                 max2 = u
+            if lower[j] > lower_h:
+                h, lower_h = j, lower[j]
         winner = -1
         for k in range(k_arms):
             others = max2 if k == max1_idx else max1
@@ -293,14 +294,15 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
             break
         if rounds >= cfg.max_rounds:
             capped = True
-            best = max(range(k_arms), key=lambda k: (lower[k], -k))
-            winner = best
+            winner = h
             break
-        h = max(range(k_arms), key=lambda k: (lower[k], -k))
-        max_other_u = max(upper[j] for j in range(k_arms) if j != h)
-        chosen = [h] + [j for j in range(k_arms) if j != h and upper[j] == max_other_u]
-        for k in chosen:
-            pull(k)
+        # pull h, then every other arm attaining the best upper bound among
+        # the others, in index order; pulling h changes no other arm's bound
+        max_other_u = max2 if h == max1_idx else max1
+        pull(h)
+        for j in range(k_arms):
+            if j != h and upper[j] == max_other_u:
+                pull(j)
         rounds += 1
 
     return RunResult(

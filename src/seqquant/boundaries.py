@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -68,6 +68,12 @@ def _check_alpha(alpha: float) -> None:
 def _check_open_unit(p: float, name: str = "p") -> None:
     if not 0.0 < p < 1.0:
         raise DomainError(f"{name} must lie in (0, 1), got {p}")
+
+
+def _check_mixture(p: float, r: float) -> None:
+    _check_open_unit(p)
+    if r <= 0.0:
+        raise ConfigurationError(f"r must be positive, got {r}")
 
 
 def _times(t, minimum: float = 1.0):
@@ -157,38 +163,20 @@ class StitchConfig:
 
 
 @dataclass(frozen=True)
-class DoubleStitchConfig:
-    """Quantile-grid stitching parameters (grid fineness delta plus StitchConfig)."""
+class DoubleStitchConfig(StitchConfig):
+    """The stitched boundary's parameters plus the quantile-grid fineness grid_delta > 0."""
 
-    grid_delta: float
-    eta: float
-    s_exp: float
-    m_start: float = 1.0
-    alpha: float = 0.05
+    grid_delta: float = field(kw_only=True)
 
     def __post_init__(self):
         if self.grid_delta <= 0.0:
             raise ConfigurationError(f"grid_delta must be positive, got {self.grid_delta}")
-        if self.eta <= 1.0:
-            raise ConfigurationError(f"eta must exceed 1, got {self.eta}")
-        if self.s_exp <= 1.0:
-            raise ConfigurationError(f"s_exp must exceed 1, got {self.s_exp}")
-        if self.m_start < 1.0:
-            raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
-        _check_alpha(self.alpha)
+        super().__post_init__()
 
     @classmethod
     def default_preset(cls, alpha: float = 0.05, m_start: float = 1.0) -> "DoubleStitchConfig":
         """delta=0.5, eta=2.041, s=1.4: the reference tuning this bound ships with."""
         return cls(grid_delta=0.5, eta=2.041, s_exp=1.4, m_start=m_start, alpha=alpha)
-
-    @property
-    def k1(self) -> float:
-        return (self.eta ** 0.25 + self.eta ** -0.25) / _SQRT2
-
-    @property
-    def k2(self) -> float:
-        return (math.sqrt(self.eta) + 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +277,9 @@ def _mixture_args(s_val, v, p: float, r: float):
     return a, b
 
 
-def beta_binomial_log_mixture(s_val, v, p: float, r: float):
-    """log M_{p,r}(s, v), the two-sided beta-binomial mixture supermartingale.
-
-    M_{p,r}(s,v) = p^{-(v/(1-p)+s)} (1-p)^{-(v/p-s)}
-                   B((r+v)/p - s, (r+v)/(1-p) + s) / B(r/p, r/(1-p)).
-    Accepts arrays for s and v.
-    """
-    _check_open_unit(p)
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
+def _log_mixture(s_val, v, p: float, r: float, one_sided: bool):
+    """log M_{p,r}(s, v), or log M^1_{p,r}(s, v) when one_sided, over arrays of s and v."""
+    _check_mixture(p, r)
     s_arr = np.asarray(s_val, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     scalar = s_arr.ndim == 0 and v_arr.ndim == 0
@@ -306,13 +287,29 @@ def beta_binomial_log_mixture(s_val, v, p: float, r: float):
     if np.any(v_arr < 0.0):
         raise DomainError("intrinsic time v must be nonnegative")
     a, b = _mixture_args(s_arr, v_arr, p, r)
+    if one_sided:
+        log_num = log_betainc(a, b, 1.0 - p) + log_beta(a, b)
+        log_den = _one_sided_log_den(p, r)
+    else:
+        log_num = log_beta(a, b)
+        log_den = log_beta(r / p, r / (1.0 - p))
     out = (
         -(v_arr / (1.0 - p) + s_arr) * math.log(p)
         - (v_arr / p - s_arr) * math.log(1.0 - p)
-        + log_beta(a, b)
-        - log_beta(r / p, r / (1.0 - p))
+        + log_num
+        - log_den
     )
     return _ret(out, scalar)
+
+
+def beta_binomial_log_mixture(s_val, v, p: float, r: float):
+    """log M_{p,r}(s, v), the two-sided beta-binomial mixture supermartingale.
+
+    M_{p,r}(s,v) = p^{-(v/(1-p)+s)} (1-p)^{-(v/p-s)}
+                   B((r+v)/p - s, (r+v)/(1-p) + s) / B(r/p, r/(1-p)).
+    Accepts arrays for s and v.
+    """
+    return _log_mixture(s_val, v, p, r, one_sided=False)
 
 
 def one_sided_log_mixture(s_val, v, p: float, r: float):
@@ -321,24 +318,7 @@ def one_sided_log_mixture(s_val, v, p: float, r: float):
     Same prefactor as the two-sided mixture but with incomplete beta
     functions truncated at 1-p.
     """
-    _check_open_unit(p)
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
-    s_arr = np.asarray(s_val, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    scalar = s_arr.ndim == 0 and v_arr.ndim == 0
-    s_arr, v_arr = np.broadcast_arrays(np.atleast_1d(s_arr), np.atleast_1d(v_arr))
-    if np.any(v_arr < 0.0):
-        raise DomainError("intrinsic time v must be nonnegative")
-    a, b = _mixture_args(s_arr, v_arr, p, r)
-    log_num = log_betainc(a, b, 1.0 - p) + log_beta(a, b)
-    out = (
-        -(v_arr / (1.0 - p) + s_arr) * math.log(p)
-        - (v_arr / p - s_arr) * math.log(1.0 - p)
-        + log_num
-        - _one_sided_log_den(p, r)
-    )
-    return _ret(out, scalar)
+    return _log_mixture(s_val, v, p, r, one_sided=True)
 
 
 @lru_cache(maxsize=256)
@@ -347,12 +327,15 @@ def _one_sided_log_den(p: float, r: float) -> float:
     return log_betainc(r / p, r / (1.0 - p), 1.0 - p) + log_beta(r / p, r / (1.0 - p))
 
 
-def _mixture_root(log_mix, t_arr, p: float, r: float, alpha: float):
-    """Bisect s in [0, (r+v)/p) for log_mix(s, v) = log(1/alpha); returns s/t.
+def _mixture_radius(log_mix, t, p: float, r: float, alpha: float):
+    """Bisect s in [0, (r+v)/p) for log_mix(s, v) = log(1/alpha), v = p(1-p)t; returns s/t.
 
     Each element stops once its own bracket is at most 1e-9 wide, so an
     element of an array call takes the same steps as a scalar call at its t.
     """
+    _check_mixture(p, r)
+    _check_alpha(alpha)
+    t_arr, scalar = _times(t)
     v = p * (1.0 - p) * t_arr
     target = math.log(1.0 / alpha)
     s_hi = (r + v) / p * (1.0 - 1e-12)
@@ -372,17 +355,12 @@ def _mixture_root(log_mix, t_arr, p: float, r: float, alpha: float):
     # If even the domain supremum keeps the mixture below 1/alpha the boundary
     # is never crossed and the radius is trivial.
     root = np.where(never, (r + v) / p, root)
-    return root / t_arr
+    return _ret(root / t_arr, scalar)
 
 
 def beta_binomial_radius(t, p: float, r: float, alpha: float = 0.05):
     """Two-sided beta-binomial radius f~_t(p): root of M_{p,r}(s, p(1-p)t) = 1/alpha."""
-    _check_open_unit(p)
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
-    _check_alpha(alpha)
-    t_arr, scalar = _times(t)
-    return _ret(_mixture_root(beta_binomial_log_mixture, t_arr, p, r, alpha), scalar)
+    return _mixture_radius(beta_binomial_log_mixture, t, p, r, alpha)
 
 
 def one_sided_beta_binomial_radius(t, p: float, r: float, alpha: float = 0.05):
@@ -391,12 +369,7 @@ def one_sided_beta_binomial_radius(t, p: float, r: float, alpha: float = 0.05):
     The lower radius at level p is this function evaluated at 1-p (the
     intrinsic time p(1-p)t is symmetric in p).
     """
-    _check_open_unit(p)
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
-    _check_alpha(alpha)
-    t_arr, scalar = _times(t)
-    return _ret(_mixture_root(one_sided_log_mixture, t_arr, p, r, alpha), scalar)
+    return _mixture_radius(one_sided_log_mixture, t, p, r, alpha)
 
 
 class AsymptoteResult(NamedTuple):
@@ -406,9 +379,7 @@ class AsymptoteResult(NamedTuple):
 
 def expansion_constant(p: float, r: float) -> float:
     """C_{p,r} = sqrt(2 pi) p(1-p) f_beta(p; r/(1-p), r/p)."""
-    _check_open_unit(p)
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
+    _check_mixture(p, r)
     a = r / (1.0 - p)
     b = r / p
     log_pdf = (a - 1.0) * math.log(p) + (b - 1.0) * math.log1p(-p) - float(log_beta(a, b))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bandit, boundaries, confseq, seqtest
 from .boundaries import DoubleStitchConfig, StitchConfig
-from .empdist import _Sentinel
+from .empdist import OrderedMultiset, _Sentinel
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -190,7 +190,16 @@ def _utf8(text: str) -> bool:
 
 
 def _input_lines(path):
+    """The input handle: `path` opened as `_open_text` does, or stdin for None or "-".
+
+    Standard input is switched to the same decoding when it is a text
+    stream that can be reconfigured; a stand-in without `reconfigure` is
+    iterated as it is.
+    """
     if path in (None, "-"):
+        reconfigure = getattr(sys.stdin, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(encoding="utf-8", errors="surrogateescape")
         return sys.stdin
     try:
         return _open_text(path)
@@ -245,13 +254,30 @@ def _numeric_stream(handle):
         yield i, _finite(i, text)
 
 
-def _labeled_stream(handle):
-    """Yield (line_number, label, value) from 'label,value' lines."""
+def _arm_stream(handle, max_arms: float):
+    """Yield (line_number, arm, value) from 'label,value' lines.
+
+    Arms are numbered from 0 in the order their labels first appear; a new
+    label past the first `max_arms` is an ingest error.
+    """
+    labels: list[str] = []
     for i, text in _text_lines(handle):
         parts = text.split(",")
         if len(parts) != 2:
             raise IngestError(f"line {i}: expected 'label,value', got {text!r}")
-        yield i, parts[0].strip(), _finite(i, parts[1])
+        label = parts[0].strip()
+        value = _finite(i, parts[1])
+        if label not in labels:
+            if len(labels) >= max_arms:
+                raise IngestError(f"line {i}: unknown label {label!r} (have {labels})")
+            labels.append(label)
+        yield i, labels.index(label), value
+
+
+def _check_level(p: float) -> None:
+    """A quantile level given by --p must lie in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise UsageError(f"--p must lie in (0, 1), got {p}")
 
 
 def _resolve_seed(args) -> int:
@@ -334,6 +360,8 @@ def cmd_bounds(args) -> int:
         if m not in BOUNDS_METHODS:
             raise UsageError(f"unknown method {m!r}; valid methods: {', '.join(BOUNDS_METHODS)}")
     p_list = _parse_float_list(args.p, "p") or [0.5]
+    for p in p_list:
+        _check_level(p)
     t_list = _parse_int_list(args.t, "t")
     t_grid = np.array(t_list, dtype=float)
     stitch = partial(StitchConfig, eta=2.04, s_exp=1.4, m_start=args.tune_m, alpha=args.alpha)
@@ -362,6 +390,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_track(args) -> int:
+    _check_level(args.p)
     stitch = partial(StitchConfig, eta=args.eta, s_exp=args.s_exp, m_start=args.m,
                      alpha=args.alpha)
     radius, r = _radius(args.method, args.p, args.alpha, args.tune_m, stitch, args.r)
@@ -414,44 +443,30 @@ def cmd_band(args) -> int:
 
 
 def cmd_abtest(args) -> int:
+    _check_level(args.p)
     if args.simulate:
         return _abtest_simulate(args)
     r = args.r if args.r is not None else boundaries.tune_r(args.tune_m, args.p, args.alpha)
     meta = {"p": args.p, "r": r, "delta_star": args.delta_star, "mode": args.mode,
             "alpha": args.alpha}
-    labels: list[str] = []
     state = seqtest.AbTestState(args.p, r, args.delta_star, args.alpha)
-    multi: list = []
+    global_null = args.mode == "global"
+    # the global null tests arm 0 against every later arm, which are added
+    # as their labels appear
+    arms = [state.arm1] if global_null else [state.arm1, state.arm2]
     running_min = 1.0
     with _streams(args) as (handle, out):
         emitter = Emitter(out, args.format, ["t", "stat", "pvalue", "reject"], meta)
-        for i, label, value in _labeled_stream(handle):
-            if label not in labels:
-                if args.mode == "global" or len(labels) < 2:
-                    labels.append(label)
-                    if args.mode == "global" and len(labels) > 1:
-                        from .empdist import OrderedMultiset
-
-                        multi.append(OrderedMultiset())
-                else:
-                    raise IngestError(f"line {i}: unknown label {label!r} (have {labels})")
-            idx = labels.index(label)
-            if args.mode == "global":
-                if idx == 0:
-                    state.arm1.insert(value)
-                else:
-                    multi[idx - 1].insert(value)
+        stream = _arm_stream(handle, math.inf if global_null else 2)
+        for t, (_, arm, value) in enumerate(stream, start=1):
+            if arm == len(arms):
+                arms.append(OrderedMultiset())
+            arms[arm].insert(value)
+            if len(arms) < 2 or not all(arms):
+                continue
+            if global_null:
+                result = seqtest.global_null_result(arms[0], arms[1:], args.p, r, args.alpha)
             else:
-                state.add(idx + 1, value)
-            t = len(state.arm1) + (len(state.arm2) if args.mode != "global" else
-                                   sum(len(m) for m in multi))
-            if args.mode == "global":
-                if len(state.arm1) == 0 or not multi or any(len(m) == 0 for m in multi):
-                    continue
-                result = seqtest.global_null_result(state.arm1, multi, args.p, r, args.alpha)
-            else:
-                if len(state.arm1) == 0 or len(state.arm2) == 0:
-                    continue
                 result = state.two_sided() if args.mode == "two_sided" else state.one_sided()
             running_min = min(running_min, result.pvalue)
             pv = running_min if args.running_min else result.pvalue
@@ -494,7 +509,6 @@ def cmd_ks(args) -> int:
     if args.mode == "one_sample":
         meta["ref"] = args.ref
     latched = False
-    labels: list[str] = []
     with _streams(args) as (handle, out):
         emitter = Emitter(out, args.format, ["t", "stat", "threshold", "reject"], meta)
         if args.mode == "one_sample":
@@ -505,12 +519,8 @@ def cmd_ks(args) -> int:
                 emitter.row(res.t, res.stat, res.threshold,
                             latched if args.latch else res.reject)
         else:
-            for i, label, value in _labeled_stream(handle):
-                if label not in labels:
-                    if len(labels) >= 2:
-                        raise IngestError(f"line {i}: unknown label {label!r} (have {labels})")
-                    labels.append(label)
-                state.add(value, sample=labels.index(label) + 1)
+            for _, arm, value in _arm_stream(handle, 2):
+                state.add(value, sample=arm + 1)
                 if len(state.sample1) == len(state.sample2) and len(state.sample1) > 0:
                     res = state.evaluate()
                     latched = latched or res.reject
@@ -678,35 +688,10 @@ def _config_flags(subparser) -> dict:
     return flags
 
 
-def _given_flags(subparser, argv: list[str]) -> set[str]:
-    """Dests of the flags in argv, spelled out or by a prefix argparse accepts.
-
-    argparse takes a prefix of a long flag when it names one flag only, so
-    ``--alph`` gives ``--alpha``.
-    """
-    options = subparser._option_string_actions
-    given = set()
-    for tok in argv:
-        if tok == "--":
-            break
-        if not tok.startswith("--"):
-            continue
-        name = tok.split("=", 1)[0]
-        if name in options:
-            given.add(options[name].dest)
-            continue
-        matches = {action.dest for opt, action in options.items() if opt.startswith(name)}
-        if len(matches) == 1:
-            given |= matches
-    return given
-
-
-def _apply_config(args, argv: list[str]) -> None:
-    """Apply key=value defaults from --config for flags absent from argv."""
-    if not args.config:
-        return
+def _config_defaults(args) -> dict:
+    """Dest -> value of each key=value line of the --config file, typed by its flag."""
     flags = _config_flags(args.subparser)
-    present = _given_flags(args.subparser, argv)
+    defaults = {}
     try:
         fh = _open_text(args.config)
     except OSError as exc:
@@ -727,8 +712,6 @@ def _apply_config(args, argv: list[str]) -> None:
             if action is None:
                 raise UsageError(f"{args.config}:{i}: unknown key {key!r}: "
                                  f"not a flag of {args.command}")
-            if action.dest in present:
-                continue
             if action.nargs == 0:  # store_true
                 value = val.lower() in ("1", "true", "yes")
             else:
@@ -739,7 +722,8 @@ def _apply_config(args, argv: list[str]) -> None:
                 if action.choices is not None and value not in action.choices:
                     raise UsageError(f"{args.config}:{i}: {key!r} must be one of "
                                      f"{', '.join(action.choices)}, got {val!r}")
-            setattr(args, action.dest, value)
+            defaults[action.dest] = value
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -747,7 +731,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        if args.config:
+            # the config values become the subcommand's defaults, so argparse
+            # itself lets any flag given in argv win
+            args.subparser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -29,11 +29,30 @@ from .empdist import NEG_INF, POS_INF, Extended, OrderedMultiset, lower_ranks, u
 from .errors import ConfigurationError, StateError
 
 __all__ = [
+    "rank_schedules",
     "LilMethod",
     "FixedQuantileCS",
     "QuantileUniformCS",
     "CdfBand",
 ]
+
+
+def rank_schedules(lower_level: float, lower_radius, upper_level: float, upper_radius):
+    """Rank tables of a fixed-level confidence sequence's two bounds.
+
+    The lower bound is the upper sample quantile at lower_level -
+    lower_radius(t), rank floor(t (lower_level - lower_radius(t))) + 1, and
+    the upper bound the lower sample quantile at upper_level +
+    upper_radius(t), rank ceil(t (upper_level + upper_radius(t))).  Both
+    ranks depend on t alone, so each side is a `RadiusSchedule` of ranks;
+    the first chunk of each is filled here, so a bad radius parameter fails
+    before any observation is taken.
+    """
+    lower = RadiusSchedule(lambda t: upper_ranks(t, lower_level - lower_radius(t)))
+    upper = RadiusSchedule(lambda t: lower_ranks(t, upper_level + upper_radius(t)))
+    lower.at(1)
+    upper.at(1)
+    return lower, upper
 
 
 class FixedQuantileCS:
@@ -42,11 +61,8 @@ class FixedQuantileCS:
     The lower endpoint is the upper sample quantile at p - radius(t, 1-p) and
     the upper endpoint the lower sample quantile at p + radius(t, p); the two
     sides use the radius at mirrored levels because the underlying centered
-    process has increments in [-p, 1-p].  Both are order statistics whose
-    ranks, floor(t (p - radius(t, 1-p))) + 1 and ceil(t (p + radius(t, p))),
-    depend on t alone, so each side keeps a `RadiusSchedule` of its ranks.
-    The first chunk of each is filled here, so a bad radius parameter fails
-    before any observation is taken.
+    process has increments in [-p, 1-p].  Their ranks come from
+    `rank_schedules`.
     """
 
     def __init__(self, p: float, method, intersect: bool = False):
@@ -55,10 +71,8 @@ class FixedQuantileCS:
         self.p = p
         self.method = method
         self.intersect = intersect
-        self._lower_rank = RadiusSchedule(lambda t: upper_ranks(t, p - method(t, 1.0 - p)))
-        self._upper_rank = RadiusSchedule(lambda t: lower_ranks(t, p + method(t, p)))
-        self._lower_rank.at(1)
-        self._upper_rank.at(1)
+        self._lower_rank, self._upper_rank = rank_schedules(
+            p, lambda t: method(t, 1.0 - p), p, lambda t: method(t, p))
         self.data = OrderedMultiset()
         self._run_lower: Extended = NEG_INF
         self._run_upper: Extended = POS_INF

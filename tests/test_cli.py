@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from seqquant import boundaries, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(argv):
@@ -488,8 +491,12 @@ _FUZZ_INPUT = st.one_of(
 )
 
 
+# a valid line, then a line that is not valid UTF-8
+_NON_UTF8_INPUT = {"numeric": b"1.0\n\xff\xfe\n2.0\n", "labeled": b"a,1.0\n\xff\xfe,2.0\n"}
+
+
 class TestArbitraryInputBytes:
-    """Any input file exits 0, 2, 3 or 4, with a classified message on failure."""
+    """Any input file or standard input exits 0, 2, 3 or 4, with a classified message on failure."""
 
     @pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
     @settings(max_examples=100, deadline=None,
@@ -503,6 +510,46 @@ class TestArbitraryInputBytes:
         assert rc in (0, 2, 3, 4)
         if rc:
             assert err.startswith(("usage error:", "data error:", "numerical failure:"))
+
+    @pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+    def test_stdin_is_read_as_files_are(self, tmp_path, command):
+        # under a UTF-8 stdin encoding, Python decodes stdin strictly unless
+        # the CLI switches it to the decoding files get
+        argv = _FUZZ_COMMANDS[command]
+        labeled = command.startswith("abtest") or command == "ks_two_sample"
+        payload = _NON_UTF8_INPUT["labeled" if labeled else "numeric"]
+        data = tmp_path / "input.bin"
+        data.write_bytes(payload)
+        from_file = run_cli(argv[:1] + [str(data)] + argv[1:])
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "seqquant.cli", *argv], input=payload,
+                              capture_output=True, env=env, timeout=120)
+        from_stdin = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        assert from_stdin == from_file
+        assert from_file[0] == 3
+        assert from_file[2].startswith("data error: line 2: not valid UTF-8")
+
+
+class TestLevelOutOfRange:
+    """--p outside (0, 1) is a usage error before anything is written, whatever the method."""
+
+    CASES = {
+        "bounds": ["bounds", "--methods", "dkw_fixed,beta_binomial", "--t", "100",
+                   "--p", "0.5,1.5"],
+        "track": ["track", str(FIXTURES / "stream10.txt"), "--p", "1.5",
+                  "--method", "beta_binomial"],
+        "abtest": ["abtest", str(FIXTURES / "ab8.txt"), "--p", "1.5"],
+        "abtest_simulate": ["abtest", "--simulate", "--p", "0", "--runs", "1"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_usage_error_without_output(self, case):
+        rc, out, err = run_cli(self.CASES[case])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: --p must lie in (0, 1)")
 
 
 class TestConfigErrors:
@@ -567,6 +614,16 @@ class TestConfigErrors:
         assert rc == 2
         assert out == ""
         assert err.startswith(f"usage error: {cfg}:1: bad value 'many'")
+
+    def test_bad_value_is_usage_error_when_the_flag_is_given(self, tmp_path):
+        # every config line is checked, also one that a command-line flag overrides
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("alpha=high\n")
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+                                "--alpha", "0.3", "--config", str(cfg)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"usage error: {cfg}:1: bad value 'high'")
 
     def test_abbreviated_flag_wins_over_config(self, tmp_path):
         # argparse accepts a unique prefix of a long flag; it counts as given
