@@ -26,7 +26,7 @@ from .boundaries import (
     tune_r,
 )
 from .confseq import CdfBand, FixedQuantileCS, QuantileUniformCS
-from .empdist import NEG_INF, POS_INF, OrderedMultiset
+from .empdist import OrderedMultiset
 from .seqtest import AbTestState, GEvaluator, KsTestState, global_null_pvalue
 
 __version__ = "0.1.0"

@@ -9,8 +9,7 @@ per-arm sample counts.  The shifted levels (pi+eps) - l_n and
 (pi-eps) + u_n, and so the ranks of the two order statistics, depend only
 on the per-arm count n, so each configuration keeps the pair of rank
 tables `confseq.rank_schedules` builds, shared across runs in one process.
-A rank outside [1, n] reads the NEG_INF/POS_INF sentinel, as in every
-other tracker.
+A rank outside [1, n] reads -inf or inf, as in every other tracker.
 
 Reproducibility: all sampling is by quantile transform of uniforms drawn as
 integers in (0, 2^53) / 2^53 from numpy PCG64 generators; per-run streams are
@@ -30,7 +29,7 @@ from scipy.special import ndtri
 
 from . import boundaries, confseq
 from .boundaries import RadiusSchedule
-from .empdist import NEG_INF, POS_INF, OrderedMultiset
+from .empdist import OrderedMultiset
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
@@ -243,8 +242,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
 
     data = [OrderedMultiset() for _ in range(k_arms)]
     counts = [0] * k_arms
-    lower = [NEG_INF] * k_arms
-    upper = [POS_INF] * k_arms
+    lower = [-math.inf] * k_arms
+    upper = [math.inf] * k_arms
     buffers = [[] for _ in range(k_arms)]
 
     def draw(k: int) -> float:
@@ -267,9 +266,7 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
     capped = False
     while True:
         # top-2 upper bounds for the "max over others" tests, and the leader h
-        # (highest lower bound, lowest index on ties); the float -inf start
-        # keeps most comparisons float-to-float (a sentinel would make each
-        # one a Python-level call)
+        # (highest lower bound, lowest index on ties)
         max1 = -math.inf
         max1_idx = -1
         max2 = -math.inf

@@ -2,9 +2,9 @@
 
 Every function here is pure: it maps (time, quantile level, parameters) to a
 radius in quantile space.  Radii are deliberately not clipped to [0, 1];
-consumers translate out-of-range levels into infinite order-statistic
-sentinels.  Functions accepting a time `t` also accept numpy arrays of times
-and broadcast over them; every radius evaluated over an array equals its
+consumers translate out-of-range levels into the order statistics -inf and
+inf.  Functions accepting a time `t` also accept numpy arrays of times and
+broadcast over them; every radius evaluated over an array equals its
 scalar calls bit for bit, which lets `RadiusSchedule` tabulate a radius in
 vectorized chunks without changing any bound.
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bandit, boundaries, confseq, seqtest
 from .boundaries import DoubleStitchConfig, StitchConfig
-from .empdist import OrderedMultiset, _Sentinel
+from .empdist import OrderedMultiset
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -68,30 +68,21 @@ class IngestError(Exception):
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, _Sentinel):
-        return repr(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
 def _json_cell(x):
     if isinstance(x, bool):
         return x
-    if isinstance(x, _Sentinel):
-        return repr(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (float, np.floating)):
         x = float(x)
-        if math.isinf(x) or math.isnan(x):
-            return _fmt_cell(x)
-        return x
+        return x if math.isfinite(x) else repr(x)
     return x
 
 
@@ -299,6 +290,11 @@ def _reference_cdf(spec: str):
         params = [float(tok) for tok in argtext.split(",")] if argtext else []
     except ValueError:
         raise UsageError(f"bad reference distribution {spec!r}") from None
+    if name not in ("uniform", "normal", "cauchy"):
+        raise UsageError(f"unknown reference distribution {name!r}")
+    if len(params) not in (0, 2):
+        raise UsageError(f"reference distribution {spec!r} needs 0 or 2 parameters, "
+                         f"got {len(params)}")
     if name == "uniform":
         a, b = params if params else (0.0, 1.0)
         if b <= a:
@@ -311,12 +307,10 @@ def _reference_cdf(spec: str):
         from scipy.special import ndtr
 
         return lambda x: float(ndtr((x - mu) / sigma))
-    if name == "cauchy":
-        loc, scale = params if params else (0.0, 1.0)
-        if scale <= 0:
-            raise UsageError("cauchy reference needs scale > 0")
-        return lambda x: 0.5 + math.atan((x - loc) / scale) / math.pi
-    raise UsageError(f"unknown reference distribution {name!r}")
+    loc, scale = params if params else (0.0, 1.0)
+    if scale <= 0:
+        raise UsageError("cauchy reference needs scale > 0")
+    return lambda x: 0.5 + math.atan((x - loc) / scale) / math.pi
 
 
 # ---------------------------------------------------------------------------

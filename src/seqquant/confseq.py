@@ -1,7 +1,7 @@
 """Stateful confidence-sequence trackers.
 
 Each tracker owns an OrderedMultiset and a radius; bounds are always a pair
-of realized order statistics or infinity sentinels, never interpolated.  A
+of realized order statistics or the floats -inf / inf, never interpolated.  A
 radius is a function `radius(t, level)` that must accept a numpy array of
 times as well as one time, such as
 `lambda t, level: boundaries.beta_binomial_radius(t, level, r, alpha)`.
@@ -13,9 +13,8 @@ update.  `QuantileUniformCS` (whose level varies per query) and `CdfBand`
 evaluate radii per query.  `LilMethod` is the one radius kept as an object:
 it resolves the iterated-logarithm constant C from alpha, and its type
 picks the bracket of the uniform bound.  When a shifted level p +/- radius
-leaves [0, 1] the rank leaves [1, t] and the sentinel convention applies
-(no clamping to extreme order statistics), which keeps coverage
-conservative.
+leaves [0, 1] the rank leaves [1, t] and the bound is -inf or inf (no
+clamping to extreme order statistics), which keeps coverage conservative.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 from . import boundaries
 from .boundaries import RadiusSchedule
-from .empdist import NEG_INF, POS_INF, Extended, OrderedMultiset, lower_ranks, upper_ranks
+from .empdist import OrderedMultiset, lower_ranks, upper_ranks
 from .errors import ConfigurationError, StateError
 
 __all__ = [
@@ -74,10 +73,10 @@ class FixedQuantileCS:
         self._lower_rank, self._upper_rank = rank_schedules(
             p, lambda t: method(t, 1.0 - p), p, lambda t: method(t, p))
         self.data = OrderedMultiset()
-        self._run_lower: Extended = NEG_INF
-        self._run_upper: Extended = POS_INF
+        self._run_lower = -math.inf
+        self._run_upper = math.inf
 
-    def update(self, x) -> tuple[Extended, Extended]:
+    def update(self, x) -> tuple[float, float]:
         """Ingest one observation and return the instantaneous bounds."""
         self.data.insert(x)
         lo, hi = self.bounds()
@@ -88,21 +87,21 @@ class FixedQuantileCS:
                 self._run_upper = hi
         return lo, hi
 
-    def bounds(self) -> tuple[Extended, Extended]:
+    def bounds(self) -> tuple[float, float]:
         t = len(self.data)
         if t == 0:
-            return NEG_INF, POS_INF
+            return -math.inf, math.inf
         data = self.data
         return data.order_stat(self._lower_rank.at(t)), data.order_stat(self._upper_rank.at(t))
 
-    def intersected_bounds(self) -> tuple[Extended, Extended, bool]:
+    def intersected_bounds(self) -> tuple[float, float, bool]:
         """Running intersection; the empty flag is evidence of violated assumptions."""
         if not self.intersect:
             raise StateError("intersected bounds require the tracker's intersect flag")
         empty = self._run_lower > self._run_upper
         return self._run_lower, self._run_upper, empty
 
-    def point_estimate(self) -> Extended:
+    def point_estimate(self) -> float:
         return self.data.upper_quantile(self.p)
 
 
@@ -152,12 +151,12 @@ class QuantileUniformCS:
     def update(self, x) -> int:
         return self.data.insert(x)
 
-    def bounds(self, p: float) -> tuple[Extended, Extended]:
+    def bounds(self, p: float) -> tuple[float, float]:
         if not 0.0 < p < 1.0:
             raise ConfigurationError(f"p must lie in (0, 1), got {p}")
         t = len(self.data)
         if t == 0:
-            return NEG_INF, POS_INF
+            return -math.inf, math.inf
         if isinstance(self.method, LilMethod):
             g = self.method.radius(t)
             return self.data.lower_quantile(p - g), self.data.upper_quantile(p + g)

@@ -4,15 +4,17 @@ The container is a thin wrapper over one ``sortedcontainers.SortedList``
 holding every observation, duplicates as repeated entries, so rank queries
 count multiplicity exactly.  Equal values keep their insertion order, and
 ``items`` reports each distinct value by its first-inserted representative.
-Values may be any totally ordered type; float NaN is rejected at insertion
-because it breaks rank semantics.
+Values are numbers that compare with float (every caller passes finite
+floats, ints or Fractions); float NaN is rejected at insertion because it
+breaks rank semantics.
 
 Quantile conventions: the upper sample quantile at level p is the
 floor(t p) + 1 order statistic, the lower one the ceil(t p) order statistic,
-and out-of-range order statistics are the NEG_INF / POS_INF sentinels (the
-supremum of an empty set is the space's infimum, and vice versa).  Levels are
-interpreted exactly as the dyadic rationals the incoming floats denote, so
-knife-edge levels p = k/t behave consistently with the count queries.
+and out-of-range order statistics are the floats -inf / inf (the supremum
+of an empty set is the extended real line's infimum, and vice versa).
+Levels are interpreted exactly as the dyadic rationals the incoming floats
+denote, so knife-edge levels p = k/t behave consistently with the count
+queries.
 `upper_ranks` and `lower_ranks` give the same two ranks for arrays of
 (t, level), so a tracker whose levels depend on t alone can tabulate them.
 """
@@ -20,66 +22,14 @@ knife-edge levels p = k/t behave consistently with the count queries.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from sortedcontainers import SortedList
 
 from .errors import QueryError
 
-__all__ = ["OrderedMultiset", "NEG_INF", "POS_INF", "is_neg_inf", "is_pos_inf", "Extended",
-           "upper_ranks", "lower_ranks"]
-
-
-class _Sentinel:
-    """Totally ordered infinity: NEG_INF below everything, POS_INF above."""
-
-    __slots__ = ("_neg",)
-
-    def __init__(self, neg: bool):
-        self._neg = neg
-
-    def __repr__(self) -> str:
-        return "-inf" if self._neg else "inf"
-
-    def __float__(self) -> float:
-        return -math.inf if self._neg else math.inf
-
-    def __lt__(self, other) -> bool:
-        if other is self:
-            return False
-        return self._neg
-
-    def __le__(self, other) -> bool:
-        return other is self or self.__lt__(other)
-
-    def __gt__(self, other) -> bool:
-        if other is self:
-            return False
-        return not self._neg
-
-    def __ge__(self, other) -> bool:
-        return other is self or self.__gt__(other)
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return object.__hash__(self)
-
-
-NEG_INF = _Sentinel(True)
-POS_INF = _Sentinel(False)
-
-Extended = Any  # a stored value or one of the sentinels
-
-
-def is_neg_inf(x) -> bool:
-    return x is NEG_INF
-
-
-def is_pos_inf(x) -> bool:
-    return x is POS_INF
+__all__ = ["OrderedMultiset", "upper_ranks", "lower_ranks"]
 
 
 def _level_floor(t: int, p) -> int:
@@ -131,7 +81,7 @@ def lower_ranks(t, levels) -> np.ndarray:
     return _rounded_products(t, levels, np.ceil, _level_ceil)
 
 
-def _runs(values: Iterable) -> Iterator[tuple[Any, int]]:
+def _runs(values: Iterable) -> Iterator[tuple[float, int]]:
     """(value, run length) for each run of equal values in a sorted iterable."""
     it = iter(values)
     for head in it:
@@ -191,16 +141,16 @@ class OrderedMultiset:
 
     # -- rank / select queries -------------------------------------------------
 
-    def order_stat(self, k: int) -> Extended:
-        """k-th smallest value; NEG_INF for k < 1, POS_INF for k > count."""
+    def order_stat(self, k: int) -> float:
+        """k-th smallest value; -inf for k < 1, inf for k > count."""
         if k < 1:
-            return NEG_INF
+            return -math.inf
         if k > len(self._sl):
-            return POS_INF
+            return math.inf
         return self._sl[k - 1]
 
     def count_le(self, x) -> int:
-        """Number of stored values <= x (sentinels allowed for x)."""
+        """Number of stored values <= x (x may be -inf or inf)."""
         return self._sl.bisect_right(x)
 
     def count_lt(self, x) -> int:
@@ -213,36 +163,36 @@ class OrderedMultiset:
             raise QueryError("empirical CDF is undefined for an empty distribution")
         return self.count_lt(x) / t, self.count_le(x) / t
 
-    def upper_quantile(self, p) -> Extended:
+    def upper_quantile(self, p) -> float:
         """Q_t(p): the floor(t p) + 1 order statistic."""
         t = len(self._sl)
         if t == 0:
             raise QueryError("sample quantile is undefined for an empty distribution")
         return self.order_stat(_level_floor(t, p) + 1)
 
-    def lower_quantile(self, p) -> Extended:
+    def lower_quantile(self, p) -> float:
         """Q^-_t(p): the ceil(t p) order statistic."""
         t = len(self._sl)
         if t == 0:
             raise QueryError("sample quantile is undefined for an empty distribution")
         return self.order_stat(_level_ceil(t, p))
 
-    def min(self) -> Extended:
+    def min(self) -> float:
         return self.order_stat(1)
 
-    def max(self) -> Extended:
+    def max(self) -> float:
         t = len(self._sl)
-        return self.order_stat(t) if t else NEG_INF
+        return self.order_stat(t) if t else -math.inf
 
     # -- iteration ---------------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Any, int]]:
+    def items(self) -> Iterator[tuple[float, int]]:
         """(value, multiplicity) pairs in increasing value order."""
         return _runs(self._sl)
 
     def __iter__(self) -> Iterator:
         return iter(self._sl)
 
-    def items_between(self, lo, hi) -> Iterator[tuple[Any, int]]:
+    def items_between(self, lo, hi) -> Iterator[tuple[float, int]]:
         """(value, multiplicity) for distinct values in [lo, hi], in order."""
         return _runs(self._sl.irange(lo, hi))

@@ -14,10 +14,10 @@ endpoints derived from the per-arm argmin quantiles).
 Test states hold real numbers.  Every statistic is computed by one numpy
 kernel on sorted float snapshots of the arms, taken at evaluation time:
 empirical CDFs are `searchsorted` counts, out-of-range order statistics are
--inf/+inf (the float form of the NEG_INF/POS_INF sentinels), and all
-candidates go through one vectorized mixture call per arm.  Each candidate
-is evaluated with the same IEEE operations as the per-x `GEvaluator`, so the
-kernels return the bits a scan over the multiset would.  The minimizing
+-inf/+inf as in `OrderedMultiset.order_stat`, and all candidates go through
+one vectorized mixture call per arm.  Each candidate is evaluated with the
+same IEEE operations as the per-x `GEvaluator`, so the kernels return the
+bits a scan over the multiset would.  The minimizing
 level a* depends only on (n, p, r) and is tabulated over n per (p, r).
 """
 
@@ -393,16 +393,14 @@ class KsTestState:
             t = len(self.sample1)
             if t == 0:
                 raise StateError("no data")
-            stat = 0.0
-            seen = 0
-            for v, c in self.sample1.items():
-                f_minus = seen / t
-                seen += c
-                f = seen / t
-                f0v = float(self.f0(v))
-                gap = max(f - f0v, f0v - f_minus)
-                if gap > stat:
-                    stat = gap
+            # F - F0 and F0 - F^- peak at the distinct values; F0 is called
+            # once per value through the scalar reference
+            x = _snapshot(self.sample1)
+            v = _distinct(x)
+            f0 = np.fromiter(map(self.f0, v.tolist()), dtype=float, count=len(v))
+            gap = np.maximum(np.searchsorted(x, v, side="right") / t - f0,
+                             f0 - np.searchsorted(x, v, side="left") / t)
+            stat = max(0.0, float(np.max(gap)))
             thr = self.threshold(t)
             return KsResult(t, stat, thr, stat > thr)
         t1, t2 = len(self.sample1), len(self.sample2)
@@ -478,6 +476,8 @@ def ab_vs_naive_benchmark(
     """
     from . import bandit  # deferred to keep module import cheap
 
+    if runs < 1:
+        raise ConfigurationError("runs must be >= 1")
     arms = bandit.scenario_arms(scenario, 2, eps, pi)
     r_test = boundaries.tune_r(tune_m, pi, alpha)
     r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)

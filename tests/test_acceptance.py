@@ -154,23 +154,20 @@ def test_criterion_05_oracle_equivalence():
             values = [float(v) for v in rng.normal(size=n)]
         ms = OrderedMultiset(values)
         xs = sorted(values)
+
+        def expect(k):
+            return -math.inf if k < 1 else math.inf if k > n else xs[k - 1]
+
         for k in rng.integers(-1, n + 2, size=8):
             k = int(k)
-            expect = (xs[k - 1] if 1 <= k <= n else None)
-            got = ms.order_stat(k)
-            emp_ok = emp_ok and ((got == expect) if expect is not None
-                                 else not isinstance(got, float))
+            emp_ok = emp_ok and ms.order_stat(k) == expect(k)
         for p in rng.uniform(-0.1, 1.1, size=8):
             p = float(p)
             pn, pd = p.as_integer_ratio()
             k_up = (n * pn) // pd + 1
             k_lo = -((n * -pn) // pd)
-            up = ms.upper_quantile(p)
-            lo = ms.lower_quantile(p)
-            emp_ok = emp_ok and (up == xs[k_up - 1] if 1 <= k_up <= n
-                                 else not isinstance(up, float))
-            emp_ok = emp_ok and (lo == xs[k_lo - 1] if 1 <= k_lo <= n
-                                 else not isinstance(lo, float))
+            emp_ok = emp_ok and ms.upper_quantile(p) == expect(k_up)
+            emp_ok = emp_ok and ms.lower_quantile(p) == expect(k_lo)
         for x in rng.normal(scale=2, size=4):
             x = float(x)
             emp_ok = emp_ok and ms.count_le(x) == bisect_right(xs, x)

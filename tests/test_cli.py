@@ -53,6 +53,8 @@ GOLDEN_CASES = {
     "abtest_ties.csv": ["abtest", str(FIXTURES / "ab_ties200.txt"), "--delta-star", "0.3"],
     "ks_dominance.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "dominance"],
     "ks_two_sample.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "two_sample"],
+    "ks_one_sample.csv": ["ks", str(FIXTURES / "cauchy1100.txt"), "--mode", "one_sample",
+                          "--ref", "cauchy:0,1"],
     # pin every bounds method, the stitched and normal-mixture trackers, and
     # every QLUCB confidence-sequence kind
     "bounds_all.csv": ["bounds", "--methods", ",".join(cli.BOUNDS_METHODS),
@@ -195,6 +197,13 @@ class TestAbtest:
         assert "# eps=0.025" in out
         assert "# seed=1" in out
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_simulate_without_runs_is_usage_error(self, runs):
+        rc, out, err = run_cli(["abtest", "--simulate", "--runs", runs])
+        assert rc == 2
+        assert out == ""
+        assert "runs must be >= 1" in err
+
     def test_running_min_is_monotone(self, tmp_path):
         import numpy as np
 
@@ -250,6 +259,14 @@ class TestKs:
                               "--ref", "uniform:0,1"])
         assert rc == 0
         assert len([l for l in out.splitlines() if not l.startswith(("#", "t,"))]) == 3
+
+    @pytest.mark.parametrize("ref", ["uniform:0", "normal:0", "cauchy:1,2,3"])
+    def test_reference_parameter_count_is_usage_error(self, ref):
+        rc, out, err = run_cli(["ks", str(FIXTURES / "stream10.txt"), "--mode", "one_sample",
+                                "--ref", ref])
+        assert rc == 2
+        assert out == ""
+        assert repr(ref) in err
 
 
 class TestBai:

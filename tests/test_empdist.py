@@ -17,13 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqquant.empdist import (
-    NEG_INF,
-    POS_INF,
     OrderedMultiset,
     _level_ceil,
     _level_floor,
-    is_neg_inf,
-    is_pos_inf,
     lower_ranks,
     upper_ranks,
 )
@@ -38,9 +34,9 @@ class SortedOracle:
 
     def order_stat(self, k):
         if k < 1:
-            return NEG_INF
+            return -math.inf
         if k > len(self.xs):
-            return POS_INF
+            return math.inf
         return self.xs[k - 1]
 
     def count_le(self, x):
@@ -73,8 +69,9 @@ class TestBasics:
     def test_order_stat_sentinels(self):
         ms = OrderedMultiset([1, 2, 3, 4])
         assert ms.order_stat(3) == 3
-        assert is_neg_inf(ms.order_stat(0))
-        assert is_pos_inf(ms.order_stat(5))
+        assert ms.order_stat(0) == -math.inf
+        assert ms.order_stat(5) == math.inf
+        assert type(ms.order_stat(5)) is float
 
     def test_cdf_counts(self):
         ms = OrderedMultiset([1, 2, 2, 4])
@@ -88,10 +85,10 @@ class TestBasics:
         ms = OrderedMultiset([1, 2, 3, 4])
         assert ms.upper_quantile(0.5) == 3
         assert ms.lower_quantile(0.5) == 2
-        assert is_neg_inf(ms.upper_quantile(-0.1))
-        assert is_neg_inf(ms.lower_quantile(-0.1))
-        assert is_pos_inf(ms.upper_quantile(1.1))
-        assert is_pos_inf(ms.lower_quantile(1.1))
+        assert ms.upper_quantile(-0.1) == -math.inf
+        assert ms.lower_quantile(-0.1) == -math.inf
+        assert ms.upper_quantile(1.1) == math.inf
+        assert ms.lower_quantile(1.1) == math.inf
         single = OrderedMultiset([5])
         assert single.upper_quantile(0.999) == 5
 
@@ -112,13 +109,6 @@ class TestBasics:
         assert ms.order_stat(1) == "apple"
         assert ms.order_stat(4) == "pear"
         assert ms.count_le("fig") == 3
-
-    def test_sentinel_total_order(self):
-        assert NEG_INF < -1e308 < POS_INF
-        assert NEG_INF < POS_INF
-        assert not NEG_INF < NEG_INF
-        assert POS_INF > float("inf")
-        assert float(NEG_INF) == -math.inf
 
     def test_copy_is_independent(self):
         ms = OrderedMultiset([1.0, 2.0])
@@ -163,7 +153,7 @@ def test_oracle_equivalence_iteration(values):
     for lo in probes:
         for hi in probes:
             assert list(ms.items_between(lo, hi)) == [(v, c) for v, c in runs if lo <= v <= hi]
-    for x in (NEG_INF, POS_INF):
+    for x in (-math.inf, math.inf):
         assert ms.count_le(x) == oracle.count_le(x)
         assert ms.count_lt(x) == oracle.count_lt(x)
 
