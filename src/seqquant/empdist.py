@@ -181,8 +181,7 @@ class OrderedMultiset:
         return self.order_stat(1)
 
     def max(self) -> float:
-        t = len(self._sl)
-        return self.order_stat(t) if t else -math.inf
+        return self.order_stat(len(self._sl))
 
     # -- iteration ---------------------------------------------------------------
 

@@ -17,8 +17,8 @@ empirical CDFs are `searchsorted` counts, out-of-range order statistics are
 -inf/+inf as in `OrderedMultiset.order_stat`, and all candidates go through
 one vectorized mixture call per arm.  Each candidate is evaluated with the
 same IEEE operations as the per-x `GEvaluator`, so the kernels return the
-bits a scan over the multiset would.  The minimizing
-level a* depends only on (n, p, r) and is tabulated over n per (p, r).
+bits a scan over the multiset would.  The minimizing level a* depends only
+on (n, p, r) and is tabulated over n per (p, r).
 """
 
 from __future__ import annotations
@@ -474,10 +474,10 @@ def ab_vs_naive_benchmark(
     disjoint.  Both rules are evaluated on the same checkpoint schedule, and
     stopping times are reported as total samples (2x the pair count).
     """
-    from . import bandit  # deferred to keep module import cheap
-
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
+    from . import bandit  # deferred to keep module import cheap
+
     arms = bandit.scenario_arms(scenario, 2, eps, pi)
     r_test = boundaries.tune_r(tune_m, pi, alpha)
     r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)

@@ -72,6 +72,7 @@ class TestBasics:
         assert ms.order_stat(0) == -math.inf
         assert ms.order_stat(5) == math.inf
         assert type(ms.order_stat(5)) is float
+        assert OrderedMultiset().max() == -math.inf
 
     def test_cdf_counts(self):
         ms = OrderedMultiset([1, 2, 2, 4])
