@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from . import boundaries, confseq
+from . import boundaries, confseq, specfun
 from .boundaries import RadiusSchedule
 from .empdist import OrderedMultiset
 from .errors import ConfigurationError, DomainError, NumericalError
@@ -162,21 +162,14 @@ class RunResult:
     stopped_by_cap: bool
 
 
-def _qlucb_radius(n, level: float, k_arms: int, delta_err: float):
-    """The QLUCB stitched radius at per-arm count(s) n: the rounded closed form
-    1.5 sqrt(level(1-level) l(n)) + 0.8 l(n), l(n) = (1.4 log log(2.1 n) + log(5K/delta)) / n.
-    """
-    ell = (1.4 * np.log(np.log(2.1 * n)) + math.log(5.0 * k_arms / delta_err)) / n
-    return 1.5 * np.sqrt(level * (1.0 - level) * ell) + 0.8 * ell
-
-
 def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int, tune_m: float):
     """Per-count radius functions (l_n at pi+eps, u_n at pi-eps) of one CS kind."""
     lo_level, hi_level = 1.0 - (pi + eps), pi - eps
-    if cs_kind == "stitched_qlucb":
-        return (lambda n: _qlucb_radius(n, lo_level, k_arms, delta_err),
-                lambda n: _qlucb_radius(n, hi_level, k_arms, delta_err))
     alpha2 = 2.0 * delta_err / k_arms
+    if cs_kind == "stitched_qlucb":
+        # the closed form at 2 delta / K, i.e. with the constant log(5K / delta)
+        return (lambda n: boundaries.stitched_radius_simple(n, lo_level, alpha2),
+                lambda n: boundaries.stitched_radius_simple(n, hi_level, alpha2))
     if cs_kind == "beta_binomial_one_sided":
         alpha1 = delta_err / k_arms
         r_lo = boundaries.tune_r(tune_m, pi + eps, alpha2)
@@ -334,20 +327,16 @@ def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float,
     def q(k: int, level: float) -> float:
         return arms[k].quantile_at(min(max(level, 1e-15), 1.0 - 1e-15))
 
+    def sup(holds, hi: float) -> float:
+        """sup{D in [0, hi]: holds(D)} for holds true below it: the low end of a tol bracket."""
+        lo, _ = specfun.bisection(lambda d, _: not holds(float(d[0])), 0.0, hi, tol)
+        return float(lo[0])
+
     def case_one(k: int) -> float:
         def holds(d: float) -> bool:
             return q(k, pi_target + d) <= max(q(j, pi_target - d) for j in range(len(arms)))
 
-        if holds(cap):
-            return cap
-        lo, hi = 0.0, cap
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if holds(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return cap if holds(cap) else sup(holds, cap)
 
     deltas = [0.0] * len(arms)
     unique_opt = len(opt) == 1
@@ -368,14 +357,7 @@ def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float,
         elif holds_star(pi_target):
             deltas[star] = pi_target
         else:
-            lo, hi = 0.0, pi_target
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if holds_star(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            deltas[star] = lo
+            deltas[star] = sup(holds_star, pi_target)
     return deltas
 
 
@@ -384,21 +366,22 @@ def tau_bound(delta_k: float, eps: float, pi_target: float, k_arms: int,
     """Smallest n with g_n + max(u_n(pi), l_n(pi+eps)) < max(Delta_k, eps).
 
     g_n is the quantile-uniform iterated-logarithm radius at the union-bound
-    constant 0.8 log(1612 K / delta); u_n and l_n are the stitched per-arm
-    radii used by the algorithm.  Diagnostic for the 4 sum(tau_k) sample
-    bound; found by doubling then bisection (the left side is eventually
-    decreasing in n).
+    constant `lil_C_closed_form(delta / K)` = 0.8 log(1612 K / delta); u_n
+    and l_n are the stitched per-arm radii used by the algorithm.  Diagnostic
+    for the 4 sum(tau_k) sample bound; found by doubling then bisection (the
+    left side is eventually decreasing in n).
     """
     target = max(delta_k, eps)
     if target <= 0.0:
         raise DomainError("gap and eps are both zero: the bound is unbounded")
-    c_add = 0.8 * math.log(1612.0 * k_arms / delta_err)
+    c_add = boundaries.lil_C_closed_form(delta_err / k_arms)
     lo_level = 1.0 - (pi_target + eps)
+    alpha2 = 2.0 * delta_err / k_arms
 
     def radius_sum(n: int) -> float:
         g = boundaries.lil_radius(n, 0.85, c_add)
-        u = _qlucb_radius(n, pi_target, k_arms, delta_err)
-        l = _qlucb_radius(n, lo_level, k_arms, delta_err)
+        u = boundaries.stitched_radius_simple(n, pi_target, alpha2)
+        l = boundaries.stitched_radius_simple(n, lo_level, alpha2)
         return g + max(u, l)
 
     n = 1

@@ -8,10 +8,13 @@ broadcast over them; every radius evaluated over an array equals its
 scalar calls bit for bit, which lets `RadiusSchedule` tabulate a radius in
 vectorized chunks without changing any bound.
 
-Numeric contract: root-finding bisections run to 1e-9 absolute in the
-boundary-crossing variable (or 60 iterations), each element of an array
-stopping on its own bracket; the eta-infimum behind the iterated-logarithm
-miscoverage rate uses a 512-point log grid refined by golden section to 1e-8.
+Numeric contract: every root is found by `specfun.bisection`, each element
+of an array stopping on its own bracket.  The mixture radii bisect to 1e-9
+absolute in the boundary-crossing variable (or 60 steps); the Hoeffding-KL
+baseline and `lil_C` take 80 steps, or stop early once a bracket has no
+width.  The eta-infimum behind the iterated-logarithm miscoverage rate uses
+a 512-point log grid refined by golden section to 1e-8.  Parameters are
+checked as finite and within their bounds, so NaN or an infinity raises.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from .errors import ConfigurationError, DomainError, NumericalError, TuningError
-from .specfun import expit, golden_section_min, lambert_wm1, log_beta, log_betainc, logit, zeta
+from .specfun import (bisection, expit, golden_section_min, lambert_wm1, log_beta, log_betainc,
+                      logit, zeta)
 
 __all__ = [
     "RadiusSchedule",
@@ -70,10 +74,14 @@ def _check_open_unit(p: float, name: str = "p") -> None:
         raise DomainError(f"{name} must lie in (0, 1), got {p}")
 
 
+def _check_r(r: float) -> None:
+    if not 0.0 < r < math.inf:
+        raise ConfigurationError(f"r must be positive, got {r}")
+
+
 def _check_mixture(p: float, r: float) -> None:
     _check_open_unit(p)
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
+    _check_r(r)
 
 
 def _times(t, minimum: float = 1.0):
@@ -145,11 +153,11 @@ class StitchConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.eta <= 1.0:
+        if not 1.0 < self.eta < math.inf:
             raise ConfigurationError(f"eta must exceed 1, got {self.eta}")
-        if self.s_exp <= 1.0:
+        if not 1.0 < self.s_exp < math.inf:
             raise ConfigurationError(f"s_exp must exceed 1, got {self.s_exp}")
-        if self.m_start < 1.0:
+        if not 1.0 <= self.m_start < math.inf:
             raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
         _check_alpha(self.alpha)
 
@@ -169,7 +177,7 @@ class DoubleStitchConfig(StitchConfig):
     grid_delta: float = field(kw_only=True)
 
     def __post_init__(self):
-        if self.grid_delta <= 0.0:
+        if not 0.0 < self.grid_delta < math.inf:
             raise ConfigurationError(f"grid_delta must be positive, got {self.grid_delta}")
         super().__post_init__()
 
@@ -339,18 +347,9 @@ def _mixture_radius(log_mix, t, p: float, r: float, alpha: float):
     v = p * (1.0 - p) * t_arr
     target = math.log(1.0 / alpha)
     s_hi = (r + v) / p * (1.0 - 1e-12)
-    s_lo = np.zeros_like(v)
     never = log_mix(s_hi, v, p, r) < target
-    live = np.flatnonzero(s_hi - s_lo > 1e-9)
-    for _ in range(60):
-        if live.size == 0:
-            break
-        lo, hi = s_lo[live], s_hi[live]
-        mid = 0.5 * (lo + hi)
-        ge = log_mix(mid, v[live], p, r) >= target
-        s_hi[live] = np.where(ge, mid, hi)
-        s_lo[live] = np.where(ge, lo, mid)
-        live = live[s_hi[live] - s_lo[live] > 1e-9]
+    s_lo, s_hi = bisection(lambda s, idx: log_mix(s, v[idx], p, r) >= target,
+                           np.zeros_like(v), s_hi, tol=1e-9, max_iter=60)
     root = 0.5 * (s_lo + s_hi)
     # If even the domain supremum keeps the mixture below 1/alpha the boundary
     # is never crossed and the radius is trivial.
@@ -388,8 +387,7 @@ def expansion_constant(p: float, r: float) -> float:
 
 def expansion_constant_limit(r: float) -> float:
     """Limit of C_{p,r} as p -> 0 or 1: sqrt(2 pi) r^r / (e^r Gamma(r))."""
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
+    _check_r(r)
     return math.exp(0.5 * math.log(2.0 * math.pi) + r * math.log(r) - r - float(gammaln(r)))
 
 
@@ -434,7 +432,7 @@ def tuning_denominator(alpha: float, form: str = "approx") -> float:
 
 def tune_r(m_target: float, p: float, alpha: float = 0.05, form: str = "approx") -> float:
     """Mixture tuning r = p(1-p) (m / D(alpha) - 1) optimizing for time m_target."""
-    if m_target < 1.0:
+    if not 1.0 <= m_target < math.inf:
         raise TuningError(f"m_target must be >= 1, got {m_target}")
     _check_open_unit(p)
     d = tuning_denominator(alpha, form)
@@ -453,8 +451,7 @@ def tune_r(m_target: float, p: float, alpha: float = 0.05, form: str = "approx")
 
 def normal_mixture_radius(t, r: float, alpha: float = 0.05):
     """Sub-Gaussian mixture radius sqrt(((t+r)/t^2) log((t+r)/(alpha^2 r)))."""
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be positive, got {r}")
+    _check_r(r)
     _check_alpha(alpha)
     t_arr, scalar = _times(t)
     out = np.sqrt((t_arr + r) / t_arr ** 2 * np.log((t_arr + r) / (alpha ** 2 * r)))
@@ -477,9 +474,9 @@ def lil_alpha(a_mult: float, c_add: float) -> float:
     4 e^{-gamma^2 C} (1 + 1/((gamma^2-1) log eta)); returns +inf when no
     feasible eta exists (a vacuous bound, value >= 1).
     """
-    if a_mult <= 1.0 / _SQRT2:
+    if not 1.0 / _SQRT2 < a_mult < math.inf:
         raise ConfigurationError(f"a_mult must exceed 1/sqrt(2), got {a_mult}")
-    if c_add <= 0.0:
+    if not 0.0 < c_add < math.inf:
         raise ConfigurationError(f"c_add must be positive, got {c_add}")
     eta_hi = 2.0 * a_mult ** 2 - 1e-6
     eta_lo = 1.0 + 1e-6
@@ -506,7 +503,6 @@ def lil_C_closed_form(alpha: float) -> float:
 def lil_C(a_mult: float, alpha: float) -> float:
     """Smallest C with lil_alpha(a_mult, C) <= alpha, by bisection in C."""
     _check_alpha(alpha)
-    lo = 1e-9
     hi = 1.0
     for _ in range(80):
         if lil_alpha(a_mult, hi) <= alpha:
@@ -514,18 +510,13 @@ def lil_C(a_mult: float, alpha: float) -> float:
         hi *= 2.0
     else:
         raise NumericalError("could not bracket lil_C")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if lil_alpha(a_mult, mid) <= alpha:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    _, hi = bisection(lambda c, _: lil_alpha(a_mult, float(c[0])) <= alpha, 1e-9, hi)
+    return float(hi[0])
 
 
 def lil_radius(t, a_mult: float, c_add: float, m_start: float = 1.0):
     """g_t = A sqrt((log log(e (t v m) / m) + C) / t)."""
-    if m_start < 1.0:
+    if not 1.0 <= m_start < math.inf:
         raise ConfigurationError(f"m_start must be >= 1, got {m_start}")
     t_arr, scalar = _times(t)
     tm = np.maximum(t_arr, m_start)
@@ -565,17 +556,12 @@ def bernoulli_kl(q, p):
 
 def _hoeffding_kl_radius(t_arr, p: float, alpha: float):
     target = math.log(2.0 / alpha) / t_arr
-    hi_cap = (1.0 - p) * (1.0 - 1e-12)
-    lo = np.zeros_like(t_arr)
-    hi = np.full_like(t_arr, hi_cap)
+    hi = np.full_like(t_arr, (1.0 - p) * (1.0 - 1e-12))
     # KL(p+x || p) increases in x on [0, 1-p); cap at the trivial radius when
     # even x -> 1-p cannot reach the target.
     trivial = bernoulli_kl(p + hi, p) < target
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        ge = bernoulli_kl(p + mid, p) >= target
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
+    lo, hi = bisection(lambda x, idx: bernoulli_kl(p + x, p) >= target[idx],
+                       np.zeros_like(t_arr), hi)
     out = 0.5 * (lo + hi)
     return np.where(trivial, 1.0 - p, out)
 

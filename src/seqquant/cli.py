@@ -157,9 +157,12 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     if text.strip() == "":
         return []
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"could not parse {what} list {text!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} list {text!r} holds a non-finite value")
+    return values
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -295,6 +298,8 @@ def _reference_cdf(spec: str):
     if len(params) not in (0, 2):
         raise UsageError(f"reference distribution {spec!r} needs 0 or 2 parameters, "
                          f"got {len(params)}")
+    if not all(map(math.isfinite, params)):
+        raise UsageError(f"reference distribution {spec!r} needs finite parameters")
     if name == "uniform":
         a, b = params if params else (0.0, 1.0)
         if b <= a:
@@ -440,6 +445,9 @@ def cmd_abtest(args) -> int:
     _check_level(args.p)
     if args.simulate:
         return _abtest_simulate(args)
+    if args.mode == "global" and args.delta_star != 0.0:
+        raise UsageError(f"--mode global tests a zero shift; --delta-star must be 0, "
+                         f"got {args.delta_star}")
     r = args.r if args.r is not None else boundaries.tune_r(args.tune_m, args.p, args.alpha)
     meta = {"p": args.p, "r": r, "delta_star": args.delta_star, "mode": args.mode,
             "alpha": args.alpha}

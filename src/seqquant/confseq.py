@@ -120,14 +120,16 @@ class LilMethod:
     m_start: float = 1.0
 
     def __post_init__(self):
-        if self.a_mult <= 1.0 / math.sqrt(2.0):
+        if not 1.0 / math.sqrt(2.0) < self.a_mult < math.inf:
             raise ConfigurationError(f"a_mult must exceed 1/sqrt(2), got {self.a_mult}")
-        if self.m_start < 1.0:
+        if not 1.0 <= self.m_start < math.inf:
             raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
         if self.c_add is None:
             if self.alpha is None:
                 raise ConfigurationError("LilMethod needs either c_add or alpha")
             object.__setattr__(self, "c_add", boundaries.lil_C(self.a_mult, self.alpha))
+        elif not 0.0 < self.c_add < math.inf:
+            raise ConfigurationError(f"c_add must be positive, got {self.c_add}")
 
     def radius(self, t, level: float | None = None):
         """g_t at time(s) t; the level is ignored, so this is a radius(t, level)."""

@@ -64,7 +64,7 @@ def _pvalue(stat: float) -> float:
 def _check_mixture_params(p: float, r: float) -> None:
     if not 0.0 < p < 1.0:
         raise ConfigurationError(f"p must lie in (0, 1), got {p}")
-    if r <= 0.0:
+    if not 0.0 < r < math.inf:
         raise ConfigurationError(f"r must be positive, got {r}")
 
 
@@ -244,6 +244,8 @@ class AbTestState:
         _check_mixture_params(p, r)
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+        if not math.isfinite(delta_star):
+            raise ConfigurationError(f"delta_star must be finite, got {delta_star}")
         self.p = p
         self.r = r
         self.delta_star = delta_star
@@ -476,6 +478,8 @@ def ab_vs_naive_benchmark(
     """
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
+    if max_pairs < 1:
+        raise ConfigurationError("max_pairs must be >= 1")
     from . import bandit  # deferred to keep module import cheap
 
     arms = bandit.scenario_arms(scenario, 2, eps, pi)

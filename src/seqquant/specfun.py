@@ -22,6 +22,7 @@ __all__ = [
     "log_beta",
     "log_betainc",
     "lambert_wm1",
+    "bisection",
     "golden_section_min",
     "logit",
     "expit",
@@ -166,13 +167,34 @@ def lambert_wm1(x: float) -> float:
     f_hi = hi * math.exp(hi)  # = -1/e
     if x < f_hi or x >= f_lo:
         raise DomainError(f"lambert_wm1 requires x in [{f_hi}, {f_lo}), got {x}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) > x:
-            lo = mid  # root lies at larger z: z e^z decreases in z here
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # z e^z decreases in z here, so the root lies at or below z where z e^z <= x
+    lo, hi = bisection(lambda z, _: float(z[0]) * math.exp(float(z[0])) <= x, lo, hi)
+    return float(0.5 * (lo[0] + hi[0]))
+
+
+def bisection(pred, lo, hi, tol: float = 0.0, max_iter: int = 80):
+    """Elementwise bisection for the roots of monotone predicates; returns (lo, hi).
+
+    pred(x, idx) says, for the elements idx at their midpoints x, whether
+    each root lies at or below x: such an element moves its upper end to x,
+    any other its lower end.  Each element stops once its own bracket is at
+    most tol wide (a bracket of zero width could no longer move), so it
+    takes the same steps, and returns the same bits, as a one-element call.
+    The brackets come back as arrays, scalar ends as one-element ones.
+    """
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(np.atleast_1d(lo), hi))
+    live = np.flatnonzero(hi - lo > tol)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        lo_l, hi_l = lo[live], hi[live]
+        mid = 0.5 * (lo_l + hi_l)
+        below = pred(mid, live)
+        hi_l = np.where(below, mid, hi_l)
+        lo_l = np.where(below, lo_l, mid)
+        lo[live], hi[live] = lo_l, hi_l
+        live = live[hi_l - lo_l > tol]
+    return lo, hi
 
 
 def golden_section_min(f, lo, hi, tol: float = 1e-10, max_iter: int = 200):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from seqquant import boundaries as bd
+from seqquant import confseq, seqtest
 from seqquant.boundaries import (
     BASELINE_KINDS,
     DoubleStitchConfig,
@@ -573,3 +574,33 @@ class TestRadiusSchedule:
         schedule.at(10)
         with pytest.raises(DomainError):
             schedule.at(0)
+
+
+class TestNonFiniteParameters:
+    """NaN and infinities fail every parameter check, as an out-of-range value does."""
+
+    BUILDERS = {
+        "eta": lambda v: StitchConfig(eta=v, s_exp=1.4),
+        "s_exp": lambda v: StitchConfig(eta=2.0, s_exp=v),
+        "stitch m_start": lambda v: StitchConfig(eta=2.0, s_exp=1.4, m_start=v),
+        "grid_delta": lambda v: DoubleStitchConfig(grid_delta=v, eta=2.0, s_exp=1.4),
+        "mixture r": lambda v: beta_binomial_radius(10, 0.5, v),
+        "one-sided r": lambda v: one_sided_beta_binomial_radius(10, 0.5, v),
+        "normal r": lambda v: normal_mixture_radius(10, v),
+        "limit r": lambda v: expansion_constant_limit(v),
+        "m_target": lambda v: tune_r(v, 0.5),
+        "lil_alpha a_mult": lambda v: lil_alpha(v, 5.0),
+        "lil_alpha c_add": lambda v: lil_alpha(0.85, v),
+        "lil_radius m_start": lambda v: lil_radius(10, 0.85, 5.0, m_start=v),
+        "LilMethod a_mult": lambda v: confseq.LilMethod(a_mult=v, c_add=5.0),
+        "LilMethod m_start": lambda v: confseq.LilMethod(c_add=5.0, m_start=v),
+        "LilMethod c_add": lambda v: confseq.LilMethod(c_add=v),
+        "AbTestState r": lambda v: seqtest.AbTestState(0.5, v),
+        "AbTestState delta_star": lambda v: seqtest.AbTestState(0.5, 1.0, delta_star=v),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_raises(self, name, value):
+        with pytest.raises((ConfigurationError, TuningError)):
+            self.BUILDERS[name](value)

@@ -15,6 +15,7 @@ from scipy import special
 from seqquant.errors import DomainError
 from seqquant.specfun import (
     _betacf,
+    bisection,
     expit,
     golden_section_min,
     lambert_wm1,
@@ -131,6 +132,49 @@ class TestGoldenSection:
             want = golden_section_min(lambda z: float(f(z, centers[k])), float(lo[k]),
                                       float(hi[k]), tol=1e-10)
             assert got[k] == want
+
+
+def _fixed_step_bisection(pred, lo: float, hi: float, steps: int):
+    """The scalar loop the fixed-step root searches ran: every step moves one end."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class TestBisection:
+    def test_tol_zero_equals_fixed_step_loop(self):
+        # past the width of one ulp a bracket either stays or collapses, and
+        # a collapsed one no longer moves, so stopping there changes no bit
+        for x in -np.exp(-np.linspace(1.0, 45.0, 40)):
+            def below(z, x=x):
+                return z * math.exp(z) <= x
+
+            lo, hi = bisection(lambda z, _: below(float(z[0])), -50.0, -1.0)
+            assert (lo[0], hi[0]) == _fixed_step_bisection(below, -50.0, -1.0, 80)
+
+    def test_array_brackets_equal_one_element_calls_bit_for_bit(self):
+        # brackets of different widths and a zero-width one, so elements stop
+        # after different step counts
+        targets = np.array([0.1, 2.0, 4.0, 9.9, 0.0, 25.0])
+        lo = np.array([0.0, 0.0, 1.0, 3.0, 0.0, 5.0])
+        hi = np.array([10.0, 10.0, 2.5, 3.2, 1e-10, 5.0])
+        got_lo, got_hi = bisection(lambda x, i: x * x >= targets[i], lo, hi, tol=1e-9,
+                                   max_iter=60)
+        for k, target in enumerate(targets):
+            one_lo, one_hi = bisection(lambda x, _: x * x >= target, lo[k], hi[k], tol=1e-9,
+                                       max_iter=60)
+            assert (got_lo[k], got_hi[k]) == (one_lo[0], one_hi[0])
+        assert np.all(got_hi - got_lo <= 1e-9)
+        assert (got_lo[5], got_hi[5]) == (5.0, 5.0)
+
+    def test_root_is_bracketed(self):
+        lo, hi = bisection(lambda x, _: x * x >= 2.0, 0.0, 2.0)
+        assert lo[0] <= math.sqrt(2.0) <= hi[0]
+        assert hi[0] - lo[0] <= 4.5e-16
 
 
 class TestLogitExpit:
