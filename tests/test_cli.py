@@ -68,6 +68,12 @@ GOLDEN_CASES = {
                          "--delta", "0.2", "--cs-kinds",
                          "stitched_qlucb,beta_binomial_one_sided,dkw_union_baseline",
                          "--runs", "2", "--k-arms", "3", "--seed", "7"],
+    # pin the band export past 1000 rows, on continuous data and on the same
+    # values rounded to 0.1 (ties, with -0.0 and 0.0 in one run), in both formats
+    **{f"band_{name}.{fmt}": ["band", str(FIXTURES / fixture), "--checkpoints", "1,10,100,1100",
+                              "--format", fmt]
+       for name, fixture in (("cauchy", "cauchy1100.txt"), ("ties", "cauchy1100_ties.txt"))
+       for fmt in ("csv", "json")},
 }
 
 
