@@ -106,10 +106,27 @@ def custom_arm(quantile: Callable) -> ArmSpec:
     return ArmSpec("custom", (), quantile)
 
 
+def _check_target(pi_target: float, eps: float) -> None:
+    """pi_target in (0, 1), and eps in [0, min(pi_target, 1 - pi_target)).
+
+    So pi_target - eps and pi_target + eps lie in (0, 1) as well.
+    """
+    if not 0.0 < pi_target < 1.0:
+        raise ConfigurationError(f"pi_target must lie in (0, 1), got {pi_target}")
+    cap = min(pi_target, 1.0 - pi_target)
+    if not 0.0 <= eps < cap:
+        raise ConfigurationError(f"eps must lie in [0, {cap:g}), got {eps}")
+
+
 def scenario_arms(name: str, k_arms: int, eps: float, pi_target: float) -> list[ArmSpec]:
-    """Benchmark scenarios; the exceptional arm is always the last one."""
+    """Benchmark scenarios; the exceptional arm is always the last one.
+
+    eps and pi_target are checked as `QlucbConfig` checks them, for every
+    scenario, also one that does not read eps.
+    """
     if k_arms < 2:
         raise ConfigurationError("scenarios need at least two arms")
+    _check_target(pi_target, eps)
     if name == "uniform_shift":
         return [uniform_arm(0.0, 1.0) for _ in range(k_arms - 1)] + [
             uniform_arm(2.0 * eps, 1.0 + 2.0 * eps)
@@ -137,11 +154,7 @@ class QlucbConfig:
     tune_m: float = 32.0
 
     def __post_init__(self):
-        if not 0.0 < self.pi_target < 1.0:
-            raise ConfigurationError(f"pi_target must lie in (0, 1), got {self.pi_target}")
-        cap = min(self.pi_target, 1.0 - self.pi_target)
-        if not 0.0 <= self.eps < cap:
-            raise ConfigurationError(f"eps must lie in [0, {cap:g}), got {self.eps}")
+        _check_target(self.pi_target, self.eps)
         if not 0.0 < self.delta_err < 1.0:
             raise ConfigurationError(f"delta_err must lie in (0, 1), got {self.delta_err}")
         if self.cs_kind not in CS_KINDS:

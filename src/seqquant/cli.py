@@ -65,24 +65,24 @@ class IngestError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# a cell's CSV text, keyed by its exact type: every cell and metadata value is a
+# Python bool, int, float or str, so a numpy scalar is a KeyError, not a guess
+_CELL_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: str,
+}
+
+
 def _fmt_cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+    return _CELL_TEXT[type(x)](x)
 
 
 def _json_cell(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return x if math.isfinite(x) else repr(x)
+    """A cell as the JSON payload holds it: a non-finite float as its CSV literal."""
+    if type(x) is float and not math.isfinite(x):
+        return _fmt_cell(x)
     return x
 
 
@@ -104,9 +104,16 @@ class Emitter:
 
     def row(self, *cells) -> None:
         if self.fmt == "csv":
-            self.out.write(",".join(_fmt_cell(c) for c in cells) + "\n")
+            self.out.write(",".join(map(_fmt_cell, cells)) + "\n")
         else:
-            self._rows.append([_json_cell(c) for c in cells])
+            self._rows.append(list(map(_json_cell, cells)))
+
+    def rows(self, batch) -> None:
+        """Write a batch of rows, as `row` writes each: one write in CSV, one extend in JSON."""
+        if self.fmt == "csv":
+            self.out.write("".join([",".join(map(_fmt_cell, cells)) + "\n" for cells in batch]))
+        else:
+            self._rows.extend([list(map(_json_cell, cells)) for cells in batch])
 
     def close(self) -> None:
         if self.fmt == "json":
@@ -215,6 +222,15 @@ def _streams(args):
     finally:
         if handle is not sys.stdin:
             handle.close()
+
+
+def finite_float(text: str) -> float:
+    """The value of a float flag; a non-finite one raises ValueError, which argparse
+    and `--config` report as a usage error whether or not the command reads the flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _finite(i: int, text: str) -> float:
@@ -430,8 +446,7 @@ def cmd_band(args) -> int:
             t = len(band.data)
             if remaining and t == remaining[0]:
                 remaining.pop(0)
-                for v, f, lo, hi in band.band():
-                    emitter.row(t, v, f, lo, hi)
+                emitter.rows([(t, *cells) for cells in band.band()])
         emitter.close()
     return 0
 
@@ -587,8 +602,15 @@ def _add_common(sub) -> None:
     sub.set_defaults(subparser=sub)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors, reported as the others are."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqquant",
         description="Anytime-valid quantile confidence sequences, sequential tests, "
                     "and quantile best-arm identification",
@@ -599,49 +621,49 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--methods", required=True, help="comma-separated method names")
     b.add_argument("--p", default="0.5", help="comma-separated quantile levels")
     b.add_argument("--t", default="", help="comma-separated times")
-    b.add_argument("--alpha", type=float, default=0.05)
-    b.add_argument("--tune-m", dest="tune_m", type=float, default=32.0,
+    b.add_argument("--alpha", type=finite_float, default=0.05)
+    b.add_argument("--tune-m", dest="tune_m", type=finite_float, default=32.0,
                    help="tuning time: sets r for beta_binomial and m for the others")
     _add_common(b)
     b.set_defaults(func=cmd_bounds)
 
     tr = sub.add_parser("track", help="stream a fixed-quantile confidence sequence")
     tr.add_argument("input", nargs="?", default="-", help="numeric lines, or - for stdin")
-    tr.add_argument("--p", type=float, required=True)
+    tr.add_argument("--p", type=finite_float, required=True)
     tr.add_argument("--method", default="stitched",
                     choices=("stitched", "stitched_simple", "beta_binomial", "normal_mixture"))
-    tr.add_argument("--alpha", type=float, default=0.05)
-    tr.add_argument("--eta", type=float, default=2.04)
-    tr.add_argument("--s-exp", dest="s_exp", type=float, default=1.4)
-    tr.add_argument("--m", type=float, default=1.0)
-    tr.add_argument("--r", type=float, default=None)
-    tr.add_argument("--tune-m", dest="tune_m", type=float, default=32.0)
+    tr.add_argument("--alpha", type=finite_float, default=0.05)
+    tr.add_argument("--eta", type=finite_float, default=2.04)
+    tr.add_argument("--s-exp", dest="s_exp", type=finite_float, default=1.4)
+    tr.add_argument("--m", type=finite_float, default=1.0)
+    tr.add_argument("--r", type=finite_float, default=None)
+    tr.add_argument("--tune-m", dest="tune_m", type=finite_float, default=32.0)
     tr.add_argument("--intersect", action="store_true", help="report the running intersection")
     _add_common(tr)
     tr.set_defaults(func=cmd_track)
 
     bd = sub.add_parser("band", help="CDF confidence band at checkpoints")
     bd.add_argument("input", nargs="?", default="-")
-    bd.add_argument("--alpha", type=float, default=0.05)
-    bd.add_argument("--A", dest="a_mult", type=float, default=0.85)
-    bd.add_argument("--m", type=float, default=1.0)
+    bd.add_argument("--alpha", type=finite_float, default=0.05)
+    bd.add_argument("--A", dest="a_mult", type=finite_float, default=0.85)
+    bd.add_argument("--m", type=finite_float, default=1.0)
     bd.add_argument("--checkpoints", required=True, help="comma-separated times")
     _add_common(bd)
     bd.set_defaults(func=cmd_band)
 
     ab = sub.add_parser("abtest", help="sequential two-sample quantile test")
     ab.add_argument("input", nargs="?", default="-", help="label,value lines")
-    ab.add_argument("--p", type=float, default=0.5)
-    ab.add_argument("--r", type=float, default=None)
-    ab.add_argument("--tune-m", dest="tune_m", type=float, default=32.0)
-    ab.add_argument("--delta-star", dest="delta_star", type=float, default=0.0)
+    ab.add_argument("--p", type=finite_float, default=0.5)
+    ab.add_argument("--r", type=finite_float, default=None)
+    ab.add_argument("--tune-m", dest="tune_m", type=finite_float, default=32.0)
+    ab.add_argument("--delta-star", dest="delta_star", type=finite_float, default=0.0)
     ab.add_argument("--mode", default="two_sided", choices=("two_sided", "one_sided", "global"))
-    ab.add_argument("--alpha", type=float, default=0.05)
+    ab.add_argument("--alpha", type=finite_float, default=0.05)
     ab.add_argument("--running-min", dest="running_min", action="store_true")
     ab.add_argument("--simulate", action="store_true",
                     help="run the test-vs-naive stopping comparison instead of ingesting data")
     ab.add_argument("--scenario", default="uniform_shift")
-    ab.add_argument("--eps", type=float, default=0.025)
+    ab.add_argument("--eps", type=finite_float, default=0.025)
     ab.add_argument("--runs", type=int, default=32)
     ab.add_argument("--max-pairs", dest="max_pairs", type=int, default=200_000)
     _add_common(ab)
@@ -653,9 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("one_sample", "two_sample", "dominance"))
     ks.add_argument("--ref", default="uniform:0,1",
                     help="one_sample reference: uniform:a,b | normal:mu,sigma | cauchy:loc,scale")
-    ks.add_argument("--A", dest="a_mult", type=float, default=0.85)
-    ks.add_argument("--alpha", type=float, default=0.05)
-    ks.add_argument("--m", type=float, default=1.0)
+    ks.add_argument("--A", dest="a_mult", type=finite_float, default=0.85)
+    ks.add_argument("--alpha", type=finite_float, default=0.05)
+    ks.add_argument("--m", type=finite_float, default=1.0)
     ks.add_argument("--latch", action="store_true", help="keep reject true once it fires")
     _add_common(ks)
     ks.set_defaults(func=cmd_ks)
@@ -663,8 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     ba = sub.add_parser("bai", help="quantile best-arm identification benchmark")
     ba.add_argument("--scenario", default="uniform_shift")
     ba.add_argument("--pi", default="0.05,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95")
-    ba.add_argument("--eps", type=float, default=0.025)
-    ba.add_argument("--delta", type=float, default=0.05)
+    ba.add_argument("--eps", type=finite_float, default=0.025)
+    ba.add_argument("--delta", type=finite_float, default=0.05)
     ba.add_argument("--cs-kinds", dest="cs_kinds", default="beta_binomial_one_sided")
     ba.add_argument("--runs", type=int, default=64)
     ba.add_argument("--k-arms", dest="k_arms", type=int, default=10)
@@ -731,8 +753,8 @@ def _config_defaults(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             # the config values become the subcommand's defaults, so argparse
             # itself lets any flag given in argv win

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import boundaries
 from .boundaries import RadiusSchedule
 from .empdist import OrderedMultiset, lower_ranks, upper_ranks
@@ -188,15 +190,22 @@ class CdfBand:
         return max(0.0, f - w), min(1.0, f + w)
 
     def band(self) -> list[tuple[float, float, float, float]]:
-        """Step-function export: (x, ecdf, lo, hi) at each distinct data point."""
-        t = len(self.data)
+        """Step-function export: (x, ecdf, lo, hi) at each distinct data point.
+
+        One numpy pass over the sorted data.  Runs of equal values are found
+        on an object array, so equality is Python's: 2**53 + 1 and 2.0**53,
+        which one float64 cannot tell apart, stay two runs.  x is the first
+        value of its run, the one inserted first (-0.0 or 0.0, whichever came
+        first), and ecdf = (run end + 1) / t is the correctly rounded quotient
+        of two integers below 2**53, as a running count over t is.
+        """
+        values = np.array(list(self.data), dtype=object)
+        t = len(values)
         if t == 0:
             return []
+        ends = np.append(np.flatnonzero(values[1:] != values[:-1]), t - 1)
+        starts = np.append(0, ends[:-1] + 1)
+        f = (ends + 1) / t
         w = self.half_width()
-        rows = []
-        seen = 0
-        for v, c in self.data.items():
-            seen += c
-            f = seen / t
-            rows.append((v, f, max(0.0, f - w), min(1.0, f + w)))
-        return rows
+        return list(zip(values[starts].tolist(), f.tolist(),
+                        np.maximum(0.0, f - w).tolist(), np.minimum(1.0, f + w).tolist()))

@@ -54,6 +54,15 @@ class TestArms:
         assert arms[0].params == (0.0, 1.0)
         assert arms[-1].params == (0.05, 1.05)
 
+    @pytest.mark.parametrize("scenario", bandit.SCENARIOS)
+    @pytest.mark.parametrize("pi, eps", [(0.5, math.nan), (0.5, math.inf), (0.5, 0.6),
+                                         (0.5, 0.5), (0.5, -0.1), (0.9, 0.1), (0.1, 0.2)])
+    def test_scenario_eps_is_checked_as_qlucb_checks_it(self, scenario, pi, eps):
+        with pytest.raises(ConfigurationError, match="eps must lie in"):
+            QlucbConfig(pi_target=pi, eps=eps)
+        with pytest.raises(ConfigurationError, match="eps must lie in"):
+            scenario_arms(scenario, 2, eps, pi)
+
 
 class TestConfig:
     def test_eps_cap(self):

@@ -330,6 +330,54 @@ class TestFormatsAndConfig:
         assert float(radius) == boundaries.baseline_radius("dkw_fixed", 12345, alpha=0.05)
 
 
+# every subcommand and mode: the golden invocations plus abtest --simulate
+_ALL_MODES = dict(GOLDEN_CASES, abtest_simulate=[
+    "abtest", "--simulate", "--scenario", "cauchy_shift", "--runs", "2", "--max-pairs", "50"])
+
+
+class TestEmitter:
+    BATCH = [(1, math.inf, -math.inf, -0.0, True), (2, 0.1, 1e-300, "x", False),
+             (30000, 1e22, 5e-324, "label", True)]
+    META = {"k": -0.0, "flag": False, "n": 3, "s": "v", "w": math.inf}
+
+    def _emit(self, fmt, write):
+        out = io.StringIO()
+        emitter = cli.Emitter(out, fmt, ["a", "b", "c", "d", "e"], self.META)
+        write(emitter)
+        emitter.close()
+        return out.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_writes_what_row_writes(self, fmt):
+        batched = self._emit(fmt, lambda e: e.rows(self.BATCH))
+        one_by_one = self._emit(fmt, lambda e: [e.row(*cells) for cells in self.BATCH])
+        assert batched == one_by_one
+
+    def test_csv_cells(self):
+        assert self._emit("csv", lambda e: e.rows(self.BATCH)).splitlines() == [
+            "# k=-0.0", "# flag=false", "# n=3", "# s=v", "# w=inf", "a,b,c,d,e",
+            "1,inf,-inf,-0.0,true", "2,0.1,1e-300,x,false", "30000,1e+22,5e-324,label,true"]
+
+    def test_json_cells(self):
+        payload = json.loads(self._emit("json", lambda e: e.rows(self.BATCH)))
+        assert payload["meta"] == {"k": -0.0, "flag": False, "n": 3, "s": "v", "w": "inf"}
+        assert payload["rows"] == [[1, "inf", "-inf", -0.0, True], [2, 0.1, 1e-300, "x", False],
+                                   [30000, 1e22, 5e-324, "label", True]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(_ALL_MODES))
+    def test_every_cell_is_a_plain_python_value(self, monkeypatch, name, fmt):
+        # the CSV encoder is keyed by exact type, so a numpy scalar must never reach it
+        seen = set()
+        for attr in ("_fmt_cell", "_json_cell"):
+            encode = getattr(cli, attr)
+            monkeypatch.setattr(cli, attr,
+                                lambda x, encode=encode: (seen.add(type(x)), encode(x))[1])
+        rc, out, err = run_cli(_ALL_MODES[name] + ["--format", fmt])
+        assert rc == 0, err
+        assert seen and seen <= {bool, int, float, str}
+
+
 class TestKsLatch:
     def test_latched_reject_is_monotone(self, tmp_path):
         import numpy as np

@@ -50,7 +50,8 @@ FLOAT_FLAGS = {
     ("abtest", "--delta-star"): [["abtest", AB, "--mode", m]
                                  for m in ("two_sided", "one_sided")],
     ("abtest", "--alpha"): [["abtest", AB], SIMULATE],
-    ("abtest", "--eps"): [SIMULATE],
+    ("abtest", "--eps"): [SIMULATE + ["--scenario", s]
+                          for s in ("uniform_shift", "cauchy_shift", "normal_scale")],
     ("ks", "--A"): [["ks", KS], ["ks", STREAM, "--mode", "one_sample"]],
     ("ks", "--alpha"): [["ks", KS], ["ks", STREAM, "--mode", "one_sample"]],
     ("ks", "--m"): [["ks", KS], ["ks", STREAM, "--mode", "one_sample"]],
@@ -65,11 +66,32 @@ LIST_FLAGS = {
     ("bai", "--pi"): [["bai", "--runs", "1", "--k-arms", "2"]],
 }
 
+# (subcommand, flag) -> invocations that do not read the flag; its value is
+# checked all the same
+UNREAD_FLAGS = {
+    ("bounds", "--tune-m"): [["bounds", "--methods", "dkw_fixed", "--t", "10"]],
+    ("track", "--eta"): [["track", STREAM, "--p", "0.5", "--method", "beta_binomial"]],
+    ("track", "--r"): [["track", STREAM, "--p", "0.5", "--method", "stitched"]],
+    ("abtest", "--eps"): [["abtest", AB]],
+    ("abtest", "--delta-star"): [SIMULATE],
+}
+
+# one invocation per subcommand and a float flag it reads, for a --config
+# line that the flag, given on the command line, overrides
+OVERRIDDEN = {
+    "bounds": (["bounds", "--methods", "dkw_fixed", "--t", "10"], "--alpha"),
+    "track": (["track", STREAM, "--p", "0.5"], "--alpha"),
+    "band": (["band", STREAM, "--checkpoints", "5"], "--A"),
+    "abtest": (["abtest", AB], "--alpha"),
+    "ks": (["ks", KS], "--m"),
+    "bai": (BAI, "--delta"),
+}
+
 NON_FINITE = ("nan", "inf", "-inf")
 
 CASES = [
     pytest.param(argv + [f"{flag}={value}"], id=f"{command} {flag}={value} #{i}")
-    for table in (FLOAT_FLAGS, LIST_FLAGS)
+    for table in (FLOAT_FLAGS, LIST_FLAGS, UNREAD_FLAGS)
     for (command, flag), invocations in table.items()
     for i, argv in enumerate(invocations)
     for value in NON_FINITE
@@ -83,6 +105,12 @@ CASES = [
 ] + [
     pytest.param(["abtest", AB3, "--mode", "global", "--delta-star", "5"],
                  id="abtest global --delta-star 5"),
+] + [
+    # eps must lie in [0, min(p, 1 - p)) for every scenario
+    pytest.param(SIMULATE + ["--scenario", scenario, "--p", p, "--eps", eps],
+                 id=f"abtest --simulate {scenario} --p {p} --eps {eps}")
+    for scenario in ("uniform_shift", "cauchy_shift", "normal_scale")
+    for p, eps in (("0.5", "0.6"), ("0.9", "0.1"), ("0.5", "-0.1"))
 ]
 
 
@@ -94,17 +122,21 @@ def run_cli(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def _float_flags() -> set:
-    """(subcommand, long flag) of every type=float flag the parser defines."""
+def _float_flags() -> dict:
+    """(subcommand, long flag) -> type of every float flag the parser defines."""
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {(name, max(action.option_strings, key=len))
+    return {(name, max(action.option_strings, key=len)): action.type
             for name, sub in subparsers.choices.items()
-            for action in sub._actions if action.type is float}
+            for action in sub._actions if action.type in (float, cli.finite_float)}
 
 
 def test_every_float_flag_is_listed():
-    assert set(FLOAT_FLAGS) == _float_flags()
+    assert set(FLOAT_FLAGS) == set(_float_flags())
+
+
+def test_every_float_flag_is_parsed_finite():
+    assert set(_float_flags().values()) == {cli.finite_float}
 
 
 @pytest.mark.parametrize("argv", CASES)
@@ -118,3 +150,15 @@ def test_global_mode_accepts_zero_delta_star():
     rc, out, err = run_cli(["abtest", AB3, "--mode", "global", "--delta-star", "0"])
     assert rc == 0, err
     assert "# delta_star=0.0" in out
+
+
+@pytest.mark.parametrize("command", sorted(OVERRIDDEN))
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_overridden_config_value_is_checked(tmp_path, command, value):
+    argv, flag = OVERRIDDEN[command]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{flag.lstrip('-')}={value}\n")
+    rc, out, err = run_cli(argv + [flag, "1.5" if flag in ("--A", "--m") else "0.05",
+                                   "--config", str(cfg)])
+    assert (rc, out) == (2, ""), err
+    assert err.startswith(f"usage error: {cfg}:1: bad value {value!r}"), err

@@ -2,6 +2,7 @@
 running intersection, and tracker-vs-vectorized miscoverage equivalence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,6 +253,58 @@ class TestCdfBand:
         interior = [(lo, hi, f) for _, f, lo, hi in rows if 0 < lo and hi < 1]
         for lo, hi, f in interior:
             assert hi - f == pytest.approx(f - lo, rel=1e-12)
+
+
+def _band_by_runs(band):
+    """The band as a loop over the runs of equal values: the reference for `CdfBand.band`."""
+    t = len(band.data)
+    if t == 0:
+        return []
+    w = band.half_width()
+    rows = []
+    seen = 0
+    for v, c in band.data.items():
+        seen += c
+        f = seen / t
+        rows.append((v, f, max(0.0, f - w), min(1.0, f + w)))
+    return rows
+
+
+_CAUCHY = np.random.default_rng(11).standard_cauchy(5000)
+
+
+class TestCdfBandExport:
+    CASES = {
+        "empty": [],
+        "t=1": [2.5],
+        "continuous": _CAUCHY.tolist(),
+        "tied": np.round(_CAUCHY, 1).tolist(),
+        "one value": [3.0] * 40,
+        "-0.0 first": [1.0, -0.0, 0.0, -1.0, 0.0, -0.0],
+        "0.0 first": [1.0, 0.0, -0.0, -1.0, -0.0, 0.0],
+        "ints": [5, 3, 5, -2, 3, 3, 0, 7, 5],
+        "fractions": [Fraction(1, 3), Fraction(2, 6), Fraction(-7, 2), Fraction(5, 1), 5.0],
+        # equal as float64, apart as Python numbers: two runs, not one
+        "2**53 + 1 and 2.0**53": [2 ** 53 + 1, 2.0 ** 53, 2 ** 53 + 1, 2.0 ** 53, 1.0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_run_loop(self, case):
+        band = CdfBand(alpha=0.05)
+        for x in self.CASES[case]:
+            band.update(x)
+        got, want = band.band(), _band_by_runs(band)
+        assert got == want
+        assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]
+        assert all(type(f) is float and type(lo) is float and type(hi) is float
+                   for _, f, lo, hi in got)
+
+    def test_first_inserted_zero_represents_its_run(self):
+        for first in (-0.0, 0.0):
+            band = CdfBand(alpha=0.05)
+            for x in (first, -first, 1.0):
+                band.update(x)
+            assert [repr(x) for x, *_ in band.band()] == [repr(first), "1.0"]
 
 
 class TestRadiusOrdering:
