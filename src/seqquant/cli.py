@@ -225,8 +225,11 @@ def _streams(args):
 
 
 def finite_float(text: str) -> float:
-    """The value of a float flag; a non-finite one raises ValueError, which argparse
-    and `--config` report as a usage error whether or not the command reads the flag."""
+    """The value of a float flag: a finite float, else ValueError.
+
+    argparse and `--config` report the error as a usage error, whether or
+    not the command reads the flag.
+    """
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")

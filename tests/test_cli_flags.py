@@ -2,7 +2,8 @@
 
 Every float flag of every subcommand is listed with invocations that read
 it, so a new float flag fails `test_every_float_flag_is_listed` until it is
-given a row here.
+given a row here.  A flag the command does not read, and a `--config` value
+that a flag overrides, are checked as well.
 """
 
 import argparse
@@ -76,23 +77,28 @@ UNREAD_FLAGS = {
     ("abtest", "--delta-star"): [SIMULATE],
 }
 
-# one invocation per subcommand and a float flag it reads, for a --config
-# line that the flag, given on the command line, overrides
+# one invocation per subcommand, a float flag it reads and a valid value, for
+# a --config line that the flag, given on the command line, overrides
 OVERRIDDEN = {
-    "bounds": (["bounds", "--methods", "dkw_fixed", "--t", "10"], "--alpha"),
-    "track": (["track", STREAM, "--p", "0.5"], "--alpha"),
-    "band": (["band", STREAM, "--checkpoints", "5"], "--A"),
-    "abtest": (["abtest", AB], "--alpha"),
-    "ks": (["ks", KS], "--m"),
-    "bai": (BAI, "--delta"),
+    "bounds": (["bounds", "--methods", "dkw_fixed", "--t", "10"], "--alpha", "0.05"),
+    "track": (["track", STREAM, "--p", "0.5"], "--alpha", "0.05"),
+    "band": (["band", STREAM, "--checkpoints", "5"], "--A", "0.9"),
+    "abtest": (["abtest", AB], "--alpha", "0.05"),
+    "ks": (["ks", KS], "--m", "2"),
+    "bai": (BAI, "--delta", "0.05"),
 }
 
 NON_FINITE = ("nan", "inf", "-inf")
 
 CASES = [
     pytest.param(argv + [f"{flag}={value}"], id=f"{command} {flag}={value} #{i}")
-    for table in (FLOAT_FLAGS, LIST_FLAGS, UNREAD_FLAGS)
+    for table in (FLOAT_FLAGS, LIST_FLAGS)
     for (command, flag), invocations in table.items()
+    for i, argv in enumerate(invocations)
+    for value in NON_FINITE
+] + [
+    pytest.param(argv + [f"{flag}={value}"], id=f"{command} {flag}={value} unread #{i}")
+    for (command, flag), invocations in UNREAD_FLAGS.items()
     for i, argv in enumerate(invocations)
     for value in NON_FINITE
 ] + [
@@ -155,10 +161,9 @@ def test_global_mode_accepts_zero_delta_star():
 @pytest.mark.parametrize("command", sorted(OVERRIDDEN))
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_overridden_config_value_is_checked(tmp_path, command, value):
-    argv, flag = OVERRIDDEN[command]
+    argv, flag, valid = OVERRIDDEN[command]
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"{flag.lstrip('-')}={value}\n")
-    rc, out, err = run_cli(argv + [flag, "1.5" if flag in ("--A", "--m") else "0.05",
-                                   "--config", str(cfg)])
+    rc, out, err = run_cli(argv + [flag, valid, "--config", str(cfg)])
     assert (rc, out) == (2, ""), err
     assert err.startswith(f"usage error: {cfg}:1: bad value {value!r}"), err
