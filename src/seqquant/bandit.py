@@ -332,8 +332,7 @@ def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float,
     solves sup{D: Q_k(pi-D) > max_{j!=k} Q_j(pi+Delta_j)}, which uses the
     other arms' gaps and is therefore computed last.
     """
-    if not 0.0 < pi_target < 1.0:
-        raise ConfigurationError("pi_target must lie in (0, 1)")
+    _check_target(pi_target, eps)
     opt = eps_optimal_set(arms, pi_target, eps)
     cap = min(pi_target, 1.0 - pi_target)
 

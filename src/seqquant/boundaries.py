@@ -26,11 +26,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, lambertw, ndtri
 
 from .errors import ConfigurationError, DomainError, NumericalError, TuningError
-from .specfun import (bisection, expit, golden_section_min, lambert_wm1, log_beta, log_betainc,
-                      logit, zeta)
+from .specfun import bisection, expit, golden_section_min, log_beta, log_betainc, logit, zeta
 
 __all__ = [
     "RadiusSchedule",
@@ -57,7 +56,6 @@ __all__ = [
     "lil_radius",
     "baseline_radius",
     "BASELINE_KINDS",
-    "normal_quantile",
     "bernoulli_kl",
 ]
 
@@ -419,14 +417,14 @@ def tuning_denominator(alpha: float, form: str = "approx") -> float:
     form="approx" evaluates the asymptotic expansion
     2 log(1/alpha) + log log(e/alpha^2), which the shipped reference tunings
     (r = 0.758 at p = 0.5, m = 32, alpha = 0.05) are consistent with;
-    form="lambert" evaluates the exact branch by bisection.  The two differ
-    in the second decimal (7.936 vs 8.212 at alpha = 0.05).
+    form="lambert" evaluates the exact branch with scipy's lambertw.  The two
+    differ in the second decimal (7.936 vs 8.212 at alpha = 0.05).
     """
     _check_alpha(alpha)
     if form == "approx":
         return 2.0 * math.log(1.0 / alpha) + math.log(math.log(math.e / alpha ** 2))
     if form == "lambert":
-        return -lambert_wm1(-(alpha ** 2) / math.e) - 1.0
+        return -float(lambertw(-(alpha ** 2) / math.e, k=-1).real) - 1.0
     raise ConfigurationError(f"unknown tuning form {form!r}")
 
 
@@ -539,11 +537,6 @@ BASELINE_KINDS = (
 )
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (scipy's ndtri)."""
-    return float(ndtri(p))
-
-
 def bernoulli_kl(q, p):
     """KL(q || p) between Bernoulli distributions, with 0 log 0 = 0."""
     q_arr = np.asarray(q, dtype=float)
@@ -592,7 +585,7 @@ def baseline_radius(kind: str, t, p: float = 0.5, alpha: float = 0.05, lam: floa
         out = 3.0 / (2.0 * _SQRT2) * np.sqrt((np.log(np.log(t_arr)) + 1.457) / t_arr)
     elif kind == "clt_pointwise":
         _check_open_unit(p)
-        out = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(p * (1.0 - p) / t_arr)
+        out = float(ndtri(1.0 - alpha / 2.0)) * np.sqrt(p * (1.0 - p) / t_arr)
     elif kind == "hoeffding_kl":
         _check_open_unit(p)
         out = _hoeffding_kl_radius(t_arr, p, alpha)

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import bandit, boundaries, confseq, seqtest
 from .boundaries import DoubleStitchConfig, StitchConfig
@@ -173,7 +174,10 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    return [int(round(v)) for v in _parse_float_list(text, what)]
+    values = _parse_float_list(text, what)
+    if not all(v.is_integer() for v in values):
+        raise UsageError(f"{what} list {text!r} holds a value that is not an integer")
+    return [int(v) for v in values]
 
 
 def _open_text(path: str):
@@ -233,6 +237,25 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """The value of --seed or $SEQQUANT_SEED: an integer >= 0, else ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"not a non-negative integer: {text!r}")
+    return value
+
+
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _switch(text: str) -> bool:
+    """A `--config` value for an on/off flag: 1/true/yes or 0/false/no, any case."""
+    value = _SWITCH_VALUES.get(text.lower())
+    if value is None:
+        raise ValueError(f"not an on/off value: {text!r}")
     return value
 
 
@@ -299,9 +322,9 @@ def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            return _nonnegative_int(env)
         except ValueError:
-            raise UsageError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+            raise UsageError(f"{SEED_ENV} must be a non-negative integer, got {env!r}") from None
     return 0
 
 
@@ -328,8 +351,6 @@ def _reference_cdf(spec: str):
         mu, sigma = params if params else (0.0, 1.0)
         if sigma <= 0:
             raise UsageError("normal reference needs sigma > 0")
-        from scipy.special import ndtr
-
         return lambda x: float(ndtr((x - mu) / sigma))
     loc, scale = params if params else (0.0, 1.0)
     if scale <= 0:
@@ -522,35 +543,30 @@ def _abtest_simulate(args) -> int:
 
 
 def cmd_ks(args) -> int:
-    f0 = _reference_cdf(args.ref) if args.mode == "one_sample" else None
+    paired = args.mode != "one_sample"
+    f0 = None if paired else _reference_cdf(args.ref)
     state = seqtest.KsTestState(args.mode, f0=f0, a_mult=args.a_mult, alpha=args.alpha,
                                 m_start=args.m)
     meta = {"mode": args.mode, "alpha": args.alpha, "A": args.a_mult, "m": args.m}
-    if args.mode == "one_sample":
+    if not paired:
         meta["ref"] = args.ref
     latched = False
     with _streams(args) as (handle, out):
         emitter = Emitter(out, args.format, ["t", "stat", "threshold", "reject"], meta)
-        if args.mode == "one_sample":
-            for _, x in _numeric_stream(handle):
-                state.add(x)
+        if paired:
+            stream = _arm_stream(handle, 2)
+        else:
+            stream = ((i, 0, x) for i, x in _numeric_stream(handle))
+        for _, arm, value in stream:
+            state.add(value, sample=arm + 1)
+            # a paired test is evaluated once both samples hold t values
+            if not paired or len(state.sample1) == len(state.sample2):
                 res = state.evaluate()
                 latched = latched or res.reject
-                emitter.row(res.t, res.stat, res.threshold,
-                            latched if args.latch else res.reject)
-        else:
-            for _, arm, value in _arm_stream(handle, 2):
-                state.add(value, sample=arm + 1)
-                if len(state.sample1) == len(state.sample2) and len(state.sample1) > 0:
-                    res = state.evaluate()
-                    latched = latched or res.reject
-                    emitter.row(res.t, res.stat, res.threshold,
-                                latched if args.latch else res.reject)
-            if len(state.sample1) != len(state.sample2):
-                raise PairingError(
-                    f"stream ended with unequal counts: {len(state.sample1)} vs "
-                    f"{len(state.sample2)}"
-                )
+                emitter.row(res.t, res.stat, res.threshold, latched if args.latch else res.reject)
+        if paired and len(state.sample1) != len(state.sample2):
+            raise PairingError(f"stream ended with unequal counts: {len(state.sample1)} vs "
+                               f"{len(state.sample2)}")
         emitter.close()
     return 0
 
@@ -600,7 +616,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", default="csv", choices=("csv", "json"))
     sub.add_argument("--config", default=None, help="flat key=value defaults file")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_nonnegative_int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV} or 0)")
     sub.set_defaults(subparser=sub)
 
@@ -739,16 +755,15 @@ def _config_defaults(args) -> dict:
             if action is None:
                 raise UsageError(f"{args.config}:{i}: unknown key {key!r}: "
                                  f"not a flag of {args.command}")
-            if action.nargs == 0:  # store_true
-                value = val.lower() in ("1", "true", "yes")
-            else:
-                try:
-                    value = val if action.type is None else action.type(val)
-                except ValueError:
-                    raise UsageError(f"{args.config}:{i}: bad value {val!r} for {key!r}") from None
-                if action.choices is not None and value not in action.choices:
-                    raise UsageError(f"{args.config}:{i}: {key!r} must be one of "
-                                     f"{', '.join(action.choices)}, got {val!r}")
+            # a store_true flag (nargs 0) reads an on/off value
+            convert = _switch if action.nargs == 0 else action.type
+            try:
+                value = val if convert is None else convert(val)
+            except ValueError:
+                raise UsageError(f"{args.config}:{i}: bad value {val!r} for {key!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(f"{args.config}:{i}: {key!r} must be one of "
+                                 f"{', '.join(action.choices)}, got {val!r}")
             defaults[action.dest] = value
     return defaults
 
@@ -764,10 +779,7 @@ def main(argv: list[str] | None = None) -> int:
             args.subparser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigurationError, TuningError) as exc:
+    except (UsageError, ConfigurationError, TuningError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (IngestError, PairingError, QueryError, StateError, DomainError) as exc:

@@ -22,6 +22,7 @@ queries.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -82,20 +83,8 @@ def lower_ranks(t, levels) -> np.ndarray:
 
 
 def _runs(values: Iterable) -> Iterator[tuple[float, int]]:
-    """(value, run length) for each run of equal values in a sorted iterable."""
-    it = iter(values)
-    for head in it:
-        break
-    else:
-        return
-    n = 1
-    for v in it:
-        if v == head:
-            n += 1
-        else:
-            yield head, n
-            head, n = v, 1
-    yield head, n
+    """(value, run length) per run of equal values in a sorted iterable, keyed by its first."""
+    return ((v, sum(1 for _ in run)) for v, run in groupby(values))
 
 
 class OrderedMultiset:
@@ -111,16 +100,6 @@ class OrderedMultiset:
 
     def __len__(self) -> int:
         return len(self._sl)
-
-    @property
-    def count(self) -> int:
-        return len(self._sl)
-
-    def copy(self) -> "OrderedMultiset":
-        """Snapshot (O(n)); safe to query while the original grows."""
-        other = OrderedMultiset()
-        other._sl = self._sl.copy()
-        return other
 
     def insert(self, x) -> int:
         """Insert one observation (duplicates allowed); returns the new count."""

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import boundaries
+from . import bandit, boundaries
 from .boundaries import beta_binomial_log_mixture, one_sided_log_mixture
 from .confseq import LilMethod
 from .empdist import OrderedMultiset, _level_ceil, _level_floor, lower_ranks, upper_ranks
@@ -55,10 +55,9 @@ class TestResult(NamedTuple):
     reject: bool
 
 
-def _pvalue(stat: float) -> float:
-    if stat <= 0.0:
-        return 1.0
-    return min(1.0, math.exp(-stat))
+def _pvalue(stat: float, k: int = 1) -> float:
+    """k exp(-stat) clamped to 1: the always-valid p-value, Bonferroni over k tests."""
+    return min(1.0, k * math.exp(-stat))
 
 
 def _check_mixture_params(p: float, r: float) -> None:
@@ -280,21 +279,6 @@ class AbTestState:
         return self._result(_sorted_one_sided_stat(x1, x2, self.p, self.r, self.delta_star))
 
 
-def _global_null_best_stat(
-    control: OrderedMultiset,
-    treatments: Sequence[OrderedMultiset],
-    p: float,
-    r: float,
-) -> float:
-    if len(treatments) < 1:
-        raise ValueError("global null requires at least one treatment arm")
-    if len(control) == 0 or any(len(a) == 0 for a in treatments):
-        raise StateError("all arms need at least one observation")
-    _check_mixture_params(p, r)
-    c = _snapshot(control)
-    return max(_sorted_one_sided_stat(c, _snapshot(arm), p, r, 0.0) for arm in treatments)
-
-
 def global_null_pvalue(
     control: OrderedMultiset,
     treatments: Sequence[OrderedMultiset],
@@ -317,8 +301,14 @@ def global_null_result(
     alpha: float = 0.05,
 ) -> TestResult:
     """Statistic, p-value, and rejection for the Bonferroni global null."""
-    best = _global_null_best_stat(control, treatments, p, r)
-    pval = 1.0 if best <= 0.0 else min(1.0, len(treatments) * math.exp(-best))
+    if len(treatments) < 1:
+        raise ValueError("global null requires at least one treatment arm")
+    if len(control) == 0 or any(len(a) == 0 for a in treatments):
+        raise StateError("all arms need at least one observation")
+    _check_mixture_params(p, r)
+    c = _snapshot(control)
+    best = max(_sorted_one_sided_stat(c, _snapshot(arm), p, r, 0.0) for arm in treatments)
+    pval = _pvalue(best, len(treatments))
     return TestResult(best, pval, pval <= alpha)
 
 
@@ -368,9 +358,6 @@ class KsTestState:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
         self.mode = mode
         self.f0 = f0
-        self.a_mult = a_mult
-        self.alpha = alpha
-        self.m_start = m_start
         self.lil = LilMethod(a_mult=a_mult, alpha=alpha / 2.0 if mode == "two_sample" else alpha,
                              m_start=m_start)
         self.sample1 = OrderedMultiset()
@@ -480,8 +467,6 @@ def ab_vs_naive_benchmark(
         raise ConfigurationError("runs must be >= 1")
     if max_pairs < 1:
         raise ConfigurationError("max_pairs must be >= 1")
-    from . import bandit  # deferred to keep module import cheap
-
     arms = bandit.scenario_arms(scenario, 2, eps, pi)
     r_test = boundaries.tune_r(tune_m, pi, alpha)
     r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)

@@ -21,14 +21,12 @@ __all__ = [
     "zeta",
     "log_beta",
     "log_betainc",
-    "lambert_wm1",
     "bisection",
     "golden_section_min",
     "logit",
     "expit",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 # Below this, a regularized incomplete beta from scipy is treated as
 # underflowed and recomputed via the continued fraction.
 _UNDERFLOW = 1e-280
@@ -153,23 +151,6 @@ def log_betainc(a, b, x):
     if scalar:
         return float(out[0])
     return out
-
-
-def lambert_wm1(x: float) -> float:
-    """Lower branch W_{-1}(x): bisection on z e^z over z in [-50, -1].
-
-    Domain restricted to x in [-1/e, -50 e^-50): below the left endpoint the
-    equation has no real solution, beyond the right one the root leaves the
-    supported bracket.
-    """
-    lo, hi = -50.0, -1.0
-    f_lo = lo * math.exp(lo)
-    f_hi = hi * math.exp(hi)  # = -1/e
-    if x < f_hi or x >= f_lo:
-        raise DomainError(f"lambert_wm1 requires x in [{f_hi}, {f_lo}), got {x}")
-    # z e^z decreases in z here, so the root lies at or below z where z e^z <= x
-    lo, hi = bisection(lambda z, _: float(z[0]) * math.exp(float(z[0])) <= x, lo, hi)
-    return float(0.5 * (lo[0] + hi[0]))
 
 
 def bisection(pred, lo, hi, tol: float = 0.0, max_iter: int = 80):

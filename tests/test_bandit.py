@@ -219,6 +219,14 @@ class TestEpsOptimalAndGaps:
         for k in range(9):
             assert gaps[k] > 0.0
 
+    @pytest.mark.parametrize("pi, eps", [(0.5, 0.6), (0.5, 0.5), (0.2, 0.2), (0.9, 0.1),
+                                         (0.5, -0.01)])
+    def test_gap_eps_outside_target_range_raises(self, pi, eps):
+        # pi - eps and pi + eps must lie in (0, 1), as QlucbConfig requires
+        arms = scenario_arms("uniform_shift", 3, 0.025, 0.5)
+        with pytest.raises(ConfigurationError):
+            gap_deltas(arms, pi, eps)
+
     def test_requires_quantile_functions(self):
         arms = [uniform_arm(0.0, 1.0), _point_mass(2.0)]
         # point-mass custom arms still expose quantile callables, so this works

@@ -279,6 +279,12 @@ class TestTuning:
         assert w * math.exp(w) == pytest.approx(-0.05 ** 2 / math.e, rel=1e-9)
         assert exact == pytest.approx(8.212, abs=0.001)
 
+    @pytest.mark.parametrize("alpha", [1e-12, 0.05, 0.5])
+    def test_lambert_form_solves_defining_equation(self, alpha):
+        w = -tuning_denominator(alpha, "lambert") - 1.0
+        assert w < -1.0
+        assert w * math.exp(w) == pytest.approx(-alpha ** 2 / math.e, rel=1e-12)
+
     def test_lambert_form_r(self):
         r = tune_r(32, 0.5, 0.05, form="lambert")
         assert r == pytest.approx(0.25 * (32 / 8.211968062068253 - 1), rel=1e-9)

@@ -710,3 +710,21 @@ class TestConfigErrors:
                                 "--tune", "16", "--config", str(cfg)])
         assert rc == 0, err
         assert "# tune_m=16.0" in out and "# alpha=0.2" in out
+
+    @pytest.mark.parametrize("value", ["tru", "on", "", "2"])
+    def test_unrecognised_switch_value_is_usage_error(self, tmp_path, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"intersect={value}\n")
+        rc, out, err = run_cli(["track", self.STREAM, "--p", "0.5", "--config", str(cfg)])
+        assert (rc, out) == (2, ""), err
+        assert err.startswith(f"usage error: {cfg}:1: bad value {value!r} for 'intersect'"), err
+
+    @pytest.mark.parametrize("value, on", [("1", True), ("TRUE", True), ("Yes", True),
+                                           ("0", False), ("false", False), ("NO", False)])
+    def test_switch_values_in_any_case(self, tmp_path, value, on):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"intersect={value}\n")
+        argv = ["track", self.STREAM, "--p", "0.5"]
+        rc, out, err = run_cli(argv + ["--config", str(cfg)])
+        assert rc == 0, err
+        assert out == run_cli(argv + ["--intersect"] * on)[1]

@@ -117,6 +117,14 @@ CASES = [
                  id=f"abtest --simulate {scenario} --p {p} --eps {eps}")
     for scenario in ("uniform_shift", "cauchy_shift", "normal_scale")
     for p, eps in (("0.5", "0.6"), ("0.9", "0.1"), ("0.5", "-0.1"))
+] + [
+    # --seed takes an integer >= 0, also where the command draws nothing
+    pytest.param(argv + ["--seed", "-1"], id=f"{argv[0]} --seed -1")
+    for argv in (BAI, SIMULATE, ["bounds", "--methods", "dkw_fixed", "--t", "10"])
+] + [
+    # an integer list holds integers; 1e6 is one, 1.5 is not
+    pytest.param(["bounds", "--methods", "dkw_fixed", "--t", "1.5,10"], id="bounds --t 1.5,10"),
+    pytest.param(["band", STREAM, "--checkpoints=2.6"], id="band --checkpoints=2.6"),
 ]
 
 
@@ -150,6 +158,34 @@ def test_bad_value_is_usage_error_without_output(argv):
     rc, out, err = run_cli(argv)
     assert (rc, out) == (2, ""), err
     assert err.startswith("usage error:"), err
+
+
+def test_negative_seed_from_environment_is_usage_error(monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, "-3")
+    rc, out, err = run_cli(SIMULATE)
+    assert (rc, out) == (2, ""), err
+    assert err.startswith(f"usage error: {cli.SEED_ENV} must be a non-negative integer"), err
+
+
+def test_negative_seed_in_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed=-2\n")
+    rc, out, err = run_cli(BAI + ["--config", str(cfg)])
+    assert (rc, out) == (2, ""), err
+    assert err.startswith(f"usage error: {cfg}:1: bad value '-2' for 'seed'"), err
+
+
+def test_zero_seed_is_the_default(monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    rc, out, err = run_cli(BAI + ["--seed", "0"])
+    assert rc == 0, err
+    assert (rc, out, err) == run_cli(BAI)
+
+
+def test_integral_list_values_read_as_integers():
+    rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "1e2,10.0"])
+    assert rc == 0, err
+    assert (rc, out, err) == run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100,10"])
 
 
 def test_global_mode_accepts_zero_delta_star():

@@ -111,12 +111,19 @@ class TestBasics:
         assert ms.order_stat(4) == "pear"
         assert ms.count_le("fig") == 3
 
-    def test_copy_is_independent(self):
-        ms = OrderedMultiset([1.0, 2.0])
-        snap = ms.copy()
-        ms.insert(0.0)
-        assert len(snap) == 2 and len(ms) == 3
-        assert snap.order_stat(1) == 1.0
+    @pytest.mark.parametrize("values, runs", [
+        ([-0.0, 0.0, 1.0, 0.0], [(-0.0, 3), (1.0, 1)]),
+        ([0.0, -0.0, 1.0, -0.0], [(0.0, 3), (1.0, 1)]),
+        ([2 ** 53 + 1, 2.0 ** 53, 3], [(3, 1), (2.0 ** 53, 1), (2 ** 53 + 1, 1)]),
+        ([2.0 ** 53, 2 ** 53, 2 ** 53 + 1], [(2.0 ** 53, 2), (2 ** 53 + 1, 1)]),
+        ([2 ** 53, 2.0 ** 53, 2 ** 53 + 1], [(2 ** 53, 2), (2 ** 53 + 1, 1)]),
+    ])
+    def test_runs_report_first_inserted_value(self, values, runs):
+        ms = OrderedMultiset(values)
+        lo, hi = min(values), max(values)
+        for got in (list(ms.items()), list(ms.items_between(lo, hi))):
+            assert got == runs
+            assert [repr(v) for v, _ in got] == [repr(v) for v, _ in runs]
 
     def test_items_between(self):
         ms = OrderedMultiset([1, 2, 2, 3, 5, 8])

@@ -331,7 +331,7 @@ class TestGlobalNull:
         single = -math.log(
             max(global_null_pvalue(control, [arm], 0.5, 0.758), 1e-300)
         )
-        triple = global_null_pvalue(control, [arm.copy(), arm.copy(), arm.copy()], 0.5, 0.758)
+        triple = global_null_pvalue(control, [OrderedMultiset(arm) for _ in range(3)], 0.5, 0.758)
         if triple < 1.0:
             assert -math.log(triple / 3.0) == pytest.approx(single, rel=1e-9)
 

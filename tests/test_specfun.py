@@ -2,7 +2,7 @@
 
 Each routine is compared against an independent implementation: mpmath
 arbitrary-precision evaluation (and adaptive quadrature for the incomplete
-beta), scipy's Lambert W, and closed forms.
+beta) and closed forms.
 """
 
 import math
@@ -18,7 +18,6 @@ from seqquant.specfun import (
     bisection,
     expit,
     golden_section_min,
-    lambert_wm1,
     log_betainc,
     logit,
     zeta,
@@ -38,25 +37,6 @@ class TestZeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             zeta(1.0)
-
-
-class TestLambertW:
-    def test_against_scipy(self):
-        for x in (-1 / math.e + 1e-6, -0.1, -0.01, -1e-3, -1e-6, -1e-12):
-            expect = float(special.lambertw(x, k=-1).real)
-            assert lambert_wm1(x) == pytest.approx(expect, abs=1e-10)
-
-    def test_defining_equation(self):
-        x = -9.19699e-4
-        z = lambert_wm1(x)
-        assert z * math.exp(z) == pytest.approx(x, rel=1e-10)
-        assert z < -1
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lambert_wm1(0.1)
-        with pytest.raises(DomainError):
-            lambert_wm1(-1.0)
 
 
 def _log_betainc_quad(a, b, x):
