@@ -68,6 +68,14 @@ GOLDEN_CASES = {
                          "--delta", "0.2", "--cs-kinds",
                          "stitched_qlucb,beta_binomial_one_sided,dkw_union_baseline",
                          "--runs", "2", "--k-arms", "3", "--seed", "7"],
+    # pin the simulated test-versus-naive comparison on two scenarios, and the
+    # JSON encoding of rows written one at a time
+    **{f"abtest_simulate_{scenario}.csv": ["abtest", "--simulate", "--scenario", scenario,
+                                           "--p", "0.5", "--eps", "0.05", "--runs", "2",
+                                           "--max-pairs", "400", "--seed", "7"]
+       for scenario in ("uniform_shift", "cauchy_shift")},
+    "track.json": ["track", str(FIXTURES / "stream10.txt"), "--p", "0.5",
+                   "--method", "stitched_simple", "--intersect", "--format", "json"],
     # pin the band export past 1000 rows, on continuous data and on the same
     # values rounded to 0.1 (ties, with -0.0 and 0.0 in one run), in both formats
     **{f"band_{name}.{fmt}": ["band", str(FIXTURES / fixture), "--checkpoints", "1,10,100,1100",
