@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _check_alpha(alpha: float) -> None:
@@ -202,10 +203,15 @@ def stitched_radius(t, p: float, cfg: StitchConfig):
     t_arr, scalar = _times(t)
     tm = np.maximum(t_arr, cfg.m_start)
     z = zeta(cfg.s_exp)
-    const = math.log(2.0 * z / (cfg.alpha * math.log(cfg.eta) ** cfg.s_exp))
+    try:
+        const = math.log(2.0 * z / (cfg.alpha * math.log(cfg.eta) ** cfg.s_exp))
+    except (OverflowError, ZeroDivisionError):
+        const = math.inf
+    if const == math.inf:  # alpha log^s(eta) leaves the normal floats: add the logs
+        const = math.log(2.0 * z) - math.log(cfg.alpha) - cfg.s_exp * math.log(math.log(cfg.eta))
     ell = cfg.s_exp * np.log(np.log(cfg.eta * tm / cfg.m_start)) + const
-    if np.any(ell < 0.0):
-        raise NumericalError("stitched boundary log term is negative for this configuration")
+    if not np.all((0.0 <= ell) & (ell < 1e150)):  # below 1e150, ell ** 2 is finite
+        raise NumericalError("stitched log term is outside [0, 1e150) for this configuration")
     cp = (1.0 - 2.0 * p) / 3.0
     s_val = np.sqrt(cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2)
     s_val += cp * cfg.k2 * ell
@@ -422,7 +428,9 @@ def tuning_denominator(alpha: float, form: str = "approx") -> float:
     """
     _check_alpha(alpha)
     if form == "approx":
-        return 2.0 * math.log(1.0 / alpha) + math.log(math.log(math.e / alpha ** 2))
+        # log(e / alpha^2) = 1 - 2 log(alpha), taken as such where alpha^2 is not a normal float
+        log_arg = math.log(math.e / alpha ** 2) if alpha ** 2 >= _TINY else 1 - 2 * math.log(alpha)
+        return 2.0 * math.log(1.0 / alpha) + math.log(log_arg)
     if form == "lambert":
         return -float(lambertw(-(alpha ** 2) / math.e, k=-1).real) - 1.0
     raise ConfigurationError(f"unknown tuning form {form!r}")
@@ -452,7 +460,10 @@ def normal_mixture_radius(t, r: float, alpha: float = 0.05):
     _check_r(r)
     _check_alpha(alpha)
     t_arr, scalar = _times(t)
-    out = np.sqrt((t_arr + r) / t_arr ** 2 * np.log((t_arr + r) / (alpha ** 2 * r)))
+    scale = alpha ** 2 * r  # where it is not a normal float the log is taken as a sum
+    log_term = (np.log((t_arr + r) / scale) if scale >= _TINY
+                else np.log(t_arr + r) - math.log(r) - 2.0 * math.log(alpha))
+    out = np.sqrt((t_arr + r) / t_arr ** 2 * log_term)
     return _ret(out, scalar)
 
 
@@ -476,11 +487,12 @@ def lil_alpha(a_mult: float, c_add: float) -> float:
         raise ConfigurationError(f"a_mult must exceed 1/sqrt(2), got {a_mult}")
     if not 0.0 < c_add < math.inf:
         raise ConfigurationError(f"c_add must be positive, got {c_add}")
-    eta_hi = 2.0 * a_mult ** 2 - 1e-6
+    # past A = 1e150 eta searches (1, 1e300), within (1, 2A^2): alpha only grows
+    eta_hi = 2.0 * a_mult ** 2 - 1e-6 if a_mult < 1e150 else 1e300
     eta_lo = 1.0 + 1e-6
     if eta_hi <= eta_lo:
         return math.inf
-    grid = np.exp(np.linspace(math.log(eta_lo), math.log(eta_hi), 512))
+    grid = np.exp(np.linspace(math.log(eta_lo), math.log(eta_hi), 512)).tolist()
     vals = np.array([_lil_objective(e, a_mult, c_add) for e in grid])
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):

@@ -18,6 +18,7 @@ import os
 import secrets
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -104,13 +105,10 @@ class Emitter:
             out.write(",".join(columns) + "\n")
 
     def row(self, *cells) -> None:
-        if self.fmt == "csv":
-            self.out.write(",".join(map(_fmt_cell, cells)) + "\n")
-        else:
-            self._rows.append(list(map(_json_cell, cells)))
+        self.rows((cells,))
 
     def rows(self, batch) -> None:
-        """Write a batch of rows, as `row` writes each: one write in CSV, one extend in JSON."""
+        """Write a batch of rows: one write in CSV, one extend in JSON."""
         if self.fmt == "csv":
             self.out.write("".join([",".join(map(_fmt_cell, cells)) + "\n" for cells in batch]))
         else:
@@ -162,12 +160,12 @@ def _output(path):
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
-    if text.strip() == "":
-        return []
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"could not parse {what} list {text!r}: {exc}") from None
+    if not values:
+        raise UsageError(f"{what} list {text!r} is empty")
     if not all(map(math.isfinite, values)):
         raise UsageError(f"{what} list {text!r} holds a non-finite value")
     return values
@@ -178,6 +176,17 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     if not all(v.is_integer() for v in values):
         raise UsageError(f"{what} list {text!r} holds a value that is not an integer")
     return [int(v) for v in values]
+
+
+def _parse_names(text: str, what: str, valid) -> list[str]:
+    """The non-empty list of comma-separated names, each one of `valid`."""
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise UsageError(f"{what} list {text!r} is empty")
+    for name in names:
+        if name not in valid:
+            raise UsageError(f"unknown {what} {name!r}; valid {what}s: {', '.join(valid)}")
+    return names
 
 
 def _open_text(path: str):
@@ -194,38 +203,26 @@ def _utf8(text: str) -> bool:
     return True
 
 
-def _input_lines(path):
-    """The input handle: `path` opened as `_open_text` does, or stdin for None or "-".
+@contextmanager
+def _input(path):
+    """The input: `path` opened as `_open_text` does and closed on exit, or stdin, left open.
 
-    Standard input is switched to the same decoding when it is a text
-    stream that can be reconfigured; a stand-in without `reconfigure` is
-    iterated as it is.
+    Stdin (for None or "-") is switched to the same decoding when it can be
+    reconfigured.  Opened before the output, an unreadable input fails
+    before anything is written.
     """
     if path in (None, "-"):
         reconfigure = getattr(sys.stdin, "reconfigure", None)
         if reconfigure is not None:
             reconfigure(encoding="utf-8", errors="surrogateescape")
-        return sys.stdin
+        yield sys.stdin
+        return
     try:
-        return _open_text(path)
+        handle = _open_text(path)
     except OSError as exc:
         raise IngestError(f"cannot read input {path!r}: {exc.strerror or exc}") from None
-
-
-@contextmanager
-def _streams(args):
-    """The input handle and the output stream, opened in that order and closed on exit.
-
-    Opening the input first means an unreadable input fails before any
-    output, header included, is written.
-    """
-    handle = _input_lines(args.input)
-    try:
-        with _output(args.out) as out:
-            yield handle, out
-    finally:
-        if handle is not sys.stdin:
-            handle.close()
+    with handle:
+        yield handle
 
 
 def finite_float(text: str) -> float:
@@ -394,11 +391,8 @@ def _radius(method: str, p: float, alpha: float, tune_m: float, stitch, r: float
 
 
 def cmd_bounds(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in BOUNDS_METHODS:
-            raise UsageError(f"unknown method {m!r}; valid methods: {', '.join(BOUNDS_METHODS)}")
-    p_list = _parse_float_list(args.p, "p") or [0.5]
+    methods = _parse_names(args.methods, "method", BOUNDS_METHODS)
+    p_list = _parse_float_list(args.p, "p")
     for p in p_list:
         _check_level(p)
     t_list = _parse_int_list(args.t, "t")
@@ -417,8 +411,7 @@ def cmd_bounds(args) -> int:
                     rows.append((t, p, method, rad, rad * math.sqrt(t)))
         emitter = Emitter(out, args.format, ["t", "p", "method", "radius", "radius_times_sqrt_t"],
                           meta)
-        for row in rows:
-            emitter.row(*row)
+        emitter.rows(rows)
         emitter.close()
     return 0
 
@@ -433,22 +426,21 @@ def cmd_track(args) -> int:
     stitch = partial(StitchConfig, eta=args.eta, s_exp=args.s_exp, m_start=args.m,
                      alpha=args.alpha)
     radius, r = _radius(args.method, args.p, args.alpha, args.tune_m, stitch, args.r)
-    cs = confseq.FixedQuantileCS(args.p, radius, intersect=args.intersect)
+    cs = confseq.FixedQuantileCS(args.p, radius)
     columns = ["t", "x", "lower", "upper", "point_estimate"]
     if args.intersect:
         columns.append("empty")
     meta = {"p": args.p, "method": args.method, "alpha": args.alpha}
     if args.method == "beta_binomial":
         meta["r"] = r
-    with _streams(args) as (handle, out):
+    with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, columns, meta)
         for _, x in _numeric_stream(handle):
             lo, hi = cs.update(x)
-            cells = [len(cs.data), x, lo, hi, cs.point_estimate()]
+            empty = ()
             if args.intersect:
-                ilo, ihi, empty = cs.intersected_bounds()
-                cells = [len(cs.data), x, ilo, ihi, cs.point_estimate(), empty]
-            emitter.row(*cells)
+                lo, hi, *empty = cs.intersected_bounds()
+            emitter.row(len(cs.data), x, lo, hi, cs.point_estimate(), *empty)
         emitter.close()
     return 0
 
@@ -460,9 +452,11 @@ def cmd_track(args) -> int:
 
 def cmd_band(args) -> int:
     checkpoints = sorted(set(_parse_int_list(args.checkpoints, "checkpoints")))
+    if checkpoints[-1] < 1:
+        raise UsageError(f"--checkpoints needs a time >= 1, got {args.checkpoints!r}")
     band = confseq.CdfBand(a_mult=args.a_mult, alpha=args.alpha, m_start=args.m)
     meta = {"alpha": args.alpha, "A": args.a_mult, "m": args.m, "C": band.method.c_add}
-    with _streams(args) as (handle, out):
+    with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, ["t", "x", "ecdf", "lo", "hi"], meta)
         remaining = list(checkpoints)
         for _, x in _numeric_stream(handle):
@@ -496,7 +490,7 @@ def cmd_abtest(args) -> int:
     # as their labels appear
     arms = [state.arm1] if global_null else [state.arm1, state.arm2]
     running_min = 1.0
-    with _streams(args) as (handle, out):
+    with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, ["t", "stat", "pvalue", "reject"], meta)
         stream = _arm_stream(handle, math.inf if global_null else 2)
         for t, (_, arm, value) in enumerate(stream, start=1):
@@ -531,8 +525,7 @@ def _abtest_simulate(args) -> int:
              "capped_test", "capped_naive"],
             meta,
         )
-        emitter.row(row.scenario, row.pi, row.runs, row.mean_t_test, row.mean_t_naive,
-                    row.ratio, row.capped_test, row.capped_naive)
+        emitter.row(*astuple(row))
         emitter.close()
     return 0
 
@@ -551,7 +544,7 @@ def cmd_ks(args) -> int:
     if not paired:
         meta["ref"] = args.ref
     latched = False
-    with _streams(args) as (handle, out):
+    with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, ["t", "stat", "threshold", "reject"], meta)
         if paired:
             stream = _arm_stream(handle, 2)
@@ -579,13 +572,7 @@ def cmd_ks(args) -> int:
 def cmd_bai(args) -> int:
     seed = _resolve_seed(args)
     pi_list = _parse_float_list(args.pi, "pi")
-    kinds = [k.strip() for k in args.cs_kinds.split(",") if k.strip()]
-    for k in kinds:
-        if k not in bandit.CS_KINDS:
-            raise UsageError(f"unknown cs kind {k!r}; valid: {', '.join(bandit.CS_KINDS)}")
-    if args.scenario not in bandit.SCENARIOS:
-        raise UsageError(f"unknown scenario {args.scenario!r}; valid: "
-                         f"{', '.join(bandit.SCENARIOS)}")
+    kinds = _parse_names(args.cs_kinds, "cs kind", bandit.CS_KINDS)
     meta = {"scenario": args.scenario, "eps": args.eps, "delta": args.delta,
             "runs": args.runs, "K": args.k_arms, "seed": seed}
     with _output(args.out) as out:
@@ -600,9 +587,7 @@ def cmd_bai(args) -> int:
              "capped"],
             meta,
         )
-        for row in rows:
-            emitter.row(row.scenario, row.pi, row.cs_kind, row.runs, row.mean_samples,
-                        row.median_samples, row.correct_rate, row.capped_runs)
+        emitter.rows(map(astuple, rows))
         emitter.close()
     return 0
 
@@ -681,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--running-min", dest="running_min", action="store_true")
     ab.add_argument("--simulate", action="store_true",
                     help="run the test-vs-naive stopping comparison instead of ingesting data")
-    ab.add_argument("--scenario", default="uniform_shift")
+    ab.add_argument("--scenario", default="uniform_shift", choices=bandit.SCENARIOS)
     ab.add_argument("--eps", type=finite_float, default=0.025)
     ab.add_argument("--runs", type=int, default=32)
     ab.add_argument("--max-pairs", dest="max_pairs", type=int, default=200_000)
@@ -702,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     ks.set_defaults(func=cmd_ks)
 
     ba = sub.add_parser("bai", help="quantile best-arm identification benchmark")
-    ba.add_argument("--scenario", default="uniform_shift")
+    ba.add_argument("--scenario", default="uniform_shift", choices=bandit.SCENARIOS)
     ba.add_argument("--pi", default="0.05,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95")
     ba.add_argument("--eps", type=finite_float, default=0.025)
     ba.add_argument("--delta", type=finite_float, default=0.05)

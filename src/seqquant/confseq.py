@@ -27,7 +27,7 @@ import numpy as np
 from . import boundaries
 from .boundaries import RadiusSchedule
 from .empdist import OrderedMultiset, lower_ranks, upper_ranks
-from .errors import ConfigurationError, StateError
+from .errors import ConfigurationError
 
 __all__ = [
     "rank_schedules",
@@ -63,15 +63,15 @@ class FixedQuantileCS:
     the upper endpoint the lower sample quantile at p + radius(t, p); the two
     sides use the radius at mirrored levels because the underlying centered
     process has increments in [-p, 1-p].  Their ranks come from
-    `rank_schedules`.
+    `rank_schedules`.  The running intersection of all bounds so far is
+    kept as well, for `intersected_bounds`.
     """
 
-    def __init__(self, p: float, method, intersect: bool = False):
+    def __init__(self, p: float, method):
         if not 0.0 < p < 1.0:
             raise ConfigurationError(f"p must lie in (0, 1), got {p}")
         self.p = p
         self.method = method
-        self.intersect = intersect
         self._lower_rank, self._upper_rank = rank_schedules(
             p, lambda t: method(t, 1.0 - p), p, lambda t: method(t, p))
         self.data = OrderedMultiset()
@@ -82,11 +82,10 @@ class FixedQuantileCS:
         """Ingest one observation and return the instantaneous bounds."""
         self.data.insert(x)
         lo, hi = self.bounds()
-        if self.intersect:
-            if self._run_lower < lo:
-                self._run_lower = lo
-            if hi < self._run_upper:
-                self._run_upper = hi
+        if self._run_lower < lo:
+            self._run_lower = lo
+        if hi < self._run_upper:
+            self._run_upper = hi
         return lo, hi
 
     def bounds(self) -> tuple[float, float]:
@@ -98,8 +97,6 @@ class FixedQuantileCS:
 
     def intersected_bounds(self) -> tuple[float, float, bool]:
         """Running intersection; the empty flag is evidence of violated assumptions."""
-        if not self.intersect:
-            raise StateError("intersected bounds require the tracker's intersect flag")
         empty = self._run_lower > self._run_upper
         return self._run_lower, self._run_upper, empty
 

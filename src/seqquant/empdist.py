@@ -63,6 +63,9 @@ def _rounded_products(t, levels, rounding, scalar_rule) -> np.ndarray:
     with the scalar rule; the rest are exact already.
     """
     t, levels = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(levels, dtype=float))
+    # a rank outside int64 lies past every order statistic: store the rank at -inf or inf
+    outside = (t * levels < -2.0 ** 63) | (t * levels >= 2.0 ** 63)
+    levels = np.where(outside, np.copysign(math.inf, levels), levels)
     product = t * levels
     rounded = rounding(product)
     redo = np.flatnonzero(~np.isfinite(product) | (rounded == product))

@@ -60,13 +60,6 @@ def _pvalue(stat: float, k: int = 1) -> float:
     return min(1.0, k * math.exp(-stat))
 
 
-def _check_mixture_params(p: float, r: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 < r < math.inf:
-        raise ConfigurationError(f"r must be positive, got {r}")
-
-
 def _astar(n, p: float, r: float) -> np.ndarray:
     """a* at each count of the array n: the argmin of log M_{p,r}((a-p)n, p(1-p)n) over [0, 1].
 
@@ -97,7 +90,7 @@ class GEvaluator:
     """
 
     def __init__(self, arm: OrderedMultiset, p: float, r: float):
-        _check_mixture_params(p, r)
+        boundaries._check_mixture(p, r)
         self.arm = arm
         self.p = p
         self.r = r
@@ -240,9 +233,8 @@ class AbTestState:
     """
 
     def __init__(self, p: float, r: float, delta_star: float = 0.0, alpha: float = 0.05):
-        _check_mixture_params(p, r)
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+        boundaries._check_mixture(p, r)
+        boundaries._check_alpha(alpha)
         if not math.isfinite(delta_star):
             raise ConfigurationError(f"delta_star must be finite, got {delta_star}")
         self.p = p
@@ -305,7 +297,7 @@ def global_null_result(
         raise ValueError("global null requires at least one treatment arm")
     if len(control) == 0 or any(len(a) == 0 for a in treatments):
         raise StateError("all arms need at least one observation")
-    _check_mixture_params(p, r)
+    boundaries._check_mixture(p, r)
     c = _snapshot(control)
     best = max(_sorted_one_sided_stat(c, _snapshot(arm), p, r, 0.0) for arm in treatments)
     pval = _pvalue(best, len(treatments))
@@ -354,8 +346,7 @@ class KsTestState:
             raise ConfigurationError(f"mode must be one of {self.MODES}, got {mode!r}")
         if mode == "one_sample" and f0 is None:
             raise ConfigurationError("one_sample mode requires a reference CDF f0")
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+        boundaries._check_alpha(alpha)
         self.mode = mode
         self.f0 = f0
         self.lil = LilMethod(a_mult=a_mult, alpha=alpha / 2.0 if mode == "two_sample" else alpha,
@@ -484,10 +475,8 @@ def ab_vs_naive_benchmark(
     capped_test = capped_naive = 0
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        u1 = (rng.integers(1, 1 << 53, size=max_pairs) / float(1 << 53))
-        u2 = (rng.integers(1, 1 << 53, size=max_pairs) / float(1 << 53))
-        x1_all = arms[0].quantile(u1)
-        x2_all = arms[1].quantile(u2)
+        x1_all = arms[0].sample(rng, max_pairs)
+        x2_all = arms[1].sample(rng, max_pairs)
         stop_test = stop_naive = None
         for n, a_star, k_lo, k_hi in zip(schedule, astars, naive_lo_ranks, naive_hi_ranks):
             x1 = np.sort(x1_all[:n])

@@ -42,6 +42,8 @@ def zeta(s: float) -> float:
     """
     if s <= 1.0:
         raise DomainError(f"zeta requires s > 1, got {s}")
+    if s > 64.0:
+        return 1.0  # zeta(s) - 1 < 2**-63, so 1.0 is the nearest float
     n = 24
     head = sum(k ** -s for k in range(1, n))
     tail = (

@@ -39,7 +39,7 @@ from seqquant.boundaries import (
     tune_r,
     tuning_denominator,
 )
-from seqquant.errors import ConfigurationError, DomainError, TuningError
+from seqquant.errors import ConfigurationError, DomainError, NumericalError, TuningError
 from seqquant.specfun import expit, logit, zeta
 
 mp.mp.dps = 40
@@ -85,6 +85,17 @@ class TestStitched:
             StitchConfig(eta=2.0, s_exp=1.4, m_start=0.5)
         with pytest.raises(ConfigurationError):
             StitchConfig(eta=2.0, s_exp=1.4, alpha=1.5)
+
+    def test_constant_where_log_eta_power_leaves_the_floats(self):
+        # log(10) ** 1000 overflows: the constant is summed in logs
+        cfg = StitchConfig(eta=10.0, s_exp=1000.0, alpha=0.05)
+        t = 1000.0
+        ell = 1000 * math.log(math.log(10 * t) / math.log(10)) + math.log(2 / 0.05)
+        expected = math.sqrt(cfg.k1 ** 2 * 0.25 * t * ell) / t
+        assert stitched_radius(t, 0.5, cfg) == pytest.approx(expected, rel=1e-9)
+        # log(2.04) ** 1e300 underflows, and ell ** 2 would overflow
+        with pytest.raises(NumericalError, match="outside"):
+            stitched_radius(2.0, 0.5, StitchConfig(eta=2.04, s_exp=1e300))
 
     def test_vectorized(self):
         ts = np.array([10, 100, 1000])
@@ -293,6 +304,13 @@ class TestTuning:
         with pytest.raises(TuningError, match="increase m_target"):
             tune_r(2, 0.5, 0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-200, 1e-300])
+    def test_denominator_where_alpha_squared_is_not_normal(self, alpha):
+        # log(e / alpha^2) is taken as 1 - 2 log(alpha)
+        expected = 2 * math.log(1 / alpha) + math.log(1 - 2 * math.log(alpha))
+        assert tuning_denominator(alpha) == pytest.approx(expected, rel=1e-12)
+        assert tune_r(1e10, 0.5, alpha) > 0
+
 
 class TestNormalMixture:
     def test_reference_value(self):
@@ -308,6 +326,14 @@ class TestNormalMixture:
     def test_monotone_in_inverse_alpha(self):
         assert normal_mixture_radius(100, 0.5, 0.01) > normal_mixture_radius(100, 0.5, 0.2)
 
+    @pytest.mark.parametrize("alpha, r", [(1e-200, 1.0), (0.05, 1e-320), (1e-300, 1e-10)])
+    def test_tiny_alpha_squared_r(self, alpha, r):
+        # where alpha^2 r is not a normal float, log((t + r) / (alpha^2 r)) is a sum of logs
+        t = np.array([1.0, 10.0, 1e6])
+        expected = np.sqrt((t + r) / t ** 2 * (np.log(t + r) - math.log(r) - 2 * math.log(alpha)))
+        np.testing.assert_allclose(normal_mixture_radius(t, r, alpha), expected, rtol=1e-14)
+        assert normal_mixture_radius(10.0, r, alpha) == normal_mixture_radius(t, r, alpha)[1]
+
 
 class TestLil:
     def test_envelope(self):
@@ -322,6 +348,11 @@ class TestLil:
 
     def test_lil_c_value(self):
         assert lil_C(0.85, 0.05) == pytest.approx(8.12, abs=0.05)
+
+    def test_huge_a(self):
+        # 2 A^2 overflows; eta is searched in (1, 1e300) and every C is feasible
+        assert lil_alpha(1e300, 1.0) == 0.0
+        assert 0.0 < lil_C(1e300, 0.05) < 1e-8
 
     def test_closed_form(self):
         assert lil_C_closed_form(0.05) == pytest.approx(8.305, abs=0.01)

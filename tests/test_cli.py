@@ -114,11 +114,10 @@ class TestBounds:
         echo = [l for l in out.splitlines() if l.startswith("# r[p=0.5]=")][0]
         assert float(echo.split("=")[-1]) == pytest.approx(0.758, abs=1e-3)
 
-    def test_empty_t_grid_header_only(self):
-        rc, out, _ = run_cli(["bounds", "--methods", "dkw_fixed", "--t", ""])
-        assert rc == 0
-        lines = [l for l in out.splitlines() if not l.startswith("#")]
-        assert lines == ["t,p,method,radius,radius_times_sqrt_t"]
+    def test_empty_t_grid_is_usage_error(self):
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", ""])
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage error: t list '' is empty"), err
 
     def test_unknown_method_is_usage_error(self):
         rc, _, err = run_cli(["bounds", "--methods", "nonsense", "--t", "100"])

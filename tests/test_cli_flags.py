@@ -90,6 +90,12 @@ OVERRIDDEN = {
 
 NON_FINITE = ("nan", "inf", "-inf")
 
+
+def _id(argv) -> str:
+    """A test id: the invocation with each fixture shown by its file name."""
+    return " ".join(Path(a).name if a.startswith(str(FIXTURES)) else a for a in argv)
+
+
 CASES = [
     pytest.param(argv + [f"{flag}={value}"], id=f"{command} {flag}={value} #{i}")
     for table in (FLOAT_FLAGS, LIST_FLAGS)
@@ -125,6 +131,42 @@ CASES = [
     # an integer list holds integers; 1e6 is one, 1.5 is not
     pytest.param(["bounds", "--methods", "dkw_fixed", "--t", "1.5,10"], id="bounds --t 1.5,10"),
     pytest.param(["band", STREAM, "--checkpoints=2.6"], id="band --checkpoints=2.6"),
+] + [
+    # a scenario is one of bandit.SCENARIOS, also where the command does not read it
+    pytest.param(argv + ["--scenario", "nope"], id=_id(argv + ["--scenario", "nope"]))
+    for argv in (["abtest", AB], SIMULATE, BAI)
+] + [
+    # a list holds at least one element, and --checkpoints at least one time >= 1
+    pytest.param(argv, id=_id(argv))
+    for argv in (["bai", "--pi=", "--runs", "1", "--k-arms", "2"], BAI + ["--cs-kinds", ","],
+                 ["bounds", "--methods", ",", "--t", "10"],
+                 ["bounds", "--methods", "dkw_fixed", "--t="],
+                 ["band", STREAM, "--checkpoints=0,-4"])
+]
+
+# flag values at numeric extremes: each invocation exits 0 with a vacuous
+# bound, or exits 2 or 4 with nothing on stdout, and never raises
+EXTREMES = [
+    # alpha ** 2 underflows
+    *[["bounds", "--methods", m, "--t", "10", *extra] for m in ("beta_binomial", "normal_mixture")
+      for extra in (["--alpha", "1e-200"], ["--alpha", "1e-300", "--tune-m", "1e10"])],
+    *[["track", STREAM, "--p", "0.5", "--method", m, "--alpha", "1e-200"]
+      for m in ("beta_binomial", "normal_mixture")],
+    ["track", STREAM, "--p", "0.5", "--method", "normal_mixture", "--alpha", "1e-200", "--r", "1"],
+    *[["abtest", AB3 if mode == "global" else AB, "--mode", mode, "--alpha", "1e-300"]
+      for mode in ("two_sided", "one_sided", "global")],
+    BAI + ["--delta", "1e-300"],
+    ["abtest", "--simulate", "--runs", "1", "--max-pairs", "20", "--alpha", "1e-300"],
+    # order-statistic ranks past int64
+    *[["track", STREAM, "--p", "0.5", "--method", m, flag, "1e300"]
+      for m, flag in (("stitched", "--m"), ("beta_binomial", "--r"), ("normal_mixture", "--r"))],
+    # 2 A ** 2 overflows
+    ["band", STREAM, "--checkpoints", "5", "--A", "1e300"],
+    ["ks", KS, "--A", "1e300"],
+    ["ks", STREAM, "--mode", "one_sample", "--A", "1e300"],
+    # the stitched constant log(eta) ** s_exp underflows or overflows
+    ["track", STREAM, "--p", "0.5", "--method", "stitched", "--s-exp", "1e300"],
+    ["track", STREAM, "--p", "0.5", "--method", "stitched", "--eta", "10", "--s-exp", "1000"],
 ]
 
 
@@ -158,6 +200,16 @@ def test_bad_value_is_usage_error_without_output(argv):
     rc, out, err = run_cli(argv)
     assert (rc, out) == (2, ""), err
     assert err.startswith("usage error:"), err
+
+
+@pytest.mark.parametrize("argv", EXTREMES, ids=map(_id, EXTREMES))
+def test_extreme_value_exits_cleanly(argv):
+    # RuntimeWarnings are errors in this suite, so a warning fails the run too
+    rc, out, err = run_cli(argv)
+    assert rc == 0 or (rc in (2, 4) and out == ""), (rc, out, err)
+    if rc == 0 and argv[0] == "track":
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+        assert {(row[2], row[3]) for row in rows} == {("-inf", "inf")}, out
 
 
 def test_negative_seed_from_environment_is_usage_error(monkeypatch):

@@ -24,7 +24,7 @@ from seqquant.boundaries import (
 )
 from seqquant.confseq import CdfBand, FixedQuantileCS, LilMethod, QuantileUniformCS
 from seqquant.empdist import _level_ceil, _level_floor
-from seqquant.errors import ConfigurationError, StateError
+from seqquant.errors import ConfigurationError
 
 
 class TestFixedQuantileCS:
@@ -72,7 +72,7 @@ class TestFixedQuantileCS:
 
 class TestIntersection:
     def test_single_step_matches_instantaneous(self):
-        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05), intersect=True)
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         cs.update(1.0)
         lo, hi, empty = cs.intersected_bounds()
         assert (lo, hi) == cs.bounds()
@@ -80,7 +80,7 @@ class TestIntersection:
 
     def test_contained_in_instantaneous(self):
         rng = np.random.default_rng(11)
-        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05), intersect=True)
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         for x in rng.normal(size=800):
             lo, hi = cs.update(float(x))
             ilo, ihi, _ = cs.intersected_bounds()
@@ -89,7 +89,7 @@ class TestIntersection:
 
     def test_empty_flag_fires_iff_crossed(self):
         # adversarial non-i.i.d. stream: 500 zeros then 500 ones
-        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05), intersect=True)
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
         for _ in range(500):
             cs.update(0.0)
         for _ in range(500):
@@ -97,11 +97,15 @@ class TestIntersection:
         lo, hi, empty = cs.intersected_bounds()
         assert empty == (lo > hi)
 
-    def test_requires_flag(self):
+    def test_kept_without_a_flag(self):
+        # every tracker keeps the running max of its lower and min of its upper bounds
+        rng = np.random.default_rng(12)
         cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
-        cs.update(1.0)
-        with pytest.raises(StateError):
-            cs.intersected_bounds()
+        run_lo, run_hi = -math.inf, math.inf
+        for x in rng.normal(size=300):
+            lo, hi = cs.update(float(x))
+            run_lo, run_hi = max(run_lo, lo), min(run_hi, hi)
+            assert cs.intersected_bounds() == (run_lo, run_hi, run_lo > run_hi)
 
     @pytest.mark.parametrize("method", [
         partial(stitched_radius_simple, alpha=1.5),

@@ -304,6 +304,14 @@ class TestRankArrays:
         assert upper_ranks([5, 5], [-np.inf, np.inf]).tolist() == [0, 6]
         assert lower_ranks([5, 5], [-np.inf, np.inf]).tolist() == [0, 6]
 
+    def test_ranks_past_int64_are_the_ranks_at_infinite_levels(self):
+        t = [10, 10, 10, 10]
+        levels = [1e300, -1e300, 1e18, math.inf]
+        assert upper_ranks(t, levels).tolist() == [11, 0, 11, 11]
+        assert lower_ranks(t, levels).tolist() == [11, 0, 11, 11]
+        # products inside the int64 range keep the scalar rule's ranks
+        self._assert_equal_to_scalar([1, 1, 3], [2.0 ** 63 - 1024, -2.0 ** 63, -1e18])
+
     def test_nan_level_raises_like_the_scalar_rule(self):
         for rule in (upper_ranks, lower_ranks):
             with pytest.raises(ValueError, match="NaN"):

@@ -15,7 +15,7 @@ from seqquant.boundaries import (
     tune_r,
 )
 from seqquant.empdist import OrderedMultiset
-from seqquant.errors import PairingError, StateError
+from seqquant.errors import ConfigurationError, DomainError, PairingError, StateError
 from seqquant.seqtest import (
     AbTestState,
     GEvaluator,
@@ -557,3 +557,32 @@ class TestGlobalNullResult:
         if res.pvalue < 1.0:
             assert res.pvalue == pytest.approx(2 * math.exp(-res.stat))
         assert res.reject == (res.pvalue <= 0.05)
+
+
+class TestParameterChecks:
+    """p and r are checked by `boundaries`, as the mixture functions check them."""
+
+    @pytest.mark.parametrize("build", [
+        lambda p, r: AbTestState(p, r),
+        lambda p, r: GEvaluator(OrderedMultiset([1.0]), p, r),
+        lambda p, r: global_null_pvalue(OrderedMultiset([1.0]), [OrderedMultiset([2.0])], p, r),
+    ])
+    def test_level_outside_the_unit_interval_is_a_domain_error(self, build):
+        with pytest.raises(DomainError):
+            build(1.5, 1.0)
+        with pytest.raises(DomainError):
+            beta_binomial_log_mixture(0.0, 1.0, 1.5, 1.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf])
+    def test_bad_r_is_a_configuration_error(self, r):
+        with pytest.raises(ConfigurationError):
+            AbTestState(0.5, r)
+        with pytest.raises(ConfigurationError):
+            GEvaluator(OrderedMultiset(), 0.5, r)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+    def test_bad_alpha_is_a_configuration_error(self, alpha):
+        with pytest.raises(ConfigurationError):
+            AbTestState(0.5, 1.0, alpha=alpha)
+        with pytest.raises(ConfigurationError):
+            KsTestState("two_sample", alpha=alpha)

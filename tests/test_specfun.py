@@ -38,6 +38,11 @@ class TestZeta:
         with pytest.raises(DomainError):
             zeta(1.0)
 
+    @pytest.mark.parametrize("s", [54.0, 64.0, 64.5, 1e62, 1e300])
+    def test_large_s_is_one(self, s):
+        # zeta(s) - 1 is below half an ulp of 1.0, on both sides of the s = 64 cutoff
+        assert zeta(s) == 1.0 == float(mp.zeta(min(s, 1e6)))
+
 
 def _log_betainc_quad(a, b, x):
     """Adaptive-quadrature oracle for log I_x(a, b) (moderate shapes)."""
