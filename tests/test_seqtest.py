@@ -570,8 +570,6 @@ class TestParameterChecks:
     def test_level_outside_the_unit_interval_is_a_domain_error(self, build):
         with pytest.raises(DomainError):
             build(1.5, 1.0)
-        with pytest.raises(DomainError):
-            beta_binomial_log_mixture(0.0, 1.0, 1.5, 1.0)
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.inf])
     def test_bad_r_is_a_configuration_error(self, r):
