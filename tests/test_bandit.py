@@ -9,6 +9,7 @@ import pytest
 from seqquant import bandit
 from seqquant.bandit import (
     QlucbConfig,
+    RunResult,
     bai_benchmark,
     cauchy_arm,
     custom_arm,
@@ -179,6 +180,30 @@ class TestQlucbRun:
         res = qlucb_run(arms, cfg)
         assert res.chosen_arm == 1
         assert res.eps_optimal is True
+
+    @pytest.mark.parametrize("cs_kind, expected", [
+        ("stitched_qlucb", RunResult(chosen_arm=0, total_samples=149341,
+                                     per_arm_counts=(49551, 50000, 49790), rounds=50000,
+                                     eps_optimal=True, stopped_by_cap=True)),
+        ("dkw_union_baseline", RunResult(chosen_arm=0, total_samples=149184,
+                                         per_arm_counts=(49367, 49998, 49819), rounds=50000,
+                                         eps_optimal=True, stopped_by_cap=True)),
+    ])
+    def test_pinned_run_on_tied_bounds(self, cs_kind, expected):
+        # step quantiles draw ten atoms, so bounds tie across arms and the
+        # pull rule upper[j] == max_other_u picks several arms in a round
+        step = custom_arm(lambda u: np.floor(10 * np.asarray(u, dtype=float)) / 10)
+        cfg = QlucbConfig(pi_target=0.5, eps=0.0, cs_kind=cs_kind, k_arms=3,
+                          max_rounds=50_000)
+        assert qlucb_run([step] * 3, cfg, rng=np.random.default_rng(7)) == expected
+
+    def test_pinned_capped_run_on_identical_arms(self):
+        cfg = QlucbConfig(pi_target=0.5, eps=0.0, cs_kind="stitched_qlucb", k_arms=2,
+                          max_rounds=200_000)
+        res = qlucb_run([uniform_arm(0.0, 1.0)] * 2, cfg)
+        assert res == RunResult(chosen_arm=1, total_samples=400000,
+                                per_arm_counts=(200000, 200000), rounds=200000,
+                                eps_optimal=True, stopped_by_cap=True)
 
     def test_mismatched_k_raises(self):
         arms = scenario_arms("uniform_shift", 3, 0.05, 0.5)
