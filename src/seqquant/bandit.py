@@ -9,7 +9,10 @@ per-arm sample counts.  The shifted levels (pi+eps) - l_n and
 (pi-eps) + u_n, and so the ranks of the two order statistics, depend only
 on the per-arm count n, so each configuration keeps the pair of rank
 tables `confseq.rank_schedules` builds, shared across runs in one process.
-A rank outside [1, n] reads -inf or inf, as in every other tracker.
+A run reads each arm's two bounds from two `empdist.RankTracker`s, at
+O(log n) per pull; `qlucb_confidence_bounds` computes the same bounds
+from an `OrderedMultiset` and is their reference.  A rank outside [1, n]
+reads -inf or inf, as in every other tracker.
 
 Reproducibility: all sampling is by quantile transform of uniforms drawn as
 integers in (0, 2^53) / 2^53 from numpy PCG64 generators; per-run streams are
@@ -29,7 +32,7 @@ from scipy.special import ndtri
 
 from . import boundaries, confseq, specfun
 from .boundaries import RadiusSchedule
-from .empdist import OrderedMultiset
+from .empdist import OrderedMultiset, RankTracker
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
@@ -218,7 +221,12 @@ def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
 
 
 def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
-    """(L, U) at the current per-arm count: order statistics at shifted levels."""
+    """(L, U) at the current per-arm count: order statistics at shifted levels.
+
+    The reference for the bounds `qlucb_run` tracks: equal with `==`, which
+    is all the run compares them with, though of a run of equal values
+    (0.0 and -0.0) the two may read different members.
+    """
     n = len(data)
     if n < 1:
         raise DomainError("confidence bounds need at least one observation")
@@ -246,7 +254,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
     lower_schedule, upper_schedule = _schedules(cfg)
     lower_rank, upper_rank = lower_schedule.at, upper_schedule.at
 
-    data = [OrderedMultiset() for _ in range(k_arms)]
+    lower_trackers = [RankTracker() for _ in range(k_arms)]
+    upper_trackers = [RankTracker() for _ in range(k_arms)]
     counts = [0] * k_arms
     lower = [-math.inf] * k_arms
     upper = [math.inf] * k_arms
@@ -255,16 +264,14 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
     def draw(k: int) -> float:
         buf = buffers[k]
         if not buf:
-            buf.extend(arms[k].sample(rng, 256)[::-1])
+            buf.extend(arms[k].sample(rng, 256)[::-1].tolist())
         return buf.pop()
 
     def pull(k: int) -> None:
-        ms = data[k]
-        ms.insert(draw(k))
-        counts[k] += 1
-        n = counts[k]
-        lower[k] = ms.order_stat(lower_rank(n))
-        upper[k] = ms.order_stat(upper_rank(n))
+        x = draw(k)
+        n = counts[k] = counts[k] + 1
+        lower[k] = lower_trackers[k].add(x, lower_rank(n))
+        upper[k] = upper_trackers[k].add(x, upper_rank(n))
 
     for k in range(k_arms):
         pull(k)

@@ -97,6 +97,21 @@ def _ret(arr, scalar):
     return float(arr[0]) if scalar else arr
 
 
+def _log_or_sum(compute, log_sum):
+    """log(compute()) elementwise; where compute() overflows, log_sum(mask) adds the logs.
+
+    Only elements past the float maximum take the sum, so every finite
+    element keeps the bits of the plain log.
+    """
+    with np.errstate(over="ignore"):
+        value = compute()
+    out = np.log(value)
+    over = np.isinf(value)
+    if over.any():
+        out[over] = log_sum(over)
+    return out
+
+
 class RadiusSchedule:
     """The values of one function of t at t = 1, 2, 3, ..., looked up by t.
 
@@ -209,11 +224,17 @@ def stitched_radius(t, p: float, cfg: StitchConfig):
         const = math.inf
     if const == math.inf:  # alpha log^s(eta) leaves the normal floats: add the logs
         const = math.log(2.0 * z) - math.log(cfg.alpha) - cfg.s_exp * math.log(math.log(cfg.eta))
-    ell = cfg.s_exp * np.log(np.log(cfg.eta * tm / cfg.m_start)) + const
+    log_tm = _log_or_sum(lambda: cfg.eta * tm / cfg.m_start,
+                         lambda i: math.log(cfg.eta) + np.log(tm[i] / cfg.m_start))
+    ell = cfg.s_exp * np.log(log_tm) + const
     if not np.all((0.0 <= ell) & (ell < 1e150)):  # below 1e150, ell ** 2 is finite
         raise NumericalError("stitched log term is outside [0, 1e150) for this configuration")
     cp = (1.0 - 2.0 * p) / 3.0
-    s_val = np.sqrt(cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2)
+    with np.errstate(over="ignore"):
+        var = cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2
+    if np.any(np.isinf(var)):
+        raise NumericalError("stitched boundary leaves the float range for this configuration")
+    s_val = np.sqrt(var)
     s_val += cp * cfg.k2 * ell
     return _ret(s_val / t_arr, scalar)
 
@@ -348,6 +369,9 @@ def _mixture_radius(log_mix, t, p: float, r: float, alpha: float):
     _check_mixture(p, r)
     _check_alpha(alpha)
     t_arr, scalar = _times(t)
+    # the largest beta argument the search meets is (r + v) / (p (1 - p))
+    if math.isinf(gammaln(r / (p * (1.0 - p)) + float(np.max(t_arr, initial=0.0)))):
+        raise NumericalError(f"beta-binomial mixture at r={r:g}, p={p:g} leaves the float range")
     v = p * (1.0 - p) * t_arr
     target = math.log(1.0 / alpha)
     s_hi = (r + v) / p * (1.0 - 1e-12)
@@ -461,8 +485,12 @@ def normal_mixture_radius(t, r: float, alpha: float = 0.05):
     _check_alpha(alpha)
     t_arr, scalar = _times(t)
     scale = alpha ** 2 * r  # where it is not a normal float the log is taken as a sum
-    log_term = (np.log((t_arr + r) / scale) if scale >= _TINY
-                else np.log(t_arr + r) - math.log(r) - 2.0 * math.log(alpha))
+
+    def log_sum(num):
+        return np.log(num) - math.log(r) - 2.0 * math.log(alpha)
+
+    log_term = (_log_or_sum(lambda: (t_arr + r) / scale, lambda i: log_sum(t_arr[i] + r))
+                if scale >= _TINY else log_sum(t_arr + r))
     out = np.sqrt((t_arr + r) / t_arr ** 2 * log_term)
     return _ret(out, scalar)
 
@@ -531,7 +559,8 @@ def lil_radius(t, a_mult: float, c_add: float, m_start: float = 1.0):
         raise ConfigurationError(f"m_start must be >= 1, got {m_start}")
     t_arr, scalar = _times(t)
     tm = np.maximum(t_arr, m_start)
-    out = a_mult * np.sqrt((np.log(np.log(math.e * tm / m_start)) + c_add) / t_arr)
+    log_tm = _log_or_sum(lambda: math.e * tm / m_start, lambda i: 1.0 + np.log(tm[i] / m_start))
+    out = a_mult * np.sqrt((np.log(log_tm) + c_add) / t_arr)
     return _ret(out, scalar)
 
 

@@ -68,8 +68,7 @@ class FixedQuantileCS:
     """
 
     def __init__(self, p: float, method):
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"p must lie in (0, 1), got {p}")
+        boundaries._check_open_unit(p)
         self.p = p
         self.method = method
         self._lower_rank, self._upper_rank = rank_schedules(
@@ -153,8 +152,7 @@ class QuantileUniformCS:
         return self.data.insert(x)
 
     def bounds(self, p: float) -> tuple[float, float]:
-        if not 0.0 < p < 1.0:
-            raise ConfigurationError(f"p must lie in (0, 1), got {p}")
+        boundaries._check_open_unit(p)
         t = len(self.data)
         if t == 0:
             return -math.inf, math.inf

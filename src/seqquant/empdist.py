@@ -17,11 +17,14 @@ denote, so knife-edge levels p = k/t behave consistently with the count
 queries.
 `upper_ranks` and `lower_ranks` give the same two ranks for arrays of
 (t, level), so a tracker whose levels depend on t alone can tabulate them.
+`RankTracker` follows one order statistic of a growing stream whose rank
+moves by a few places per observation, in O(log t) per step.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from itertools import groupby
 from typing import Iterable, Iterator
 
@@ -30,7 +33,7 @@ from sortedcontainers import SortedList
 
 from .errors import QueryError
 
-__all__ = ["OrderedMultiset", "upper_ranks", "lower_ranks"]
+__all__ = ["OrderedMultiset", "RankTracker", "upper_ranks", "lower_ranks"]
 
 
 def _level_floor(t: int, p) -> int:
@@ -177,3 +180,43 @@ class OrderedMultiset:
     def items_between(self, lo, hi) -> Iterator[tuple[float, int]]:
         """(value, multiplicity) for distinct values in [lo, hi], in order."""
         return _runs(self._sl.irange(lo, hi))
+
+
+class RankTracker:
+    """The r-th smallest value of a growing stream, for a rank r given with each value.
+
+    Two heaps split the stream: a max-heap (negated values) of the
+    clamp(r, 0, t) smallest values and a min-heap of the rest, so the
+    answer is the top of the first.  `add` moves tops across until the
+    first heap holds clamp(r, 0, t) values: O(log t) per step when r moves
+    by a bounded amount, as the rank tables of a confidence bound do.
+    Out-of-range ranks read -inf / inf, as in `OrderedMultiset.order_stat`;
+    of a run of equal values (0.0 and -0.0 included) any one may be read.
+    """
+
+    __slots__ = ("_below", "_above")
+
+    def __init__(self):
+        self._below = []
+        self._above = []
+
+    def add(self, x, r: int) -> float:
+        """Insert x, then return the r-th smallest of everything inserted."""
+        if x != x:
+            raise ValueError("NaN is not insertable: it breaks rank semantics")
+        below, above = self._below, self._above
+        if below and x < -below[0]:
+            heappush(below, -x)
+        else:
+            heappush(above, x)
+        n = len(below) + len(above)
+        k = 0 if r < 0 else n if r > n else r
+        while len(below) > k:
+            heappush(above, -heappop(below))
+        while len(below) < k:
+            heappush(below, -heappop(above))
+        if r < 1:
+            return -math.inf
+        if r > n:
+            return math.inf
+        return -below[0]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from seqquant import bandit
+from seqquant import bandit, empdist
 from seqquant.bandit import (
     QlucbConfig,
     RunResult,
@@ -22,7 +22,7 @@ from seqquant.bandit import (
     tau_bound,
     uniform_arm,
 )
-from seqquant.empdist import OrderedMultiset, _level_ceil, _level_floor
+from seqquant.empdist import OrderedMultiset, RankTracker, _level_ceil, _level_floor
 from seqquant.errors import ConfigurationError, DomainError
 
 
@@ -125,6 +125,28 @@ class TestRankTables:
         data.insert(31.0)
         lo, hi = qlucb_confidence_bounds(data, cfg)
         assert lo != -math.inf or hi != math.inf
+
+    @pytest.mark.parametrize("cs_kind", bandit.CS_KINDS)
+    def test_run_trackers_equal_the_multiset_bounds(self, cs_kind):
+        # qlucb_run reads L and U from two RankTrackers per arm;
+        # qlucb_confidence_bounds is their OrderedMultiset reference
+        cfg = QlucbConfig(pi_target=0.3, eps=0.025, cs_kind=cs_kind, k_arms=3)
+        lower_rank, upper_rank = bandit._schedules(cfg)
+        rng = np.random.default_rng(9)
+        draws = np.round(rng.normal(size=3000), 1)  # ties, 0.0 and -0.0
+        lo_tracker, hi_tracker = RankTracker(), RankTracker()
+        data = OrderedMultiset()
+        for n, x in enumerate(draws.tolist(), start=1):
+            data.insert(x)
+            got = (lo_tracker.add(x, lower_rank.at(n)), hi_tracker.add(x, upper_rank.at(n)))
+            assert got == qlucb_confidence_bounds(data, cfg)
+
+    def test_run_uses_no_sorted_list(self, monkeypatch):
+        monkeypatch.setattr(empdist, "SortedList", None)
+        arms = scenario_arms("uniform_shift", 3, 0.05, 0.5)
+        cfg = QlucbConfig(pi_target=0.5, eps=0.05, cs_kind="stitched_qlucb", k_arms=3,
+                          max_rounds=200)
+        assert qlucb_run(arms, cfg).rounds >= 1
 
 
 def _point_mass(value: float):

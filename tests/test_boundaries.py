@@ -97,6 +97,11 @@ class TestStitched:
         with pytest.raises(NumericalError, match="outside"):
             stitched_radius(2.0, 0.5, StitchConfig(eta=2.04, s_exp=1e300))
 
+    def test_boundary_past_the_floats_raises(self):
+        # eta (t v m) overflows and is summed in logs, but t l(t) still leaves the floats
+        with pytest.raises(NumericalError, match="float range"):
+            stitched_radius(10.0, 0.5, StitchConfig(eta=2.04, s_exp=1.4, m_start=1e308))
+
     def test_vectorized(self):
         ts = np.array([10, 100, 1000])
         got = stitched_radius_simple(ts, 0.5, 0.05)
@@ -240,6 +245,16 @@ class TestBetaBinomialRadius:
                 beta_binomial_radius(t, 0.5, 0.758, 0.05)
             )
 
+    @pytest.mark.parametrize("radius", [beta_binomial_radius, one_sided_beta_binomial_radius])
+    @pytest.mark.parametrize("p, r", [(0.5, 1e308), (0.5, 1e305), (0.01, 1e304)])
+    def test_beta_arguments_past_the_floats_raise(self, radius, p, r):
+        # log-gamma of (r + v) / (p (1 - p)) overflows: the mixture is not computable
+        with pytest.raises(NumericalError, match="float range"):
+            radius(10.0, p, r, 0.05)
+
+    def test_largest_computable_r_still_bisects(self):
+        assert 1.0 < beta_binomial_radius(10.0, 0.5, 1e304, 0.05) < math.inf
+
 
 class TestFtildeAsymptote:
     def test_limit_constant_as_p_vanishes(self):
@@ -326,9 +341,11 @@ class TestNormalMixture:
     def test_monotone_in_inverse_alpha(self):
         assert normal_mixture_radius(100, 0.5, 0.01) > normal_mixture_radius(100, 0.5, 0.2)
 
-    @pytest.mark.parametrize("alpha, r", [(1e-200, 1.0), (0.05, 1e-320), (1e-300, 1e-10)])
+    @pytest.mark.parametrize("alpha, r", [(1e-200, 1.0), (0.05, 1e-320), (1e-300, 1e-10),
+                                          (1e-153, 1.0)])
     def test_tiny_alpha_squared_r(self, alpha, r):
-        # where alpha^2 r is not a normal float, log((t + r) / (alpha^2 r)) is a sum of logs
+        # where alpha^2 r is not a normal float, or (t + r) / (alpha^2 r) overflows,
+        # log((t + r) / (alpha^2 r)) is a sum of logs
         t = np.array([1.0, 10.0, 1e6])
         expected = np.sqrt((t + r) / t ** 2 * (np.log(t + r) - math.log(r) - 2 * math.log(alpha)))
         np.testing.assert_allclose(normal_mixture_radius(t, r, alpha), expected, rtol=1e-14)
@@ -348,6 +365,13 @@ class TestLil:
 
     def test_lil_c_value(self):
         assert lil_C(0.85, 0.05) == pytest.approx(8.12, abs=0.05)
+
+    def test_huge_m_start(self):
+        # e (t v m) overflows: log(e (t v m) / m) is taken as 1 + log((t v m) / m)
+        t = np.array([1.0, 5.0])
+        expected = 0.85 * np.sqrt((math.log(1.0) + 3.0) / t)
+        assert np.array_equal(lil_radius(t, 0.85, 3.0, 1e308), expected)
+        assert lil_radius(5.0, 0.85, 3.0, 1e308) == expected[1]
 
     def test_huge_a(self):
         # 2 A^2 overflows; eta is searched in (1, 1e300) and every C is feasible

@@ -618,6 +618,7 @@ class TestLevelOutOfRange:
                    "--p", "0.5,1.5"],
         "track": ["track", str(FIXTURES / "stream10.txt"), "--p", "1.5",
                   "--method", "beta_binomial"],
+        "track_default": ["track", str(FIXTURES / "stream10.txt"), "--p", "1.5"],
         "abtest": ["abtest", str(FIXTURES / "ab8.txt"), "--p", "1.5"],
         "abtest_simulate": ["abtest", "--simulate", "--p", "0", "--runs", "1"],
     }

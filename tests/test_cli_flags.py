@@ -20,6 +20,7 @@ STREAM = str(FIXTURES / "stream10.txt")
 AB = str(FIXTURES / "ab8.txt")
 AB3 = str(FIXTURES / "ab3_210.txt")
 KS = str(FIXTURES / "ks6.txt")
+CAUCHY = str(FIXTURES / "cauchy1100.txt")
 
 SIMULATE = ["abtest", "--simulate", "--runs", "1", "--max-pairs", "10"]
 BAI = ["bai", "--pi", "0.5", "--runs", "1", "--k-arms", "2"]
@@ -167,6 +168,13 @@ EXTREMES = [
     # the stitched constant log(eta) ** s_exp underflows or overflows
     ["track", STREAM, "--p", "0.5", "--method", "stitched", "--s-exp", "1e300"],
     ["track", STREAM, "--p", "0.5", "--method", "stitched", "--eta", "10", "--s-exp", "1000"],
+    # alpha ** 2 r is a normal float but (t + r) / (alpha ** 2 r) overflows
+    ["track", CAUCHY, "--p", "0.5", "--method", "normal_mixture", "--alpha", "1e-153", "--r", "1"],
+    # the mixture's beta arguments and log-gamma terms leave the floats
+    ["track", CAUCHY, "--p", "0.5", "--method", "beta_binomial", "--r", "1e308"],
+    # e (t v m) and eta (t v m) overflow
+    ["band", CAUCHY, "--checkpoints", "5", "--m", "1e308"],
+    ["bounds", "--methods", "stitched", "--t", "10", "--tune-m", "1e308"],
 ]
 
 

@@ -24,7 +24,8 @@ from seqquant.boundaries import (
 )
 from seqquant.confseq import CdfBand, FixedQuantileCS, LilMethod, QuantileUniformCS
 from seqquant.empdist import _level_ceil, _level_floor
-from seqquant.errors import ConfigurationError
+from seqquant.errors import ConfigurationError, DomainError
+from seqquant.seqtest import AbTestState
 
 
 class TestFixedQuantileCS:
@@ -220,6 +221,20 @@ class TestUniformCS:
         ds_radius = boundaries.double_stitch_radius(t, 0.05, ds_cfg)
         lil_radius = boundaries.lil_radius(t, 0.85, lil_C(0.85, 0.05), 32.0)
         assert ds_radius < lil_radius
+
+
+class TestLevelCheck:
+    """A level p outside (0, 1) is one DomainError in confseq and seqtest alike."""
+
+    @pytest.mark.parametrize("p", [1.5, 0.0, 1.0, -0.5, math.nan])
+    def test_same_error_type_everywhere(self, p):
+        ucs = QuantileUniformCS(LilMethod(alpha=0.05))
+        ucs.update(0.3)
+        for build in (lambda: FixedQuantileCS(p, partial(stitched_radius_simple, alpha=0.05)),
+                      lambda: ucs.bounds(p),
+                      lambda: AbTestState(p, 1.0)):
+            with pytest.raises(DomainError, match="p must lie in"):
+                build()
 
 
 class TestCdfBand:

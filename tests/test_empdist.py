@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from seqquant.empdist import (
     OrderedMultiset,
+    RankTracker,
     _level_ceil,
     _level_floor,
     lower_ranks,
@@ -194,6 +195,63 @@ def test_oracle_equivalence_bulk_random():
         for p in rng.uniform(-0.2, 1.2, size=20):
             assert ms.upper_quantile(float(p)) == oracle.upper_quantile(float(p))
             assert ms.lower_quantile(float(p)) == oracle.lower_quantile(float(p))
+
+
+# values with ties, both zeros, integer-valued floats and a few general floats
+_TRACKED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 0.5]),
+                     st.integers(min_value=-4, max_value=4).map(float),
+                     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+# the next rank: a jump to any rank, a flat or small step, or a step far out of range
+_RANK_STEPS = st.one_of(st.tuples(st.just("jump"), st.integers(min_value=-3, max_value=70)),
+                        st.tuples(st.just("step"), st.integers(min_value=-1, max_value=2)),
+                        st.tuples(st.just("jump"), st.sampled_from([-10 ** 9, 10 ** 9])))
+
+
+class TestRankTracker:
+    """RankTracker.add(x, r) equals OrderedMultiset.order_stat(r) on the same prefix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_TRACKED, _RANK_STEPS), min_size=1, max_size=64))
+    def test_oracle_equivalence(self, steps):
+        tracker = RankTracker()
+        ms = OrderedMultiset()
+        r = 1
+        for x, (kind, move) in steps:
+            r = move if kind == "jump" else r + move
+            ms.insert(x)
+            got = tracker.add(x, r)
+            assert got == ms.order_stat(r), (r, len(ms))
+            if r < 1:
+                assert got == -math.inf
+            elif r > len(ms):
+                assert got == math.inf
+
+    def test_out_of_range_ranks_read_infinities(self):
+        tracker = RankTracker()
+        assert tracker.add(2.0, 0) == -math.inf
+        assert tracker.add(1.0, 3) == math.inf
+        assert tracker.add(3.0, 3) == 3.0
+        assert tracker.add(0.0, -5) == -math.inf
+        assert tracker.add(5.0, 1) == 0.0
+        assert type(tracker.add(4.0, 7)) is float
+
+    def test_rank_sweeps_with_ties(self):
+        rng = np.random.default_rng(8)
+        values = np.round(rng.normal(size=2000), 1).tolist()
+        tracker = RankTracker()
+        ms = OrderedMultiset()
+        for n, x in enumerate(values, start=1):
+            ms.insert(x)
+            r = int(0.3 * n) - 5 if n < 1000 else n + 1 - int(0.4 * n)
+            assert tracker.add(x, r) == ms.order_stat(r)
+
+    @pytest.mark.parametrize("nan", [math.nan, np.float64("nan")])
+    def test_nan_rejected_without_insertion(self, nan):
+        tracker = RankTracker()
+        tracker.add(1.0, 1)
+        with pytest.raises(ValueError, match="NaN"):
+            tracker.add(nan, 1)
+        assert tracker.add(0.0, 2) == 1.0
 
 
 class TestImplicationTable:
