@@ -97,18 +97,26 @@ def _ret(arr, scalar):
     return float(arr[0]) if scalar else arr
 
 
-def _log_or_sum(compute, log_sum):
-    """log(compute()) elementwise; where compute() overflows, log_sum(mask) adds the logs.
+def _largest(arr) -> float:
+    """The largest element as a Python float (-inf if empty); one element skips the reduction."""
+    return float(arr[0]) if arr.size == 1 else float(arr.max(initial=-math.inf))
 
-    Only elements past the float maximum take the sum, so every finite
-    element keeps the bits of the plain log.
+
+def _log_or_sum(f, x, log_sum):
+    """np.log(f(x)) for an elementwise f nondecreasing in x; log_sum(mask) where f(x) overflows.
+
+    Whether any element overflows is read from f at the largest x in Python
+    floats, which overflow to inf without a warning.  Only elements past
+    the float maximum take the sum of logs, so every other one keeps the
+    bits of the plain log.
     """
+    if not math.isinf(f(_largest(x))):
+        return np.log(f(x))
     with np.errstate(over="ignore"):
-        value = compute()
+        value = f(x)
     out = np.log(value)
     over = np.isinf(value)
-    if over.any():
-        out[over] = log_sum(over)
+    out[over] = log_sum(over)
     return out
 
 
@@ -224,17 +232,20 @@ def stitched_radius(t, p: float, cfg: StitchConfig):
         const = math.inf
     if const == math.inf:  # alpha log^s(eta) leaves the normal floats: add the logs
         const = math.log(2.0 * z) - math.log(cfg.alpha) - cfg.s_exp * math.log(math.log(cfg.eta))
-    log_tm = _log_or_sum(lambda: cfg.eta * tm / cfg.m_start,
+    log_tm = _log_or_sum(lambda x: cfg.eta * x / cfg.m_start, tm,
                          lambda i: math.log(cfg.eta) + np.log(tm[i] / cfg.m_start))
     ell = cfg.s_exp * np.log(log_tm) + const
     if not np.all((0.0 <= ell) & (ell < 1e150)):  # below 1e150, ell ** 2 is finite
         raise NumericalError("stitched log term is outside [0, 1e150) for this configuration")
     cp = (1.0 - 2.0 * p) / 3.0
-    with np.errstate(over="ignore"):
-        var = cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2
-    if np.any(np.isinf(var)):
+
+    def variance(tm, ell):
+        return cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2
+
+    # ell grows with tm, so the largest tm and ell give the largest term
+    if math.isinf(variance(_largest(tm), _largest(ell))):
         raise NumericalError("stitched boundary leaves the float range for this configuration")
-    s_val = np.sqrt(var)
+    s_val = np.sqrt(variance(tm, ell))
     s_val += cp * cfg.k2 * ell
     return _ret(s_val / t_arr, scalar)
 
@@ -489,7 +500,7 @@ def normal_mixture_radius(t, r: float, alpha: float = 0.05):
     def log_sum(num):
         return np.log(num) - math.log(r) - 2.0 * math.log(alpha)
 
-    log_term = (_log_or_sum(lambda: (t_arr + r) / scale, lambda i: log_sum(t_arr[i] + r))
+    log_term = (_log_or_sum(lambda x: (x + r) / scale, t_arr, lambda i: log_sum(t_arr[i] + r))
                 if scale >= _TINY else log_sum(t_arr + r))
     out = np.sqrt((t_arr + r) / t_arr ** 2 * log_term)
     return _ret(out, scalar)
@@ -559,7 +570,8 @@ def lil_radius(t, a_mult: float, c_add: float, m_start: float = 1.0):
         raise ConfigurationError(f"m_start must be >= 1, got {m_start}")
     t_arr, scalar = _times(t)
     tm = np.maximum(t_arr, m_start)
-    log_tm = _log_or_sum(lambda: math.e * tm / m_start, lambda i: 1.0 + np.log(tm[i] / m_start))
+    log_tm = _log_or_sum(lambda x: math.e * x / m_start, tm,
+                         lambda i: 1.0 + np.log(tm[i] / m_start))
     out = a_mult * np.sqrt((np.log(log_tm) + c_add) / t_arr)
     return _ret(out, scalar)
 
