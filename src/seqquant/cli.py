@@ -26,7 +26,7 @@ from scipy.special import ndtr
 
 from . import bandit, boundaries, confseq, seqtest
 from .boundaries import DoubleStitchConfig, StitchConfig
-from .empdist import OrderedMultiset
+from .empdist import insert_sorted
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -341,8 +341,8 @@ def _reference_cdf(spec: str):
         raise UsageError(f"reference distribution {spec!r} needs finite parameters")
     if name == "uniform":
         a, b = params if params else (0.0, 1.0)
-        if b <= a:
-            raise UsageError("uniform reference needs b > a")
+        if not 0.0 < b - a < math.inf:
+            raise UsageError("uniform reference needs b > a, with b - a finite")
         return lambda x: min(1.0, max(0.0, (x - a) / (b - a)))
     if name == "normal":
         mu, sigma = params if params else (0.0, 1.0)
@@ -484,24 +484,27 @@ def cmd_abtest(args) -> int:
     r = args.r if args.r is not None else boundaries.tune_r(args.tune_m, args.p, args.alpha)
     meta = {"p": args.p, "r": r, "delta_star": args.delta_star, "mode": args.mode,
             "alpha": args.alpha}
+    # the state checks p, r and alpha before any output; the global null
+    # tests arm 0 against every later arm, added as their labels appear
     state = seqtest.AbTestState(args.p, r, args.delta_star, args.alpha)
     global_null = args.mode == "global"
-    # the global null tests arm 0 against every later arm, which are added
-    # as their labels appear
-    arms = [state.arm1] if global_null else [state.arm1, state.arm2]
+    arms = []
     running_min = 1.0
     with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, ["t", "stat", "pvalue", "reject"], meta)
         stream = _arm_stream(handle, math.inf if global_null else 2)
         for t, (_, arm, value) in enumerate(stream, start=1):
-            if arm == len(arms):
-                arms.append(OrderedMultiset())
-            arms[arm].insert(value)
-            if len(arms) < 2 or not all(arms):
-                continue
             if global_null:
+                if arm == len(arms):
+                    arms.append(np.empty(0))
+                arms[arm] = insert_sorted(arms[arm], value)
+                if len(arms) < 2 or not all(map(len, arms)):
+                    continue
                 result = seqtest.global_null_result(arms[0], arms[1:], args.p, r, args.alpha)
             else:
+                state.add(arm + 1, value)
+                if not (len(state.arm1) and len(state.arm2)):
+                    continue
                 result = state.two_sided() if args.mode == "two_sided" else state.one_sided()
             running_min = min(running_min, result.pvalue)
             pv = running_min if args.running_min else result.pvalue

@@ -19,6 +19,7 @@ queries.
 (t, level), so a tracker whose levels depend on t alone can tabulate them.
 `RankTracker` follows one order statistic of a growing stream whose rank
 moves by a few places per observation, in O(log t) per step.
+`insert_sorted` grows the sorted float64 array that stores a sequential test's arm.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from sortedcontainers import SortedList
 
 from .errors import QueryError
 
-__all__ = ["OrderedMultiset", "RankTracker", "upper_ranks", "lower_ranks"]
+__all__ = ["OrderedMultiset", "RankTracker", "insert_sorted", "upper_ranks", "lower_ranks"]
 
 
 def _level_floor(t: int, p) -> int:
@@ -86,6 +87,16 @@ def upper_ranks(t, levels) -> np.ndarray:
 def lower_ranks(t, levels) -> np.ndarray:
     """ceil(t level) elementwise: the ranks `lower_quantile` reads, as int64."""
     return _rounded_products(t, levels, np.ceil, _level_ceil)
+
+
+def insert_sorted(arr: np.ndarray, x) -> np.ndarray:
+    """Sorted float64 arr with float(x) inserted after its equals, in the order (and so with the
+    zero signs) `OrderedMultiset.insert` gives; NaN is rejected with the same `ValueError`."""
+    x = float(x)
+    if x != x:
+        raise ValueError("NaN is not insertable: it breaks rank semantics")
+    i = np.searchsorted(arr, x, side="right")
+    return np.concatenate((arr[:i], (x,), arr[i:]))
 
 
 def _runs(values: Iterable) -> Iterator[tuple[float, int]]:

@@ -11,8 +11,8 @@ objective G_1(x) + G_2(x + d) only steps downward where x + d crosses an
 observation of arm 2, i.e. at x = X_{2,s} - d (together with the two interval
 endpoints derived from the per-arm argmin quantiles).
 
-Test states hold real numbers.  Every statistic is computed by one numpy
-kernel on sorted float snapshots of the arms, taken at evaluation time:
+Each arm is one sorted float64 array, grown by `empdist.insert_sorted`, and
+every statistic is computed by one numpy kernel on those arrays:
 empirical CDFs are `searchsorted` counts, out-of-range order statistics are
 -inf/+inf as in `OrderedMultiset.order_stat`, and all candidates go through
 one vectorized mixture call per arm.  Each candidate is evaluated with the
@@ -33,7 +33,8 @@ import numpy as np
 from . import bandit, boundaries
 from .boundaries import beta_binomial_log_mixture, one_sided_log_mixture
 from .confseq import LilMethod
-from .empdist import OrderedMultiset, _level_ceil, _level_floor, lower_ranks, upper_ranks
+from .empdist import (OrderedMultiset, _level_ceil, _level_floor, insert_sorted, lower_ranks,
+                      upper_ranks)
 from .errors import ConfigurationError, PairingError, StateError
 from .specfun import golden_section_min
 
@@ -134,11 +135,6 @@ class GEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _snapshot(arm: OrderedMultiset) -> np.ndarray:
-    """The arm's values as a sorted float array."""
-    return np.fromiter(arm, dtype=float, count=len(arm))
-
-
 def _distinct(data: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array, in order."""
     if data.size < 2:
@@ -229,7 +225,8 @@ class AbTestState:
     """Two-arm sequential quantile test state.
 
     Tests H0: Q_2(p) - Q_1(p) = delta_star (two-sided) or <= delta_star
-    (one-sided) at level alpha, with always-valid p-values.
+    (one-sided) at level alpha, with always-valid p-values.  `arm1` and
+    `arm2` are the arms' values as sorted float64 arrays.
     """
 
     def __init__(self, p: float, r: float, delta_star: float = 0.0, alpha: float = 0.05):
@@ -241,39 +238,35 @@ class AbTestState:
         self.r = r
         self.delta_star = delta_star
         self.alpha = alpha
-        self.arm1 = OrderedMultiset()
-        self.arm2 = OrderedMultiset()
+        self.arm1 = np.empty(0)
+        self.arm2 = np.empty(0)
 
     def add(self, arm: int, x: float) -> None:
         if arm == 1:
-            self.arm1.insert(x)
+            self.arm1 = insert_sorted(self.arm1, x)
         elif arm == 2:
-            self.arm2.insert(x)
+            self.arm2 = insert_sorted(self.arm2, x)
         else:
             raise StateError(f"arm must be 1 or 2, got {arm}")
 
-    def _snapshots(self) -> tuple[np.ndarray, np.ndarray]:
+    def _result(self, kernel) -> TestResult:
         if len(self.arm1) == 0 or len(self.arm2) == 0:
             raise StateError("both arms need at least one observation")
-        return _snapshot(self.arm1), _snapshot(self.arm2)
-
-    def _result(self, stat: float) -> TestResult:
+        stat = kernel(self.arm1, self.arm2, self.p, self.r, self.delta_star)
         return TestResult(stat, _pvalue(stat), stat >= math.log(1.0 / self.alpha))
 
     def two_sided(self) -> TestResult:
         """min_x [G_1(x) + G_2(x + delta_star)] versus log(1/alpha)."""
-        x1, x2 = self._snapshots()
-        return self._result(_sorted_two_sided_stat(x1, x2, self.p, self.r, self.delta_star))
+        return self._result(_sorted_two_sided_stat)
 
     def one_sided(self) -> TestResult:
         """min_x [G+_1(x) + G-_2(x + delta_star)] versus log(1/alpha)."""
-        x1, x2 = self._snapshots()
-        return self._result(_sorted_one_sided_stat(x1, x2, self.p, self.r, self.delta_star))
+        return self._result(_sorted_one_sided_stat)
 
 
 def global_null_pvalue(
-    control: OrderedMultiset,
-    treatments: Sequence[OrderedMultiset],
+    control: np.ndarray,
+    treatments: Sequence[np.ndarray],
     p: float,
     r: float,
 ) -> float:
@@ -286,8 +279,8 @@ def global_null_pvalue(
 
 
 def global_null_result(
-    control: OrderedMultiset,
-    treatments: Sequence[OrderedMultiset],
+    control: np.ndarray,
+    treatments: Sequence[np.ndarray],
     p: float,
     r: float,
     alpha: float = 0.05,
@@ -298,8 +291,7 @@ def global_null_result(
     if len(control) == 0 or any(len(a) == 0 for a in treatments):
         raise StateError("all arms need at least one observation")
     boundaries._check_mixture(p, r)
-    c = _snapshot(control)
-    best = max(_sorted_one_sided_stat(c, _snapshot(arm), p, r, 0.0) for arm in treatments)
+    best = max(_sorted_one_sided_stat(control, arm, p, r, 0.0) for arm in treatments)
     pval = _pvalue(best, len(treatments))
     return TestResult(best, pval, pval <= alpha)
 
@@ -323,7 +315,8 @@ class KsTestState:
     constant C(A, .) inverts the band's crossing probability: one-sample
     uses C(A, alpha) with width g_t, the paired modes use width 2 g_t with
     C(A, alpha/2) for two_sample and C(A, alpha) for dominance (one-sided
-    bands suffice there).
+    bands suffice there), read from a `RadiusSchedule` by t.  `sample1` and
+    `sample2` are sorted float64 arrays; f0 is called once per observation.
 
     Dominance tests H0: F1 <= F2 pointwise and rejects on evidence that
     F1(x) > F2(x) somewhere, i.e. when sup_x [F1(x) - F2(x)] strictly exceeds
@@ -351,54 +344,47 @@ class KsTestState:
         self.f0 = f0
         self.lil = LilMethod(a_mult=a_mult, alpha=alpha / 2.0 if mode == "two_sample" else alpha,
                              m_start=m_start)
-        self.sample1 = OrderedMultiset()
-        self.sample2 = OrderedMultiset()
+        width = 1.0 if mode == "one_sample" else 2.0
+        self._thresholds = boundaries.RadiusSchedule(lambda t: width * self.lil.radius(t))
+        self.sample1 = np.empty(0)
+        self.sample2 = np.empty(0)
+        self._f0 = np.empty(0)
 
     def add(self, x: float, sample: int = 1) -> None:
         if sample == 1:
-            self.sample1.insert(x)
+            self.sample1 = insert_sorted(self.sample1, x)
+            if self.mode == "one_sample":
+                i = np.searchsorted(self.sample1, float(x), side="right") - 1
+                self._f0 = np.concatenate((self._f0[:i], (self.f0(float(x)),), self._f0[i:]))
         elif sample == 2:
             if self.mode == "one_sample":
                 raise StateError("one_sample mode has a single sample")
-            self.sample2.insert(x)
+            self.sample2 = insert_sorted(self.sample2, x)
         else:
             raise StateError(f"sample must be 1 or 2, got {sample}")
 
     def threshold(self, t: int) -> float:
-        g = self.lil.radius(t)
-        return g if self.mode == "one_sample" else 2.0 * g
+        return self._thresholds.at(t)
 
     def evaluate(self) -> KsResult:
-        if self.mode == "one_sample":
-            t = len(self.sample1)
-            if t == 0:
-                raise StateError("no data")
-            # F - F0 and F0 - F^- peak at the distinct values; F0 is called
-            # once per value through the scalar reference
-            x = _snapshot(self.sample1)
-            v = _distinct(x)
-            f0 = np.fromiter(map(self.f0, v.tolist()), dtype=float, count=len(v))
-            gap = np.maximum(np.searchsorted(x, v, side="right") / t - f0,
-                             f0 - np.searchsorted(x, v, side="left") / t)
-            stat = max(0.0, float(np.max(gap)))
-            thr = self.threshold(t)
-            return KsResult(t, stat, thr, stat > thr)
-        t1, t2 = len(self.sample1), len(self.sample2)
-        if t1 != t2:
-            raise PairingError(f"paired modes need equal counts, got {t1} and {t2}")
-        if t1 == 0:
+        x1, x2 = self.sample1, self.sample2
+        t = len(x1)
+        if self.mode != "one_sample" and len(x2) != t:
+            raise PairingError(f"paired modes need equal counts, got {t} and {len(x2)}")
+        if t == 0:
             raise StateError("no data")
-        t = t1
-        thr = self.threshold(t)
-        # F1 - F2 steps only at pooled values, where both ECDFs are counts <= x
-        x1, x2 = _snapshot(self.sample1), _snapshot(self.sample2)
-        pooled = np.concatenate((x1, x2))
-        diff = (np.searchsorted(x1, pooled, side="right") / t
-                - np.searchsorted(x2, pooled, side="right") / t)
-        if self.mode == "two_sample":
-            diff = np.abs(diff)
+        if self.mode == "one_sample":
+            # F0 is equal across a run of ties, whose last index gives F and first F^-
+            gaps = [np.arange(1, t + 1) / t - self._f0, self._f0 - np.arange(t) / t]
+        else:
+            # F1 - F2 steps only at sample values, where both ECDFs are counts <= x
+            gaps = [np.searchsorted(x1, x, side="right") / t
+                    - np.searchsorted(x2, x, side="right") / t for x in (x1, x2)]
+            if self.mode == "two_sample":
+                gaps = [np.abs(gap) for gap in gaps]
         # dominance: one-sided supremum of F1 - F2, strict exceedance to reject
-        stat = max(0.0, float(np.max(diff)))
+        stat = max(0.0, *(float(np.max(gap)) for gap in gaps))
+        thr = self.threshold(t)
         return KsResult(t, stat, thr, stat > thr)
 
 

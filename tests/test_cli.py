@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqquant import boundaries, cli
+from seqquant import boundaries, cli, empdist
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -87,6 +87,16 @@ GOLDEN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_outputs(name):
+    rc, out, err = run_cli(GOLDEN_CASES[name])
+    assert rc == 0, err
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", ["abtest.csv", "abtest_one_sided.csv", "abtest_global.csv",
+                                  "ks.csv", "ks_dominance.csv", "ks_one_sample.csv"])
+def test_sequential_tests_use_no_sorted_list(monkeypatch, name):
+    # every abtest and ks mode keeps each arm in one sorted float array
+    monkeypatch.setattr(empdist, "SortedList", None)
     rc, out, err = run_cli(GOLDEN_CASES[name])
     assert rc == 0, err
     assert out == (GOLDEN / name).read_text()

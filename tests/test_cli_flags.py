@@ -110,7 +110,8 @@ CASES = [
     for value in NON_FINITE
 ] + [
     pytest.param(["ks", STREAM, "--mode", "one_sample", "--ref", ref], id=f"ks --ref {ref}")
-    for ref in ("normal:nan,1", "uniform:0,inf", "cauchy:-inf,1")
+    # b - a overflows for uniform:-1e308,1e308
+    for ref in ("normal:nan,1", "uniform:0,inf", "cauchy:-inf,1", "uniform:-1e308,1e308")
 ] + [
     pytest.param(["abtest", "--simulate", "--runs", "1", "--max-pairs", n],
                  id=f"abtest --max-pairs {n}")

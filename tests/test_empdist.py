@@ -21,6 +21,7 @@ from seqquant.empdist import (
     RankTracker,
     _level_ceil,
     _level_floor,
+    insert_sorted,
     lower_ranks,
     upper_ranks,
 )
@@ -252,6 +253,26 @@ class TestRankTracker:
         with pytest.raises(ValueError, match="NaN"):
             tracker.add(nan, 1)
         assert tracker.add(0.0, 2) == 1.0
+
+
+class TestInsertSorted:
+    """insert_sorted grows the array that np.fromiter(OrderedMultiset(seq), float) reads."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_TRACKED, st.integers(min_value=-4, max_value=4)), max_size=64))
+    def test_oracle_equivalence(self, values):
+        arr = np.empty(0)
+        for x in values:
+            arr = insert_sorted(arr, x)
+        want = np.fromiter(OrderedMultiset(values), dtype=float, count=len(values))
+        assert arr.dtype == np.float64
+        assert np.array_equal(arr, want)
+        assert np.array_equal(np.signbit(arr), np.signbit(want))
+
+    @pytest.mark.parametrize("nan", [math.nan, np.float64("nan")])
+    def test_nan_rejected(self, nan):
+        with pytest.raises(ValueError, match="NaN"):
+            insert_sorted(np.array([1.0]), nan)
 
 
 class TestImplicationTable:

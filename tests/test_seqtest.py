@@ -14,7 +14,7 @@ from seqquant.boundaries import (
     one_sided_log_mixture,
     tune_r,
 )
-from seqquant.empdist import OrderedMultiset
+from seqquant.empdist import OrderedMultiset, insert_sorted
 from seqquant.errors import ConfigurationError, DomainError, PairingError, StateError
 from seqquant.seqtest import (
     AbTestState,
@@ -117,10 +117,16 @@ class TestGEvaluator:
         assert ev.one_sided_plus(x) == pytest.approx(expect, rel=1e-12)
 
 
+def _evaluators(state):
+    """The per-x GEvaluator oracle of each arm, on an OrderedMultiset of its values."""
+    return [GEvaluator(OrderedMultiset(arm.tolist()), state.p, state.r)
+            for arm in (state.arm1, state.arm2)]
+
+
 def _breakpoint_pairs(state):
     d = state.delta_star
-    vals1 = sorted(set(v for v, _ in state.arm1.items()))
-    vals2 = sorted(set(v for v, _ in state.arm2.items()))
+    vals1 = sorted(set(state.arm1.tolist()))
+    vals2 = sorted(set(state.arm2.tolist()))
     pairs = [(v, v + d) for v in vals1] + [(w - d, w) for w in vals2]
     pairs.sort()
     return pairs
@@ -128,8 +134,7 @@ def _breakpoint_pairs(state):
 
 def _brute_two_sided(state):
     """Dense enumeration: all breakpoints plus flat-region midpoints."""
-    ev1 = GEvaluator(state.arm1, state.p, state.r)
-    ev2 = GEvaluator(state.arm2, state.p, state.r)
+    ev1, ev2 = _evaluators(state)
     d = state.delta_star
     pairs = _breakpoint_pairs(state)
     xs = [pairs[0][0] - 1.0]
@@ -141,8 +146,7 @@ def _brute_two_sided(state):
 
 
 def _brute_one_sided(state):
-    ev1 = GEvaluator(state.arm1, state.p, state.r)
-    ev2 = GEvaluator(state.arm2, state.p, state.r)
+    ev1, ev2 = _evaluators(state)
     d = state.delta_star
     pairs = _breakpoint_pairs(state)
     xs = [pairs[0][0] - 1.0]
@@ -172,7 +176,7 @@ def _random_state(rng, trial):
 
 def _scan_two_sided(state):
     """The two-sided candidate scan with per-x evaluators, in scalar arithmetic."""
-    evs = [GEvaluator(state.arm1, state.p, state.r), GEvaluator(state.arm2, state.p, state.r)]
+    evs = _evaluators(state)
     shift = state.delta_star
     if evs[0].arm.upper_quantile(evs[0].astar) > evs[1].arm.upper_quantile(evs[1].astar) - shift:
         evs.reverse()
@@ -190,11 +194,10 @@ def _scan_two_sided(state):
 
 
 def _scan_one_sided(state):
-    ev1 = GEvaluator(state.arm1, state.p, state.r)
-    ev2 = GEvaluator(state.arm2, state.p, state.r)
+    ev1, ev2 = _evaluators(state)
     d = state.delta_star
     cands = [ev1.one_sided_plus(-math.inf) + ev2.one_sided_minus(-math.inf)]
-    cands += [ev1.one_sided_plus(w - d) + ev2.one_sided_minus(w) for w, _ in state.arm2.items()]
+    cands += [ev1.one_sided_plus(w - d) + ev2.one_sided_minus(w) for w, _ in ev2.arm.items()]
     return min(cands)
 
 
@@ -311,38 +314,38 @@ class TestGlobalNull:
     def test_k2_reduces_to_one_sided(self):
         rng = np.random.default_rng(21)
         state = AbTestState(0.5, 0.758, 0.0, 0.05)
-        control = OrderedMultiset()
-        treatment = OrderedMultiset()
+        control = np.empty(0)
+        treatment = np.empty(0)
         for _ in range(40):
             a = float(rng.random())
             b = float(rng.random())
             state.add(1, a)
             state.add(2, b)
-            control.insert(a)
-            treatment.insert(b)
+            control = insert_sorted(control, a)
+            treatment = insert_sorted(treatment, b)
         assert global_null_pvalue(control, [treatment], 0.5, 0.758) == pytest.approx(
             state.one_sided().pvalue, rel=1e-12
         )
 
     def test_identical_treatments_share_the_max(self):
         rng = np.random.default_rng(22)
-        control = OrderedMultiset(float(v) for v in rng.random(30))
-        arm = OrderedMultiset(float(v) for v in rng.random(30))
+        control = np.sort(rng.random(30))
+        arm = np.sort(rng.random(30))
         single = -math.log(
             max(global_null_pvalue(control, [arm], 0.5, 0.758), 1e-300)
         )
-        triple = global_null_pvalue(control, [OrderedMultiset(arm) for _ in range(3)], 0.5, 0.758)
+        triple = global_null_pvalue(control, [arm] * 3, 0.5, 0.758)
         if triple < 1.0:
             assert -math.log(triple / 3.0) == pytest.approx(single, rel=1e-9)
 
     def test_clamped_at_tiny_t(self):
-        control = OrderedMultiset([1.0])
-        arms = [OrderedMultiset([2.0]), OrderedMultiset([0.5])]
+        control = np.array([1.0])
+        arms = [np.array([2.0]), np.array([0.5])]
         assert global_null_pvalue(control, arms, 0.5, 0.758) == 1.0
 
     def test_requires_a_treatment(self):
         with pytest.raises(ValueError):
-            global_null_pvalue(OrderedMultiset([1.0]), [], 0.5, 0.758)
+            global_null_pvalue(np.array([1.0]), [], 0.5, 0.758)
 
 
 class TestNullValidityMonteCarlo:
@@ -410,10 +413,9 @@ class TestNullValidityMonteCarlo:
         rng = np.random.default_rng(1202)
         crossed = 0
         for _ in range(reps):
-            arms = [OrderedMultiset() for _ in range(3)]
+            arms = [np.empty(0)] * 3
             for row in rng.random((horizon, 3)).tolist():
-                for arm, x in zip(arms, row):
-                    arm.insert(x)
+                arms = [insert_sorted(arm, x) for arm, x in zip(arms, row)]
                 if global_null_result(arms[0], arms[1:], 0.5, 0.758, alpha=0.05).reject:
                     crossed += 1
                     break
@@ -459,6 +461,36 @@ class TestKs:
         res = state.evaluate()
         assert res.stat == pytest.approx(0.25)
 
+    def test_one_sample_calls_f0_once_per_line(self):
+        calls = []
+
+        def f0(x):
+            calls.append(x)
+            return 0.5 + math.atan(x) / math.pi
+
+        state = KsTestState("one_sample", f0=f0)
+        for t, x in enumerate([0.5, -1.0, 0.5, 0.0, -0.0, 2.0], start=1):
+            state.add(x)
+            state.evaluate()
+            assert len(calls) == t
+
+    def test_one_sample_stat_equals_the_distinct_value_formula_on_ties(self):
+        # the reference calls F0 once per distinct value and reads F and F^-
+        # at that value; stored per observation, F0 is equal across a run of ties
+        def f0(x):
+            return 0.5 + math.atan(x) / math.pi
+
+        rng = np.random.default_rng(46)
+        state = KsTestState("one_sample", f0=f0)
+        for x in np.round(rng.standard_cauchy(300), 1).tolist():  # ties, 0.0 and -0.0
+            state.add(x)
+            data, t = state.sample1, len(state.sample1)
+            v = data[np.concatenate(([True], data[1:] != data[:-1]))]
+            ref = np.array([f0(w) for w in v.tolist()])
+            gap = np.maximum(np.searchsorted(data, v, side="right") / t - ref,
+                             ref - np.searchsorted(data, v, side="left") / t)
+            assert state.evaluate().stat == max(0.0, float(np.max(gap)))
+
     def test_two_sample_identical_never_rejects(self):
         rng = np.random.default_rng(41)
         state = KsTestState("two_sample", alpha=0.05)
@@ -484,13 +516,19 @@ class TestKs:
         f2 = np.searchsorted(ys, pooled, side="right") / 80
         assert state.evaluate().stat == pytest.approx(float(np.max(np.abs(f1 - f2))), rel=1e-12)
 
-    def test_threshold_uses_lil_constant(self):
-        state = KsTestState("two_sample", a_mult=0.85, alpha=0.05, m_start=1.0)
-        c = lil_C(0.85, 0.025)
-        for t in (10, 100, 1000):
-            assert state.threshold(t) == pytest.approx(
-                2 * lil_radius(t, 0.85, c, 1.0), rel=1e-12
-            )
+    @pytest.mark.parametrize("a_mult, alpha, m_start", [
+        (0.85, 0.05, 1.0), (0.85, 0.05, 1e308), (0.85, 1e-200, 1.0), (1e200, 0.05, 1.0),
+        (3.0, 0.3, 50.0),
+    ])
+    def test_threshold_uses_lil_constant(self, a_mult, alpha, m_start):
+        # thresholds are read from a table filled by vectorized radius calls;
+        # each equals the scalar radius bit for bit, past the first table chunk too
+        for mode, width, level in (("one_sample", 1, alpha), ("two_sample", 2, alpha / 2)):
+            state = KsTestState(mode, f0=lambda x: x, a_mult=a_mult, alpha=alpha,
+                                m_start=m_start)
+            c = lil_C(a_mult, level)
+            for t in [*range(1, 2100), 10 ** 5]:
+                assert state.threshold(t) == width * lil_radius(t, a_mult, c, m_start), t
 
     def test_threshold_decreasing_in_t(self):
         state = KsTestState("one_sample", f0=lambda x: x, m_start=4.0)
@@ -550,8 +588,8 @@ class TestGlobalNullResult:
         from seqquant.seqtest import global_null_result
 
         rng = np.random.default_rng(55)
-        control = OrderedMultiset(float(v) for v in rng.random(60))
-        arms = [OrderedMultiset(float(v) + 0.4 for v in rng.random(60)) for _ in range(2)]
+        control = np.sort(rng.random(60))
+        arms = [np.sort(rng.random(60)) + 0.4 for _ in range(2)]
         res = global_null_result(control, arms, 0.5, 0.758, alpha=0.05)
         assert res.pvalue == global_null_pvalue(control, arms, 0.5, 0.758)
         if res.pvalue < 1.0:
@@ -565,7 +603,7 @@ class TestParameterChecks:
     @pytest.mark.parametrize("build", [
         lambda p, r: AbTestState(p, r),
         lambda p, r: GEvaluator(OrderedMultiset([1.0]), p, r),
-        lambda p, r: global_null_pvalue(OrderedMultiset([1.0]), [OrderedMultiset([2.0])], p, r),
+        lambda p, r: global_null_pvalue(np.array([1.0]), [np.array([2.0])], p, r),
     ])
     def test_level_outside_the_unit_interval_is_a_domain_error(self, build):
         with pytest.raises(DomainError):
