@@ -15,7 +15,8 @@ Each arm is one sorted float64 array, grown by `empdist.insert_sorted`, and
 every statistic is computed by one numpy kernel on those arrays:
 empirical CDFs are `searchsorted` counts, out-of-range order statistics are
 -inf/+inf as in `OrderedMultiset.order_stat`, and all candidates go through
-one vectorized mixture call per arm.  Each candidate is evaluated with the
+one vectorized mixture call.  The two-sided kernel takes a batch of arm
+pairs and makes one mixture call for the whole batch.  Each candidate is evaluated with the
 same IEEE operations as the per-x `GEvaluator`, so the kernels return the
 bits a scan over the multiset would.  The minimizing level a* depends only
 on (n, p, r) and is tabulated over n per (p, r).
@@ -151,57 +152,59 @@ def _order_stat(data: np.ndarray, k: int) -> float:
     return float(data[k - 1])
 
 
-def _sorted_g2(xs, data: np.ndarray, astar: float, p: float, r: float):
-    """Vector of two-sided G values over query points xs for one sorted arm."""
-    n = len(data)
-    v = p * (1.0 - p) * n
-    f_minus = np.searchsorted(data, xs, side="left") / n
-    f = np.searchsorted(data, xs, side="right") / n
-    a = np.minimum(np.maximum(astar, f_minus), f)
-    return beta_binomial_log_mixture((a - p) * n, v, p, r)
+def _arm_ranks(xs: np.ndarray, data: np.ndarray, astar: float) -> tuple:
+    """One arm's part of a kernel entry: n F^-(x) and n F(x) at each query point, n and a*."""
+    return data.searchsorted(xs, "left"), data.searchsorted(xs, "right"), len(data), astar
 
 
-def _directed_two_sided(a: np.ndarray, a_star: float, b: np.ndarray, b_star: float,
-                        p: float, r: float, shift: float) -> float:
-    """min over x of G_a(x) + G_b(x + shift), assuming Q_a(a*_a) <= Q_b(a*_b) - shift.
+def _two_sided_candidates(x1: np.ndarray, x2: np.ndarray, a1: float, a2: float,
+                          delta_star: float) -> tuple[tuple, tuple]:
+    """One entry of the two-sided kernel: the arm parts of arms a and b at its candidates.
 
-    The candidates are x_minus = Q_a(a*_a), x_plus = Q^-_b(a*_b) - shift and
-    every distinct w of arm b in [x_minus + shift, Q^-_b(a*_b)] at x = w - shift.
-    The b side is evaluated at w itself so float cancellation cannot lose
-    the atom.
+    The arm a whose argmin quantile lies lower, after the shift, is scanned
+    from: with shift = +-delta_star, the candidates are x_minus = Q_a(a*_a),
+    x_plus = Q^-_b(a*_b) - shift and every distinct w of arm b in
+    [x_minus + shift, Q^-_b(a*_b)] at x = w - shift.  The b side is evaluated
+    at w itself so float cancellation cannot lose the atom.  When
+    x_plus < x_minus the objective is nonincreasing up to x_minus and already
+    nondecreasing there, so x_minus is the only candidate.
     """
-    x_minus = _order_stat(a, _level_floor(len(a), a_star) + 1)
-    b_hi = _order_stat(b, _level_ceil(len(b), b_star))
-    x_plus = b_hi - shift
-    lo = np.searchsorted(b, x_minus + shift, side="left")
-    hi = np.searchsorted(b, b_hi, side="right")
-    w = _distinct(b[lo:hi])
-    vals = (_sorted_g2(np.concatenate(([x_minus, x_plus], w - shift)), a, a_star, p, r)
-            + _sorted_g2(np.concatenate(([x_minus + shift, b_hi], w)), b, b_star, p, r))
-    if x_plus < x_minus:
-        # The objective is nonincreasing up to x_minus and already
-        # nondecreasing there; the minimum sits at x_minus.
-        return float(vals[0])
-    return float(np.min(vals))
-
-
-def _sorted_two_sided_stat(x1: np.ndarray, x2: np.ndarray, p: float, r: float,
-                           delta_star: float, astars: tuple[float, float] | None = None) -> float:
-    """min over x of G_1(x) + G_2(x + delta_star) on sorted arrays.
-
-    astars is (a*_1, a*_2), read from the a* table of (p, r) when omitted.
-    The arm whose argmin quantile lies lower, after the shift, is the one
-    scanned from.
-    """
-    if astars is None:
-        table = _astar_table(p, r)
-        astars = (table.at(len(x1) + 1), table.at(len(x2) + 1))
-    a1, a2 = astars
     q1 = _order_stat(x1, _level_floor(len(x1), a1) + 1)
     q2 = _order_stat(x2, _level_floor(len(x2), a2) + 1)
     if q1 <= q2 - delta_star:
-        return _directed_two_sided(x1, a1, x2, a2, p, r, delta_star)
-    return _directed_two_sided(x2, a2, x1, a1, p, r, -delta_star)
+        a, a_star, x_minus, b, b_star, shift = x1, a1, q1, x2, a2, delta_star
+    else:
+        a, a_star, x_minus, b, b_star, shift = x2, a2, q2, x1, a1, -delta_star
+    b_hi = _order_stat(b, _level_ceil(len(b), b_star))
+    x_plus = b_hi - shift
+    if x_plus < x_minus:
+        xs_a, xs_b = np.array([x_minus]), np.array([x_minus + shift])
+    else:
+        w = _distinct(b[b.searchsorted(x_minus + shift, "left"):b.searchsorted(b_hi, "right")])
+        xs_a = np.concatenate(([x_minus, x_plus], w - shift))
+        xs_b = np.concatenate(([x_minus + shift, b_hi], w))
+    return _arm_ranks(xs_a, a, a_star), _arm_ranks(xs_b, b, b_star)
+
+
+def _two_sided_stats(entries, p: float, r: float) -> list[float]:
+    """min over x of G_1(x) + G_2(x + delta_star) for each entry of `_two_sided_candidates`.
+
+    Every candidate of every entry, on both arms, goes through one mixture
+    call: an arm of n values has G(x) = log M_{p,r}((a - p) n, p(1-p)n) with
+    its a* clamped into [F^-(x), F(x)].  Each entry's statistic is the
+    minimum of its segment of summed evidence.
+    """
+    # every entry's arm-a part, then every entry's arm-b part, so that
+    # candidate i of arm a and of arm b sit one half of the batch apart
+    lo, hi, n, a_star = zip(*[e[0] for e in entries], *[e[1] for e in entries])
+    counts = [len(x) for x in lo]
+    n = np.repeat(np.array(n, dtype=float), counts)
+    a = np.minimum(np.maximum(np.repeat(a_star, counts), np.concatenate(lo) / n),
+                   np.concatenate(hi) / n)
+    g = beta_binomial_log_mixture((a - p) * n, p * (1.0 - p) * n, p, r)
+    half = len(g) // 2
+    starts = np.cumsum([0] + counts[:len(entries) - 1])
+    return np.minimum.reduceat(g[:half] + g[half:], starts).tolist()
 
 
 def _sorted_one_sided_stat(a: np.ndarray, b: np.ndarray, p: float, r: float,
@@ -249,19 +252,26 @@ class AbTestState:
         else:
             raise StateError(f"arm must be 1 or 2, got {arm}")
 
-    def _result(self, kernel) -> TestResult:
+    def _arms(self) -> tuple[np.ndarray, np.ndarray]:
         if len(self.arm1) == 0 or len(self.arm2) == 0:
             raise StateError("both arms need at least one observation")
-        stat = kernel(self.arm1, self.arm2, self.p, self.r, self.delta_star)
+        return self.arm1, self.arm2
+
+    def _result(self, stat: float) -> TestResult:
         return TestResult(stat, _pvalue(stat), stat >= math.log(1.0 / self.alpha))
 
     def two_sided(self) -> TestResult:
         """min_x [G_1(x) + G_2(x + delta_star)] versus log(1/alpha)."""
-        return self._result(_sorted_two_sided_stat)
+        x1, x2 = self._arms()
+        table = _astar_table(self.p, self.r)
+        entry = _two_sided_candidates(x1, x2, table.at(len(x1) + 1), table.at(len(x2) + 1),
+                                      self.delta_star)
+        return self._result(_two_sided_stats([entry], self.p, self.r)[0])
 
     def one_sided(self) -> TestResult:
         """min_x [G+_1(x) + G-_2(x + delta_star)] versus log(1/alpha)."""
-        return self._result(_sorted_one_sided_stat)
+        x1, x2 = self._arms()
+        return self._result(_sorted_one_sided_stat(x1, x2, self.p, self.r, self.delta_star))
 
 
 def global_null_pvalue(
@@ -399,6 +409,10 @@ def _naive_disjoint(x1: np.ndarray, x2: np.ndarray, k_lo: int, k_hi: int) -> boo
             or _order_stat(x2, k_hi) < _order_stat(x1, k_lo))
 
 
+# checkpoints whose two-sided statistics one kernel call evaluates in ab_vs_naive_benchmark
+_SIM_BLOCK = 16
+
+
 def _check_schedule(max_pairs: int) -> list[int]:
     """Every pair count up to 64, then 5% geometric growth."""
     out = list(range(1, min(64, max_pairs) + 1))
@@ -439,6 +453,11 @@ def ab_vs_naive_benchmark(
     when per-arm beta-binomial confidence sequences at alpha/2 become
     disjoint.  Both rules are evaluated on the same checkpoint schedule, and
     stopping times are reported as total samples (2x the pair count).
+
+    The schedule is walked in blocks of _SIM_BLOCK checkpoints: each
+    checkpoint keeps only its test candidates, and the block's test
+    statistics come from one batched kernel call, so a run stops at the same
+    first crossing as a check after every checkpoint.
     """
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
@@ -456,6 +475,7 @@ def ab_vs_naive_benchmark(
     astars = _astar(grid, pi, r_test).tolist()
 
     log_thresh = math.log(1.0 / alpha)
+    checks = list(zip(schedule, astars, naive_lo_ranks, naive_hi_ranks))
     stops_test = []
     stops_naive = []
     capped_test = capped_naive = 0
@@ -464,15 +484,21 @@ def ab_vs_naive_benchmark(
         x1_all = arms[0].sample(rng, max_pairs)
         x2_all = arms[1].sample(rng, max_pairs)
         stop_test = stop_naive = None
-        for n, a_star, k_lo, k_hi in zip(schedule, astars, naive_lo_ranks, naive_hi_ranks):
-            x1 = np.sort(x1_all[:n])
-            x2 = np.sort(x2_all[:n])
-            if stop_test is None:
-                stat = _sorted_two_sided_stat(x1, x2, pi, r_test, 0.0, (a_star, a_star))
-                if stat >= log_thresh:
-                    stop_test = 2 * n
-            if stop_naive is None and _naive_disjoint(x1, x2, k_lo, k_hi):
-                stop_naive = 2 * n
+        for start in range(0, len(checks), _SIM_BLOCK):
+            block = checks[start:start + _SIM_BLOCK]
+            entries = []
+            for n, a_star, k_lo, k_hi in block:
+                x1 = np.sort(x1_all[:n])
+                x2 = np.sort(x2_all[:n])
+                if stop_test is None:
+                    entries.append(_two_sided_candidates(x1, x2, a_star, a_star, 0.0))
+                if stop_naive is None and _naive_disjoint(x1, x2, k_lo, k_hi):
+                    stop_naive = 2 * n
+            if entries:
+                stats = _two_sided_stats(entries, pi, r_test)
+                crossed = [n for (n, *_), stat in zip(block, stats) if stat >= log_thresh]
+                if crossed:
+                    stop_test = 2 * crossed[0]
             if stop_test is not None and stop_naive is not None:
                 break
         if stop_test is None:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from seqquant import bandit, boundaries
 from seqquant.boundaries import (
     beta_binomial_log_mixture,
     lil_C,
@@ -14,18 +15,33 @@ from seqquant.boundaries import (
     one_sided_log_mixture,
     tune_r,
 )
-from seqquant.empdist import OrderedMultiset, insert_sorted
+from seqquant.empdist import (OrderedMultiset, _level_ceil, _level_floor, insert_sorted,
+                              lower_ranks, upper_ranks)
 from seqquant.errors import ConfigurationError, DomainError, PairingError, StateError
 from seqquant.seqtest import (
+    _SIM_BLOCK,
+    AbBenchmarkRow,
     AbTestState,
     GEvaluator,
     KsTestState,
     _astar,
-    _sorted_two_sided_stat,
+    _astar_table,
+    _check_schedule,
+    _naive_disjoint,
+    _two_sided_candidates,
+    _two_sided_stats,
     ab_vs_naive_benchmark,
     global_null_pvalue,
 )
 from seqquant.specfun import golden_section_min
+
+
+def _two_sided_stat(x1, x2, p, r, d, astars=None):
+    """The two-sided kernel on one pair of sorted arms, a* read from the table when omitted."""
+    if astars is None:
+        table = _astar_table(p, r)
+        astars = (table.at(len(x1) + 1), table.at(len(x2) + 1))
+    return _two_sided_stats([_two_sided_candidates(x1, x2, *astars, d)], p, r)[0]
 
 
 def _rand_arm(rng, n, discrete=False):
@@ -211,6 +227,62 @@ class TestKernelBits:
             assert state.two_sided().stat == _scan_two_sided(state)
             assert state.one_sided().stat == _scan_one_sided(state)
 
+    @staticmethod
+    def _scan_case(x1, x2, a1, a2, d):
+        """(whether arm 1 is scanned from, whether x_plus < x_minus) for one pair."""
+        def q(x, k):
+            return -math.inf if k < 1 else math.inf if k > len(x) else float(x[k - 1])
+
+        q1 = q(x1, _level_floor(len(x1), a1) + 1)
+        q2 = q(x2, _level_floor(len(x2), a2) + 1)
+        from_1 = q1 <= q2 - d
+        x_minus, b, b_star, shift = (q1, x2, a2, d) if from_1 else (q2, x1, a1, -d)
+        return from_1, q(b, _level_ceil(len(b), b_star)) - shift < x_minus
+
+    @staticmethod
+    def _pairs(rng):
+        """Sorted arm pairs of mixed sizes with a* from the table, at 0.5 and at the edges."""
+        sizes = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 8), (8, 3), (20, 41), (41, 20), (16, 16)]
+        arms = []
+        for n1, n2 in sizes:
+            arms.append((np.sort(rng.standard_cauchy(n1)), np.sort(rng.standard_cauchy(n2))))
+            # ties from rounded Cauchy data
+            arms.append((np.sort(np.round(rng.standard_cauchy(n1), 0)),
+                         np.sort(np.round(rng.standard_cauchy(n2), 0))))
+        arms.append((np.array([-0.0, -0.0, 0.0, 1.0]), np.array([0.0, -0.0])))
+        arms.append((np.array([-1.0, 0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 0.0, 2.0])))
+        for x1, x2 in arms:
+            for astars in (None, (0.5, 0.5), (0.0, 1.0), (1.0, 0.0)):
+                for d in (0.0, 0.75, -0.75):
+                    yield x1, x2, astars, d
+
+    def test_batch_entries_equal_one_entry_calls_bit_for_bit(self):
+        rng = np.random.default_rng(20241015)
+        for p, r in ((0.5, 0.758), (0.2, 0.4), (0.85, 1.7)):
+            table = _astar_table(p, r)
+            cases, entries = set(), []
+            for x1, x2, astars, d in self._pairs(rng):
+                a1, a2 = astars or (table.at(len(x1) + 1), table.at(len(x2) + 1))
+                cases.add(self._scan_case(x1, x2, a1, a2, d))
+                entries.append(_two_sided_candidates(x1, x2, a1, a2, d))
+            assert cases == {(True, True), (True, False), (False, True), (False, False)}
+            batch = _two_sided_stats(entries, p, r)
+            assert len(batch) == len(entries)
+            for entry, stat in zip(entries, batch):
+                assert stat == _two_sided_stats([entry], p, r)[0]
+
+    def test_batch_entries_equal_per_x_scans_bit_for_bit(self):
+        rng = np.random.default_rng(20241016)
+        states = [_random_state(rng, trial) for trial in range(24)]
+        p, r = 0.4, 0.9
+        table = _astar_table(p, r)
+        for state in states:
+            state.p, state.r = p, r
+        batch = _two_sided_stats([_two_sided_candidates(
+            s.arm1, s.arm2, table.at(len(s.arm1) + 1), table.at(len(s.arm2) + 1), s.delta_star)
+            for s in states], p, r)
+        assert batch == [_scan_two_sided(s) for s in states]
+
 
 class TestAbTwoSided:
     def test_candidate_points_match_brute_force(self):
@@ -250,7 +322,7 @@ class TestAbTwoSided:
                 state.add(1, float(v))
             for v in x2:
                 state.add(2, float(v))
-            assert _sorted_two_sided_stat(np.sort(x1), np.sort(x2), p, r, d) == pytest.approx(
+            assert _two_sided_stat(np.sort(x1), np.sort(x2), p, r, d) == pytest.approx(
                 state.two_sided().stat, abs=1e-12
             )
 
@@ -278,7 +350,7 @@ class TestAstar:
         x1 = np.sort(rng.normal(size=7))
         x2 = np.sort(rng.normal(size=5))
         for d in (-0.5, 0.0, 0.5):
-            stat = _sorted_two_sided_stat(x1, x2, 0.5, 0.758, d, astars)
+            stat = _two_sided_stat(x1, x2, 0.5, 0.758, d, astars)
             assert isinstance(stat, float) and math.isfinite(stat)
 
 
@@ -360,6 +432,9 @@ class TestNullValidityMonteCarlo:
                                                   for k in range(1, 100)
                                                   if 50 * 1.08 ** k <= max_pairs]))
         log_thresh = math.log(1 / alpha)
+        table = _astar_table(p, r)
+        blocks = [[(n, table.at(n + 1)) for n in checks[i:i + _SIM_BLOCK]]
+                  for i in range(0, len(checks), _SIM_BLOCK)]
         crossed_2000 = 0
         crossed_5000 = 0
         rng = np.random.default_rng(987)
@@ -367,11 +442,15 @@ class TestNullValidityMonteCarlo:
             x1 = rng.random(max_pairs)
             x2 = rng.random(max_pairs)
             first_cross = None
-            for n in checks:
-                s1 = np.sort(x1[:n])
-                s2 = np.sort(x2[:n])
-                if _sorted_two_sided_stat(s1, s2, p, r, 0.0) >= log_thresh:
-                    first_cross = 2 * n
+            # a block of checkpoints per kernel call; the first crossing is the
+            # one a check after every checkpoint finds
+            for block in blocks:
+                stats = _two_sided_stats([_two_sided_candidates(
+                    np.sort(x1[:n]), np.sort(x2[:n]), a_star, a_star, 0.0)
+                    for n, a_star in block], p, r)
+                crossed = [n for (n, _), stat in zip(block, stats) if stat >= log_thresh]
+                if crossed:
+                    first_cross = 2 * crossed[0]
                     break
             if first_cross is not None:
                 crossed_5000 += 1
@@ -581,6 +660,78 @@ class TestAbVsNaive:
         a = ab_vs_naive_benchmark(runs=2, seed=9, max_pairs=50_000)
         b = ab_vs_naive_benchmark(runs=2, seed=9, max_pairs=50_000)
         assert a == b
+
+
+def _ab_vs_naive_reference(scenario, pi, alpha, runs, seed, eps, max_pairs, tune_m=32.0):
+    """ab_vs_naive_benchmark with the two-sided statistic checked after every checkpoint."""
+    arms = bandit.scenario_arms(scenario, 2, eps, pi)
+    r_test = boundaries.tune_r(tune_m, pi, alpha)
+    r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)
+    schedule = _check_schedule(max_pairs)
+    grid = np.asarray(schedule, dtype=float)
+    naive_lo_ranks = upper_ranks(
+        grid, pi - boundaries.beta_binomial_radius(grid, 1.0 - pi, r_naive, alpha / 2.0)).tolist()
+    naive_hi_ranks = lower_ranks(
+        grid, pi + boundaries.beta_binomial_radius(grid, pi, r_naive, alpha / 2.0)).tolist()
+    astars = _astar(grid, pi, r_test).tolist()
+
+    log_thresh = math.log(1.0 / alpha)
+    stops_test = []
+    stops_naive = []
+    capped_test = capped_naive = 0
+    for run in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
+        x1_all = arms[0].sample(rng, max_pairs)
+        x2_all = arms[1].sample(rng, max_pairs)
+        stop_test = stop_naive = None
+        for n, a_star, k_lo, k_hi in zip(schedule, astars, naive_lo_ranks, naive_hi_ranks):
+            x1 = np.sort(x1_all[:n])
+            x2 = np.sort(x2_all[:n])
+            if stop_test is None:
+                stat = _two_sided_stat(x1, x2, pi, r_test, 0.0, (a_star, a_star))
+                if stat >= log_thresh:
+                    stop_test = 2 * n
+            if stop_naive is None and _naive_disjoint(x1, x2, k_lo, k_hi):
+                stop_naive = 2 * n
+            if stop_test is not None and stop_naive is not None:
+                break
+        if stop_test is None:
+            stop_test = 2 * max_pairs
+            capped_test += 1
+        if stop_naive is None:
+            stop_naive = 2 * max_pairs
+            capped_naive += 1
+        stops_test.append(stop_test)
+        stops_naive.append(stop_naive)
+    mean_test = float(np.mean(stops_test))
+    mean_naive = float(np.mean(stops_naive))
+    return AbBenchmarkRow(scenario=scenario, pi=pi, runs=runs, mean_t_test=mean_test,
+                          mean_t_naive=mean_naive, ratio=mean_test / mean_naive,
+                          capped_test=capped_test, capped_naive=capped_naive)
+
+
+class TestAbVsNaiveBlocks:
+    """The block-batched simulation stops where a check after every checkpoint does."""
+
+    @pytest.mark.parametrize("scenario", bandit.SCENARIOS)
+    @pytest.mark.parametrize("pi", [0.1, 0.5, 0.9])
+    def test_rows_equal_per_checkpoint_reference(self, scenario, pi):
+        kwargs = dict(scenario=scenario, pi=pi, alpha=0.05, runs=3, seed=17, eps=0.05,
+                      max_pairs=3000)
+        assert ab_vs_naive_benchmark(**kwargs) == _ab_vs_naive_reference(**kwargs)
+
+    @pytest.mark.parametrize("max_pairs, eps", [(32, 0.02), (40, 0.2), (63, 0.2), (300, 0.1)])
+    def test_capped_runs_and_short_schedules(self, max_pairs, eps):
+        kwargs = dict(scenario="uniform_shift", pi=0.5, alpha=0.05, runs=6, seed=3, eps=eps,
+                      max_pairs=max_pairs)
+        row = ab_vs_naive_benchmark(**kwargs)
+        assert row == _ab_vs_naive_reference(**kwargs)
+        assert row.capped_test > 0 and row.capped_naive > 0
+
+    def test_schedules_cover_partial_and_whole_blocks(self):
+        assert len(_check_schedule(32)) % _SIM_BLOCK == 0
+        for max_pairs in (40, 63, 300, 3000):
+            assert len(_check_schedule(max_pairs)) % _SIM_BLOCK != 0
 
 
 class TestGlobalNullResult:
