@@ -20,6 +20,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import astuple
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import ndtr
@@ -81,6 +82,12 @@ def _fmt_cell(x) -> str:
     return _CELL_TEXT[type(x)](x)
 
 
+def _column_text(col: list) -> map:
+    """A column's CSV cells: one `_CELL_TEXT` lookup when every cell has the same exact type."""
+    kinds = set(map(type, col))
+    return map(_CELL_TEXT[kinds.pop()] if len(kinds) == 1 else _fmt_cell, col)
+
+
 def _json_cell(x):
     """A cell as the JSON payload holds it: a non-finite float as its CSV literal."""
     if type(x) is float and not math.isfinite(x):
@@ -104,15 +111,27 @@ class Emitter:
                 out.write(f"# {key}={_fmt_cell(val)}\n")
             out.write(",".join(columns) + "\n")
 
+    def _check_widths(self, batch) -> None:
+        if set(map(len, batch)) - {len(self.columns)}:
+            raise ValueError(f"every row needs {len(self.columns)} cells")
+
     def row(self, *cells) -> None:
-        self.rows((cells,))
+        self._check_widths((cells,))
+        if self.fmt == "csv":
+            self.out.write(",".join(map(_fmt_cell, cells)) + "\n")
+        else:
+            self._rows.append(list(map(_json_cell, cells)))
 
     def rows(self, batch) -> None:
-        """Write a batch of rows: one write in CSV, one extend in JSON."""
-        if self.fmt == "csv":
-            self.out.write("".join([",".join(map(_fmt_cell, cells)) + "\n" for cells in batch]))
-        else:
+        """Write a batch of rows: one write in CSV, encoded column by column; one extend in JSON."""
+        batch = list(batch)
+        self._check_widths(batch)
+        if self.fmt == "json":
             self._rows.extend([list(map(_json_cell, cells)) for cells in batch])
+        elif batch:
+            cols = [_column_text(list(map(itemgetter(i), batch)))
+                    for i in range(len(self.columns))]
+            self.out.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     def close(self) -> None:
         if self.fmt == "json":
@@ -451,19 +470,16 @@ def cmd_track(args) -> int:
 
 
 def cmd_band(args) -> int:
-    checkpoints = sorted(set(_parse_int_list(args.checkpoints, "checkpoints")))
-    if checkpoints[-1] < 1:
+    checkpoints = set(_parse_int_list(args.checkpoints, "checkpoints"))
+    if max(checkpoints) < 1:
         raise UsageError(f"--checkpoints needs a time >= 1, got {args.checkpoints!r}")
     band = confseq.CdfBand(a_mult=args.a_mult, alpha=args.alpha, m_start=args.m)
     meta = {"alpha": args.alpha, "A": args.a_mult, "m": args.m, "C": band.method.c_add}
     with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, ["t", "x", "ecdf", "lo", "hi"], meta)
-        remaining = list(checkpoints)
         for _, x in _numeric_stream(handle):
-            band.update(x)
-            t = len(band.data)
-            if remaining and t == remaining[0]:
-                remaining.pop(0)
+            t = band.update(x)
+            if t in checkpoints:
                 emitter.rows([(t, *cells) for cells in band.band()])
         emitter.close()
     return 0

@@ -1,7 +1,8 @@
 """Stateful confidence-sequence trackers.
 
-Each tracker owns an OrderedMultiset and a radius; bounds are always a pair
-of realized order statistics or the floats -inf / inf, never interpolated.  A
+Each tracker owns its observations (an OrderedMultiset, or in `CdfBand` a
+list sorted stably at query) and a radius; bounds are always a pair of
+realized order statistics or the floats -inf / inf, never interpolated.  A
 radius is a function `radius(t, level)` that must accept a numpy array of
 times as well as one time, such as
 `lambda t, level: boundaries.beta_binomial_radius(t, level, r, alpha)`.
@@ -20,6 +21,7 @@ clamping to extreme order statistics), which keeps coverage conservative.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import boundaries
 from .boundaries import RadiusSchedule
 from .empdist import OrderedMultiset, lower_ranks, upper_ranks
-from .errors import ConfigurationError
+from .errors import ConfigurationError, QueryError
 
 __all__ = [
     "rank_schedules",
@@ -170,31 +172,46 @@ class CdfBand:
     def __init__(self, a_mult: float = 0.85, alpha: float | None = 0.05,
                  c_add: float | None = None, m_start: float = 1.0):
         self.method = LilMethod(a_mult=a_mult, c_add=c_add, alpha=alpha, m_start=m_start)
-        self.data = OrderedMultiset()
+        self._values = []
+        self._n_sorted = 0
+
+    def __len__(self) -> int:
+        return len(self._values)
 
     def update(self, x) -> int:
-        return self.data.insert(x)
+        if isinstance(x, float) and x != x:
+            raise ValueError("NaN is not insertable: it breaks rank semantics")
+        self._values.append(x)
+        return len(self._values)
+
+    def _sorted(self) -> list:
+        if self._n_sorted != len(self._values):
+            self._values.sort()
+            self._n_sorted = len(self._values)
+        return self._values
 
     def half_width(self) -> float:
-        return self.method.radius(len(self.data))
+        return self.method.radius(len(self._values))
 
     def at(self, x) -> tuple[float, float]:
         """Band (lo, hi) at x, clamped into [0, 1]."""
-        _, f = self.data.cdf_at(x)
+        if not self._values:
+            raise QueryError("empirical CDF is undefined for an empty distribution")
+        f = bisect_right(self._sorted(), x) / len(self._values)
         w = self.half_width()
         return max(0.0, f - w), min(1.0, f + w)
 
     def band(self) -> list[tuple[float, float, float, float]]:
         """Step-function export: (x, ecdf, lo, hi) at each distinct data point.
 
-        One numpy pass over the sorted data.  Runs of equal values are found
+        One numpy pass over the sorted values.  Runs of equal values are found
         on an object array, so equality is Python's: 2**53 + 1 and 2.0**53,
         which one float64 cannot tell apart, stay two runs.  x is the first
         value of its run, the one inserted first (-0.0 or 0.0, whichever came
         first), and ecdf = (run end + 1) / t is the correctly rounded quotient
         of two integers below 2**53, as a running count over t is.
         """
-        values = np.array(list(self.data), dtype=object)
+        values = np.array(self._sorted(), dtype=object)
         t = len(values)
         if t == 0:
             return []

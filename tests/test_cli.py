@@ -9,11 +9,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqquant import boundaries, cli, empdist
+from seqquant import boundaries, cli, confseq, empdist
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -176,6 +177,14 @@ class TestBand:
         assert rc == 0
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines == ["t,x,ecdf,lo,hi"]
+
+    @pytest.mark.parametrize("checkpoints", ["0,5,10", "-3,10,5", "10,5,5"])
+    def test_checkpoint_below_one_blocks_no_later_one(self, checkpoints):
+        stream = str(FIXTURES / "stream10.txt")
+        rc, out, _ = run_cli(["band", stream, f"--checkpoints={checkpoints}"])
+        assert rc == 0
+        assert out == run_cli(["band", stream, "--checkpoints", "5,10"])[1]
+        assert [l.split(",")[0] for l in out.splitlines()[5:]] == ["5"] * 5 + ["10"] * 10
 
     def test_width_constant_and_expected(self):
         rc, out, _ = run_cli(["band", str(FIXTURES / "stream10.txt"),
@@ -382,14 +391,56 @@ class TestEmitter:
                                    [30000, 1e22, 5e-324, "label", True]]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [[(1, 2.0, 3.0, "x")], [(1, 2.0, 3.0, "x", True, 0)],
+                                     BATCH + [(4, 0.5)], [(4, 0.5)] + BATCH])
+    def test_ragged_rows_raise(self, fmt, bad):
+        for write in (lambda e: e.rows(bad), lambda e: [e.row(*cells) for cells in bad]):
+            with pytest.raises(ValueError, match="5 cells"):
+                self._emit(fmt, write)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_batch_writes_nothing(self, fmt):
+        assert self._emit(fmt, lambda e: e.rows([])) == self._emit(fmt, lambda e: None)
+        assert self._emit(fmt, lambda e: e.rows(iter([]))) == self._emit(fmt, lambda e: None)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_iterator_batch_writes_what_a_list_writes(self, fmt):
+        assert self._emit(fmt, lambda e: e.rows(map(tuple, self.BATCH))) == \
+            self._emit(fmt, lambda e: e.rows(self.BATCH))
+
+    def test_mixed_int_float_column(self):
+        batch = [(1, 1.0, 1, True, "a"), (1.0, 1, True, 1, 2), (-0.0, 0, 0.0, False, 0.5)]
+        lines = self._emit("csv", lambda e: e.rows(batch)).splitlines()[-3:]
+        assert lines == ["1,1.0,1,true,a", "1.0,1,true,1,2", "-0.0,0,0.0,false,0.5"]
+
+    @pytest.mark.parametrize("batch", [[(1, 2.0, 3.0, "x", np.float64(0.5))],
+                                       [(1, 2.0, 3.0, "x", 0.5), (2, 2.0, 3.0, "x", np.int64(1))]])
+    def test_numpy_scalar_is_a_key_error(self, batch):
+        with pytest.raises(KeyError):
+            self._emit("csv", lambda e: e.rows(batch))
+
+    def test_rows_writes_what_row_writes_on_a_band_batch(self):
+        band = confseq.CdfBand(alpha=0.05)
+        for x in np.random.default_rng(3).standard_cauchy(41000).tolist():
+            band.update(x)
+        batch = [(len(band), *cells) for cells in band.band()]
+        assert len(batch) == 41000
+        assert self._emit("csv", lambda e: e.rows(batch)) == \
+            self._emit("csv", lambda e: [e.row(*cells) for cells in batch])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(_ALL_MODES))
     def test_every_cell_is_a_plain_python_value(self, monkeypatch, name, fmt):
-        # the CSV encoder is keyed by exact type, so a numpy scalar must never reach it
+        # the CSV encoder is keyed by exact type, so a numpy scalar must never reach it; a batch
+        # is encoded a column at a time, so the column encoder records each cell's type too
         seen = set()
         for attr in ("_fmt_cell", "_json_cell"):
             encode = getattr(cli, attr)
             monkeypatch.setattr(cli, attr,
                                 lambda x, encode=encode: (seen.add(type(x)), encode(x))[1])
+        encode_column = cli._column_text
+        monkeypatch.setattr(cli, "_column_text",
+                            lambda col: (seen.update(map(type, col)), encode_column(col))[1])
         rc, out, err = run_cli(_ALL_MODES[name] + ["--format", fmt])
         assert rc == 0, err
         assert seen and seen <= {bool, int, float, str}
@@ -397,8 +448,6 @@ class TestEmitter:
 
 class TestKsLatch:
     def test_latched_reject_is_monotone(self, tmp_path):
-        import numpy as np
-
         rng = np.random.default_rng(8)
         lines = []
         for _ in range(400):

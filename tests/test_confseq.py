@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from functools import partial
 
@@ -23,8 +25,8 @@ from seqquant.boundaries import (
     tune_r,
 )
 from seqquant.confseq import CdfBand, FixedQuantileCS, LilMethod, QuantileUniformCS
-from seqquant.empdist import _level_ceil, _level_floor
-from seqquant.errors import ConfigurationError, DomainError
+from seqquant.empdist import OrderedMultiset, _level_ceil, _level_floor
+from seqquant.errors import ConfigurationError, DomainError, QueryError
 from seqquant.seqtest import AbTestState
 
 
@@ -274,19 +276,28 @@ class TestCdfBand:
             assert hi - f == pytest.approx(f - lo, rel=1e-12)
 
 
-def _band_by_runs(band):
-    """The band as a loop over the runs of equal values: the reference for `CdfBand.band`."""
-    t = len(band.data)
+def _band_by_runs(inserted, band):
+    """The band as a loop over the runs of an OrderedMultiset of the inserted values: the
+    reference for `CdfBand.band`."""
+    data = OrderedMultiset(inserted)
+    t = len(data)
     if t == 0:
         return []
     w = band.half_width()
     rows = []
     seen = 0
-    for v, c in band.data.items():
+    for v, c in data.items():
         seen += c
         f = seen / t
         rows.append((v, f, max(0.0, f - w), min(1.0, f + w)))
     return rows
+
+
+def _at_by_multiset(inserted, band, x):
+    """`CdfBand.at` from an OrderedMultiset of the inserted values."""
+    _, f = OrderedMultiset(inserted).cdf_at(x)
+    w = band.half_width()
+    return max(0.0, f - w), min(1.0, f + w)
 
 
 _CAUCHY = np.random.default_rng(11).standard_cauchy(5000)
@@ -312,7 +323,7 @@ class TestCdfBandExport:
         band = CdfBand(alpha=0.05)
         for x in self.CASES[case]:
             band.update(x)
-        got, want = band.band(), _band_by_runs(band)
+        got, want = band.band(), _band_by_runs(self.CASES[case], band)
         assert got == want
         assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]
         assert all(type(f) is float and type(lo) is float and type(hi) is float
@@ -324,6 +335,38 @@ class TestCdfBandExport:
             for x in (first, -first, 1.0):
                 band.update(x)
             assert [repr(x) for x, *_ in band.band()] == [repr(first), "1.0"]
+
+    # ties from rounded Cauchy draws, both zeros, ints, Fractions, and two numbers one float64
+    # cannot tell apart
+    VALUES = st.one_of(
+        st.sampled_from(np.round(_CAUCHY[:40], 1).tolist() + [0.0, -0.0, 2 ** 53 + 1, 2.0 ** 53]),
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    OPS = st.lists(st.one_of(st.tuples(st.just("update"), VALUES), st.just(("band",)),
+                             st.tuples(st.just("at"), VALUES)), max_size=60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(OPS)
+    def test_interleaved_queries_match_the_multiset(self, ops):
+        band = CdfBand(alpha=0.05)
+        inserted = []
+        for op in ops:
+            if op[0] == "update":
+                inserted.append(op[1])
+                assert band.update(op[1]) == len(band) == len(inserted)
+            elif op[0] == "band":
+                got, want = band.band(), _band_by_runs(inserted, band)
+                assert [list(map(repr, row)) for row in got] == \
+                    [list(map(repr, row)) for row in want]
+            elif inserted:
+                assert repr(band.at(op[1])) == repr(_at_by_multiset(inserted, band, op[1]))
+            else:
+                with pytest.raises(QueryError):
+                    band.at(op[1])
+        with pytest.raises(ValueError, match="NaN"):
+            band.update(math.nan)
+        assert len(band) == len(inserted)
 
 
 class TestRadiusOrdering:

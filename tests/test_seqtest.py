@@ -468,6 +468,27 @@ class TestNullValidityMonteCarlo:
         sigma = math.sqrt(alpha * (1 - alpha) / reps)
         assert crossed / reps <= alpha + 3 * sigma
 
+    def test_two_sided_ever_rejection_rate_every_pair(self):
+        # both arms uniform(0,1), delta*=0: every pair is checked, a block of
+        # pairs per kernel call as in the grid test above
+        p, r = 0.5, 0.758
+        reps, horizon = 200, 120
+        table = _astar_table(p, r)
+        log_thresh = math.log(1 / 0.05)
+        rng = np.random.default_rng(1204)
+        crossed = 0
+        for _ in range(reps):
+            x1, x2 = rng.random((2, horizon))
+            for start in range(1, horizon + 1, _SIM_BLOCK):
+                block = range(start, min(start + _SIM_BLOCK, horizon + 1))
+                stats = _two_sided_stats([_two_sided_candidates(
+                    np.sort(x1[:n]), np.sort(x2[:n]), table.at(n + 1), table.at(n + 1), 0.0)
+                    for n in block], p, r)
+                if max(stats) >= log_thresh:
+                    crossed += 1
+                    break
+        self._assert_ever_rate_valid(crossed, reps)
+
     def test_one_sided_ever_rejection_rate_every_pair(self):
         # both arms uniform(0,1): H0 Q_2 - Q_1 <= 0 holds on its boundary
         reps, horizon = 200, 120
