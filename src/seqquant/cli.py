@@ -111,12 +111,9 @@ class Emitter:
                 out.write(f"# {key}={_fmt_cell(val)}\n")
             out.write(",".join(columns) + "\n")
 
-    def _check_widths(self, batch) -> None:
-        if set(map(len, batch)) - {len(self.columns)}:
-            raise ValueError(f"every row needs {len(self.columns)} cells")
-
     def row(self, *cells) -> None:
-        self._check_widths((cells,))
+        if len(cells) != len(self.columns):
+            raise ValueError(f"every row needs {len(self.columns)} cells")
         if self.fmt == "csv":
             self.out.write(",".join(map(_fmt_cell, cells)) + "\n")
         else:
@@ -125,7 +122,8 @@ class Emitter:
     def rows(self, batch) -> None:
         """Write a batch of rows: one write in CSV, encoded column by column; one extend in JSON."""
         batch = list(batch)
-        self._check_widths(batch)
+        if set(map(len, batch)) - {len(self.columns)}:
+            raise ValueError(f"every row needs {len(self.columns)} cells")
         if self.fmt == "json":
             self._rows.extend([list(map(_json_cell, cells)) for cells in batch])
         elif batch:

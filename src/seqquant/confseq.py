@@ -185,6 +185,7 @@ class CdfBand:
         return len(self._values)
 
     def _sorted(self) -> list:
+        """The values in order; the sort is stable, so equal values keep insertion order."""
         if self._n_sorted != len(self._values):
             self._values.sort()
             self._n_sorted = len(self._values)
