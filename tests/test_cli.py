@@ -237,8 +237,6 @@ class TestAbtest:
         assert "runs must be >= 1" in err
 
     def test_running_min_is_monotone(self, tmp_path):
-        import numpy as np
-
         rng = np.random.default_rng(0)
         lines = []
         for _ in range(60):
