@@ -310,11 +310,11 @@ def _mixture_args(s_val, v, p: float, r: float):
     """Beta arguments of the mixture, raising if either is non-positive."""
     a = (r + v) / p - s_val
     b = (r + v) / (1.0 - p) + s_val
-    if np.any(a <= 0.0):
+    if (a <= 0.0).any():
         raise DomainError(
             "mixture argument (r+v)/p - s must be positive; s exceeds the upper domain"
         )
-    if np.any(b <= 0.0):
+    if (b <= 0.0).any():
         raise DomainError(
             "mixture argument (r+v)/(1-p) + s must be positive; s is below the lower domain"
         )
@@ -327,8 +327,10 @@ def _log_mixture(s_val, v, p: float, r: float, one_sided: bool):
     s_arr = np.asarray(s_val, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     scalar = s_arr.ndim == 0 and v_arr.ndim == 0
-    s_arr, v_arr = np.broadcast_arrays(np.atleast_1d(s_arr), np.atleast_1d(v_arr))
-    if np.any(v_arr < 0.0):
+    s_arr, v_arr = np.atleast_1d(s_arr), np.atleast_1d(v_arr)
+    if s_arr.shape != v_arr.shape:
+        s_arr, v_arr = np.broadcast_arrays(s_arr, v_arr)
+    if (v_arr < 0.0).any():
         raise DomainError("intrinsic time v must be nonnegative")
     a, b = _mixture_args(s_arr, v_arr, p, r)
     if one_sided:
@@ -336,7 +338,7 @@ def _log_mixture(s_val, v, p: float, r: float, one_sided: bool):
         log_den = _one_sided_log_den(p, r)
     else:
         log_num = log_beta(a, b)
-        log_den = log_beta(r / p, r / (1.0 - p))
+        log_den = _two_sided_log_den(p, r)
     out = (
         -(v_arr / (1.0 - p) + s_arr) * math.log(p)
         - (v_arr / p - s_arr) * math.log(1.0 - p)
@@ -363,6 +365,12 @@ def one_sided_log_mixture(s_val, v, p: float, r: float):
     functions truncated at 1-p.
     """
     return _log_mixture(s_val, v, p, r, one_sided=True)
+
+
+@lru_cache(maxsize=256)
+def _two_sided_log_den(p: float, r: float) -> float:
+    """The two-sided mixture's normalizer log B(r/p, r/(1-p))."""
+    return log_beta(r / p, r / (1.0 - p))
 
 
 @lru_cache(maxsize=256)

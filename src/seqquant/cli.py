@@ -570,13 +570,12 @@ def cmd_ks(args) -> int:
         for _, arm, value in stream:
             state.add(value, sample=arm + 1)
             # a paired test is evaluated once both samples hold t values
-            if not paired or len(state.sample1) == len(state.sample2):
+            if not paired or state.n1 == state.n2:
                 res = state.evaluate()
                 latched = latched or res.reject
                 emitter.row(res.t, res.stat, res.threshold, latched if args.latch else res.reject)
-        if paired and len(state.sample1) != len(state.sample2):
-            raise PairingError(f"stream ended with unequal counts: {len(state.sample1)} vs "
-                               f"{len(state.sample2)}")
+        if paired and state.n1 != state.n2:
+            raise PairingError(f"stream ended with unequal counts: {state.n1} vs {state.n2}")
         emitter.close()
     return 0
 

@@ -198,6 +198,8 @@ class CdfBand:
         """Band (lo, hi) at x, clamped into [0, 1]."""
         if not self._values:
             raise QueryError("empirical CDF is undefined for an empty distribution")
+        if isinstance(x, float) and x != x:
+            raise ValueError("NaN is not queryable: it breaks rank semantics")
         f = bisect_right(self._sorted(), x) / len(self._values)
         w = self.half_width()
         return max(0.0, f - w), min(1.0, f + w)

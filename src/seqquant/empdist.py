@@ -5,8 +5,8 @@ holding every observation, duplicates as repeated entries, so rank queries
 count multiplicity exactly.  Equal values keep their insertion order, and
 ``items`` reports each distinct value by its first-inserted representative.
 Values are numbers that compare with float (every caller passes finite
-floats, ints or Fractions); float NaN is rejected at insertion because it
-breaks rank semantics.
+floats, ints or Fractions); float NaN is rejected at insertion and as a
+CDF query because it breaks rank semantics.
 
 Quantile conventions: the upper sample quantile at level p is the
 floor(t p) + 1 order statistic, the lower one the ceil(t p) order statistic,
@@ -157,6 +157,8 @@ class OrderedMultiset:
         t = len(self._sl)
         if t == 0:
             raise QueryError("empirical CDF is undefined for an empty distribution")
+        if isinstance(x, float) and x != x:
+            raise ValueError("NaN is not queryable: it breaks rank semantics")
         return self.count_lt(x) / t, self.count_le(x) / t
 
     def upper_quantile(self, p) -> float:

@@ -16,10 +16,18 @@ every statistic is computed by one numpy kernel on those arrays:
 empirical CDFs are `searchsorted` counts, out-of-range order statistics are
 -inf/+inf as in `OrderedMultiset.order_stat`, and all candidates go through
 one vectorized mixture call per arm; the two-sided kernel takes a batch of
-arm pairs and makes one mixture call for the whole batch.  Each candidate is
-evaluated with the same IEEE operations as the per-x `GEvaluator`, so the
-kernels return the bits a scan over the multiset would.  The minimizing
-level a* depends only on (n, p, r) and is tabulated over n per (p, r).
+arm pairs and makes one mixture call for the whole batch, and the one-sided
+kernel takes one arm against any number of others (the global null's
+treatments) and makes one mixture call per level for all of them.  Each
+candidate is evaluated with the same IEEE operations as the per-x
+`GEvaluator`, so the kernels return the bits a scan over the multiset would.
+The minimizing level a* depends only on (n, p, r) and is tabulated over n
+per (p, r).
+
+The paired KS tests keep both samples in one pooled sorted array, with
+masks of the values from sample 1 and of the last value of each run of
+equal values; the ECDF counts of both samples at every run end come from
+one cumulative sum, with no search.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .boundaries import beta_binomial_log_mixture, one_sided_log_mixture
 from .confseq import LilMethod
 from .empdist import (OrderedMultiset, _level_ceil, _level_floor, insert_sorted, lower_ranks,
                       upper_ranks)
-from .errors import ConfigurationError, PairingError, StateError
+from .errors import ConfigurationError, DomainError, PairingError, StateError
 from .specfun import golden_section_min
 
 __all__ = [
@@ -207,21 +215,26 @@ def _two_sided_stats(entries, p: float, r: float) -> list[float]:
     return np.minimum.reduceat(g[:half] + g[half:], starts).tolist()
 
 
-def _sorted_one_sided_stat(a: np.ndarray, b: np.ndarray, p: float, r: float,
-                           shift: float) -> float:
-    """min over x of G+_a(x) + G-_b(x + shift) on sorted arrays.
+def _one_sided_stats(a: np.ndarray, bs: Sequence[np.ndarray], p: float, r: float,
+                     shift: float) -> list[float]:
+    """min over x of G+_a(x) + G-_b(x + shift) on sorted arrays, for each arm b of bs.
 
     G+_a is nondecreasing and G-_b nonincreasing, and the sum only steps down
     where x + shift reaches a value of b: the candidates are x = -inf and
-    x = w - shift for every distinct w of arm b.
+    x = w - shift for every distinct w of arm b.  The candidates of every b
+    go through one mixture call per level (G+ at p, G- at 1 - p), and each
+    b's statistic is the minimum of its segment of summed evidence.
     """
-    w = np.concatenate(([-math.inf], _distinct(b)))
-    na, nb = len(a), len(b)
-    f_minus = np.searchsorted(a, w - shift, side="left") / na
-    f = np.searchsorted(b, w, side="right") / nb
+    ws = [np.concatenate(([-math.inf], _distinct(b))) for b in bs]
+    counts = [len(w) for w in ws]
+    na = len(a)
+    nb = np.repeat(np.array([len(b) for b in bs], dtype=float), counts)
+    f_minus = np.searchsorted(a, np.concatenate(ws) - shift, side="left") / na
+    f = np.concatenate([np.searchsorted(b, w, side="right") for b, w in zip(bs, ws)]) / nb
     plus = one_sided_log_mixture((f_minus - p) * na, p * (1.0 - p) * na, p, r)
     minus = one_sided_log_mixture(-(f - p) * nb, p * (1.0 - p) * nb, 1.0 - p, r)
-    return float(np.min(plus + minus))
+    starts = np.cumsum([0] + counts[:-1])
+    return np.minimum.reduceat(plus + minus, starts).tolist()
 
 
 class AbTestState:
@@ -271,7 +284,7 @@ class AbTestState:
     def one_sided(self) -> TestResult:
         """min_x [G+_1(x) + G-_2(x + delta_star)] versus log(1/alpha)."""
         x1, x2 = self._arms()
-        return self._result(_sorted_one_sided_stat(x1, x2, self.p, self.r, self.delta_star))
+        return self._result(_one_sided_stats(x1, [x2], self.p, self.r, self.delta_star)[0])
 
 
 def global_null_pvalue(
@@ -301,7 +314,7 @@ def global_null_result(
     if len(control) == 0 or any(len(a) == 0 for a in treatments):
         raise StateError("all arms need at least one observation")
     boundaries._check_mixture(p, r)
-    best = max(_sorted_one_sided_stat(control, arm, p, r, 0.0) for arm in treatments)
+    best = max(_one_sided_stats(control, treatments, p, r, 0.0))
     pval = _pvalue(best, len(treatments))
     return TestResult(best, pval, pval <= alpha)
 
@@ -325,8 +338,18 @@ class KsTestState:
     constant C(A, .) inverts the band's crossing probability: one-sample
     uses C(A, alpha) with width g_t, the paired modes use width 2 g_t with
     C(A, alpha/2) for two_sample and C(A, alpha) for dominance (one-sided
-    bands suffice there), read from a `RadiusSchedule` by t.  `sample1` and
-    `sample2` are sorted float64 arrays; f0 is called once per observation.
+    bands suffice there), read from a `RadiusSchedule` by t.
+
+    `n1` and `n2` count each sample's values.  One-sample mode keeps its
+    values as one sorted float64 array beside F0 at each value; f0 is called
+    once per observation, before anything is stored, and must return a value
+    in [0, 1].  The paired modes keep the pooled values of both samples as
+    one sorted float64 array, with two bool arrays in the same order: which
+    values came from sample 1, and which is the last of a run of equal
+    values; each `add` is one search and one concatenate per array.  The
+    read-only properties `sample1` and `sample2` return a copy of each
+    sample's values as a sorted float64 array, equal values (-0.0 and 0.0
+    too) in insertion order.
 
     Dominance tests H0: F1 <= F2 pointwise and rejects on evidence that
     F1(x) > F2(x) somewhere, i.e. when sup_x [F1(x) - F2(x)] strictly exceeds
@@ -356,44 +379,69 @@ class KsTestState:
                              m_start=m_start)
         width = 1.0 if mode == "one_sample" else 2.0
         self._thresholds = boundaries.RadiusSchedule(lambda t: width * self.lil.radius(t))
-        self.sample1 = np.empty(0)
-        self.sample2 = np.empty(0)
+        self.n1 = self.n2 = 0
+        self._values = np.empty(0)
         self._f0 = np.empty(0)
+        self._from1 = np.empty(0, dtype=bool)
+        self._run_end = np.empty(0, dtype=bool)
+
+    @property
+    def sample1(self) -> np.ndarray:
+        return self._values.copy() if self.mode == "one_sample" else self._values[self._from1]
+
+    @property
+    def sample2(self) -> np.ndarray:
+        return np.empty(0) if self.mode == "one_sample" else self._values[~self._from1]
 
     def add(self, x: float, sample: int = 1) -> None:
-        if sample == 1:
-            self.sample1 = insert_sorted(self.sample1, x)
-            if self.mode == "one_sample":
-                i = np.searchsorted(self.sample1, float(x), side="right") - 1
-                self._f0 = np.concatenate((self._f0[:i], (self.f0(float(x)),), self._f0[i:]))
-        elif sample == 2:
-            if self.mode == "one_sample":
-                raise StateError("one_sample mode has a single sample")
-            self.sample2 = insert_sorted(self.sample2, x)
-        else:
+        if sample not in (1, 2):
             raise StateError(f"sample must be 1 or 2, got {sample}")
+        if sample == 2 and self.mode == "one_sample":
+            raise StateError("one_sample mode has a single sample")
+        x = float(x)
+        if x != x:
+            raise ValueError("NaN is not insertable: it breaks rank semantics")
+        values = self._values
+        # x goes after its equals, so it is the last of their run
+        i = values.searchsorted(x, "right")
+        if self.mode == "one_sample":
+            f = self.f0(x)
+            if not 0.0 <= f <= 1.0:
+                raise DomainError(f"reference CDF must lie in [0, 1], got {f} at x = {x}")
+            self._f0 = np.concatenate((self._f0[:i], (f,), self._f0[i:]))
+        else:
+            self._from1 = np.concatenate((self._from1[:i], (sample == 1,), self._from1[i:]))
+            run_end = np.concatenate((self._run_end[:i], (True,), self._run_end[i:]))
+            if i and values[i - 1] == x:
+                run_end[i - 1] = False
+            self._run_end = run_end
+        self._values = np.concatenate((values[:i], (x,), values[i:]))
+        if sample == 1:
+            self.n1 += 1
+        else:
+            self.n2 += 1
 
     def threshold(self, t: int) -> float:
         return self._thresholds.at(t)
 
     def evaluate(self) -> KsResult:
-        x1, x2 = self.sample1, self.sample2
-        t = len(x1)
-        if self.mode != "one_sample" and len(x2) != t:
-            raise PairingError(f"paired modes need equal counts, got {t} and {len(x2)}")
+        t = self.n1
+        if self.mode != "one_sample" and self.n2 != t:
+            raise PairingError(f"paired modes need equal counts, got {t} and {self.n2}")
         if t == 0:
             raise StateError("no data")
         if self.mode == "one_sample":
             # F0 is equal across a run of ties, whose last index gives F and first F^-
             gaps = [np.arange(1, t + 1) / t - self._f0, self._f0 - np.arange(t) / t]
         else:
-            # F1 - F2 steps only at sample values, where both ECDFs are counts <= x
-            gaps = [np.searchsorted(x1, x, side="right") / t
-                    - np.searchsorted(x2, x, side="right") / t for x in (x1, x2)]
-            if self.mode == "two_sample":
-                gaps = [np.abs(gap) for gap in gaps]
+            # F1 - F2 steps only at sample values; at the last of a run of equal
+            # pooled values x, c1 values of sample 1 and the rest of sample 2 are <= x
+            ends = np.flatnonzero(self._run_end)
+            c1 = np.cumsum(self._from1)[ends]
+            gap = c1 / t - (ends + 1 - c1) / t
+            gaps = [np.abs(gap) if self.mode == "two_sample" else gap]
         # dominance: one-sided supremum of F1 - F2, strict exceedance to reject
-        stat = max(0.0, *(float(np.max(gap)) for gap in gaps))
+        stat = max(0.0, *(float(gap.max()) for gap in gaps))
         thr = self.threshold(t)
         return KsResult(t, stat, thr, stat > thr)
 

@@ -135,16 +135,22 @@ def log_betainc(a, b, x):
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     scalar = a_arr.ndim == 0 and b_arr.ndim == 0
-    a_arr, b_arr = np.broadcast_arrays(np.atleast_1d(a_arr), np.atleast_1d(b_arr))
-    if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
+    a_arr, b_arr = np.atleast_1d(a_arr), np.atleast_1d(b_arr)
+    if a_arr.shape != b_arr.shape:
+        a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+    if (a_arr <= 0.0).any() or (b_arr <= 0.0).any():
         raise DomainError("incomplete beta requires positive shape parameters")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"incomplete beta requires x in [0, 1], got {x}")
     direct = _betainc_reg(a_arr, b_arr, x)
-    with np.errstate(divide="ignore"):
+    # only a zero makes the log warn, and entering np.errstate costs more than the check
+    if direct.all():
         out = np.log(direct)
+    else:
+        with np.errstate(divide="ignore"):
+            out = np.log(direct)
     deep = direct < _UNDERFLOW
-    if np.any(deep):
+    if deep.any():
         flat = out.reshape(-1)
         af = a_arr.reshape(-1)
         bf = b_arr.reshape(-1)

@@ -11,6 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from seqquant import boundaries as bd
 from seqquant import confseq, seqtest
@@ -40,7 +41,7 @@ from seqquant.boundaries import (
     tuning_denominator,
 )
 from seqquant.errors import ConfigurationError, DomainError, NumericalError, TuningError
-from seqquant.specfun import expit, logit, zeta
+from seqquant.specfun import expit, log_betainc, logit, zeta
 
 mp.mp.dps = 40
 
@@ -216,6 +217,69 @@ class TestOneSidedMixture:
         assert one_sided_log_mixture(3.0, 16.0, 0.5, 0.758) == pytest.approx(
             -0.92098647520409574325, rel=1e-10
         )
+
+
+class TestArrayCallsEqualScalarCalls:
+    """Array calls of the mixtures and of `log_betainc` equal their scalar calls bit for bit.
+
+    Every case runs under the `error::RuntimeWarning` filter and includes an
+    element whose regularized incomplete beta underflows to 0 in scipy.
+    """
+
+    P, R = 0.5, 1.0
+    # at v = 1e4 the one-sided mixture at s = -9000 takes I_{0.5}(29002, 11002) = 0 in scipy
+    S = [0.0, 3.0, -40.0, 150.0, -9000.0]
+    V = [25.0, 100.0, 10000.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mixture", [beta_binomial_log_mixture, one_sided_log_mixture])
+    def test_mixtures(self, mixture):
+        assert betainc(29002.0, 11002.0, 0.5) == 0.0
+
+        def scalar(s, v):
+            out = mixture(s, v, self.P, self.R)
+            assert type(out) is float
+            return out
+
+        s_arr, v = np.array(self.S), self.V[-1]
+        want = [scalar(s, v) for s in self.S]
+        # 0-d arrays and numpy scalars are scalar calls
+        assert [scalar(np.float64(s), np.asarray(v)) for s in self.S] == want
+        assert [scalar(np.asarray(s), np.float64(v)) for s in self.S] == want
+        # one-element arrays, alone and broadcast against each other's shape
+        for s, w in zip(self.S, want):
+            assert mixture(np.array([s]), np.array([v]), self.P, self.R).tolist() == [w]
+            assert mixture(np.array([s]), v, self.P, self.R).tolist() == [w]
+        # equal shapes
+        assert mixture(s_arr, np.full(len(self.S), v), self.P, self.R).tolist() == want
+        # array s with scalar v, and (n,) with (1,)
+        assert mixture(s_arr, v, self.P, self.R).tolist() == want
+        assert mixture(s_arr, np.array([v]), self.P, self.R).tolist() == want
+        # scalar s with array v
+        assert (mixture(3.0, np.array(self.V), self.P, self.R).tolist()
+                == [scalar(3.0, w) for w in self.V])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_log_betainc(self):
+        # ordinary, tiny but representable, and underflowed-to-0 regularized values
+        a, b, x = [2.0, 300.0, 5000.0], [3.0, 100.0, 2000.0], 0.3
+        assert betainc(5000.0, 2000.0, x) == 0.0
+
+        def scalar(ai, bi):
+            out = log_betainc(ai, bi, x)
+            assert type(out) is float
+            return out
+
+        want = [scalar(ai, bi) for ai, bi in zip(a, b)]
+        assert [scalar(np.asarray(ai), np.float64(bi)) for ai, bi in zip(a, b)] == want
+        for ai, bi, w in zip(a, b, want):
+            assert log_betainc(np.array([ai]), np.array([bi]), x).tolist() == [w]
+            assert log_betainc(np.array([ai]), bi, x).tolist() == [w]
+        assert log_betainc(np.array(a), np.array(b), x).tolist() == want
+        assert (log_betainc(5000.0, np.array(b), x).tolist()
+                == [scalar(5000.0, bi) for bi in b])
+        assert (log_betainc(np.array(a), 2000.0, x).tolist()
+                == [scalar(ai, 2000.0) for ai in a])
 
 
 class TestBetaBinomialRadius:

@@ -254,6 +254,15 @@ class TestCdfBand:
         assert lo == 0.0
         assert hi == pytest.approx(min(1.0, band.half_width()))
 
+    def test_nan_query_raises(self):
+        band = CdfBand(alpha=0.05)
+        for x in [1.0, 2.0, 3.0]:
+            band.update(x)
+        for nan in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError, match="NaN"):
+                band.at(nan)
+        assert band.at(-math.inf)[0] == 0.0
+
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(9)
         band = CdfBand(alpha=0.05)

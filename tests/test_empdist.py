@@ -102,6 +102,14 @@ class TestBasics:
         with pytest.raises(QueryError):
             ms.upper_quantile(0.5)
 
+    def test_nan_query_raises(self):
+        # NaN has no rank: a query raises as an insert and a NaN level do
+        ms = OrderedMultiset([1.0, 2.0])
+        for nan in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError, match="NaN"):
+                ms.cdf_at(nan)
+        assert ms.cdf_at(math.inf) == (1.0, 1.0)
+
     def test_nan_rejected(self):
         ms = OrderedMultiset()
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqquant import bandit, boundaries
 from seqquant.boundaries import (
@@ -28,10 +30,12 @@ from seqquant.seqtest import (
     _astar_table,
     _check_schedule,
     _naive_disjoint,
+    _one_sided_stats,
     _two_sided_candidates,
     _two_sided_stats,
     ab_vs_naive_benchmark,
     global_null_pvalue,
+    global_null_result,
 )
 from seqquant.specfun import golden_section_min
 
@@ -419,6 +423,34 @@ class TestGlobalNull:
         with pytest.raises(ValueError):
             global_null_pvalue(np.array([1.0]), [], 0.5, 0.758)
 
+    def test_fused_statistic_equals_per_treatment_kernels_bit_for_bit(self):
+        # one mixture call per level for every treatment gives each treatment's
+        # one-pair statistic, and the max of those is the per-x scan's
+        rng = np.random.default_rng(20261019)
+        for trial in range(40):
+            p = float(rng.uniform(0.1, 0.9))
+            r = float(rng.uniform(0.2, 2.0))
+            draw = ((lambda n: np.round(rng.standard_cauchy(n), 0)) if trial % 2
+                    else rng.standard_cauchy)
+            control, *treatments = [np.sort(draw(int(rng.integers(1, 30))))
+                                    for _ in range(int(rng.integers(2, 6)))]
+            stat = global_null_result(control, treatments, p, r).stat
+            singles = [_one_sided_stats(control, [b], p, r, 0.0)[0] for b in treatments]
+            assert _one_sided_stats(control, treatments, p, r, 0.0) == singles
+            assert stat == max(singles)
+            if trial < 8:
+                scans = []
+                for b in treatments:
+                    state = AbTestState(p, r, 0.0, 0.05)
+                    state.arm1, state.arm2 = control, b
+                    scans.append(_scan_one_sided(state))
+                assert stat == max(scans)
+        # signed zeros shared between arms
+        control = np.array([-0.0, 0.0, 1.0])
+        treatments = [np.array([0.0, -0.0]), np.array([-1.0, -0.0, 0.0, 2.0])]
+        assert (global_null_result(control, treatments, 0.5, 0.758).stat
+                == max(_one_sided_stats(control, [b], 0.5, 0.758, 0.0)[0] for b in treatments))
+
 
 class TestNullValidityMonteCarlo:
     def test_two_sided_ever_rejection_rate(self):
@@ -553,7 +585,95 @@ class TestNullValidityMonteCarlo:
         assert 0.0 < seq[-1] <= 1.0
 
 
+def _ks_paired_reference(x1, x2, mode):
+    """The paired KS statistic from `searchsorted` counts of both samples at every value."""
+    t = len(x1)
+    gaps = [np.searchsorted(x1, x, side="right") / t - np.searchsorted(x2, x, side="right") / t
+            for x in (x1, x2)]
+    if mode == "two_sample":
+        gaps = [np.abs(gap) for gap in gaps]
+    return max(0.0, *(float(np.max(gap)) for gap in gaps))
+
+
+# ties, both zeros, rounded Cauchy values and ints
+_KS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(0.02, 0.98).map(lambda u: round(math.tan(math.pi * (u - 0.5)), 0)),
+    st.integers(-3, 3),
+)
+
+
 class TestKs:
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(["two_sample", "dominance"]),
+           adds=st.lists(st.tuples(st.sampled_from([1, 2]), _KS_VALUES), max_size=60))
+    def test_paired_stat_equals_the_searchsorted_reference(self, mode, adds):
+        # any interleaving of the two samples, evaluated whenever the counts are equal
+        state = KsTestState(mode)
+        ref = {1: np.empty(0), 2: np.empty(0)}
+        for sample, x in adds:
+            state.add(x, sample)
+            ref[sample] = insert_sorted(ref[sample], x)
+            assert (state.n1, state.n2) == (len(ref[1]), len(ref[2]))
+            for got, want in ((state.sample1, ref[1]), (state.sample2, ref[2])):
+                assert got.dtype == np.float64
+                assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
+            if state.n1 == state.n2 > 0:
+                assert state.evaluate().stat == _ks_paired_reference(ref[1], ref[2], mode)
+
+    def test_paired_stat_on_long_tied_streams(self):
+        rng = np.random.default_rng(47)
+        for mode in ("two_sample", "dominance"):
+            state = KsTestState(mode)
+            x = np.round(rng.standard_cauchy((400, 2)), 0)
+            x[rng.random(x.shape) < 0.2] *= -1.0  # -0.0 beside 0.0
+            for t, (a, b) in enumerate(x.tolist(), start=1):
+                state.add(a, 1)
+                state.add(b, 2)
+                if t % 10 == 0:
+                    got = state.evaluate()
+                    assert got.t == t
+                    assert got.stat == _ks_paired_reference(state.sample1, state.sample2, mode)
+
+    @pytest.mark.parametrize("mode", KsTestState.MODES)
+    def test_samples_are_read_only_copies(self, mode):
+        state = KsTestState(mode, f0=lambda x: 0.5)
+        state.add(1.0, 1)
+        if mode != "one_sample":
+            state.add(2.0, 2)
+        with pytest.raises(AttributeError):
+            state.sample1 = np.empty(0)
+        state.sample1[0] = 99.0
+        state.sample2[:] = 99.0
+        assert state.sample1.tolist() == [1.0]
+        assert state.sample2.tolist() == ([] if mode == "one_sample" else [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, "raise"])
+    def test_one_sample_rejects_a_bad_reference_value_before_storing(self, bad):
+        def f0(x):
+            if x == 9.0:
+                if bad == "raise":
+                    raise ZeroDivisionError("reference failed")
+                return bad
+            return min(1.0, max(0.0, x / 4.0))
+
+        state = KsTestState("one_sample", f0=f0)
+        for v in (1.0, 3.0):
+            state.add(v)
+        before = state.evaluate()
+        with pytest.raises(ZeroDivisionError if bad == "raise" else DomainError):
+            state.add(9.0)
+        assert state.n1 == 2 and state.sample1.tolist() == [1.0, 3.0]
+        assert state.evaluate() == before
+        state.add(2.0)
+        assert state.evaluate().t == 3
+
+    def test_one_sample_accepts_reference_values_zero_and_one(self):
+        state = KsTestState("one_sample", f0=lambda x: 0.0 if x < 0 else 1.0)
+        for v in (-1.0, 1.0):
+            state.add(v)
+        assert state.evaluate().stat == 0.5
+
     def test_one_sample_exact_statistic(self):
         state = KsTestState("one_sample", f0=lambda x: min(1.0, max(0.0, x / 4.0)))
         for v in (1.0, 2.0, 3.0, 4.0):
