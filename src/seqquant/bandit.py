@@ -154,7 +154,6 @@ class QlucbConfig:
     k_arms: int = 2
     max_rounds: int = 10 ** 6
     seed: int = 0
-    tune_m: float = 32.0
 
     def __post_init__(self):
         _check_target(self.pi_target, self.eps)
@@ -178,7 +177,7 @@ class RunResult:
     stopped_by_cap: bool
 
 
-def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int, tune_m: float):
+def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int):
     """Per-count radius functions (l_n at pi+eps, u_n at pi-eps) of one CS kind."""
     lo_level, hi_level = 1.0 - (pi + eps), pi - eps
     alpha2 = 2.0 * delta_err / k_arms
@@ -188,8 +187,8 @@ def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int, t
                 lambda n: boundaries.stitched_radius_simple(n, hi_level, alpha2))
     if cs_kind == "beta_binomial_one_sided":
         alpha1 = delta_err / k_arms
-        r_lo = boundaries.tune_r(tune_m, pi + eps, alpha2)
-        r_hi = boundaries.tune_r(tune_m, pi - eps, alpha2)
+        r_lo = boundaries.tune_r(boundaries.TUNE_M, pi + eps, alpha2)
+        r_hi = boundaries.tune_r(boundaries.TUNE_M, pi - eps, alpha2)
         return (lambda n: boundaries.one_sided_beta_binomial_radius(n, lo_level, r_lo, alpha1),
                 lambda n: boundaries.one_sided_beta_binomial_radius(n, hi_level, r_hi, alpha1))
 
@@ -206,18 +205,17 @@ def _radii(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int, t
 
 
 @lru_cache(maxsize=None)
-def _rank_schedules(cs_kind: str, pi: float, eps: float, delta_err: float, k_arms: int,
-                    tune_m: float) -> tuple[RadiusSchedule, RadiusSchedule]:
+def _rank_schedules(cs_kind: str, pi: float, eps: float, delta_err: float,
+                    k_arms: int) -> tuple[RadiusSchedule, RadiusSchedule]:
     """Per-count ranks of L and U, floor(n((pi+eps) - l_n)) + 1 and
     ceil(n((pi-eps) + u_n)), shared by all runs.
     """
-    lower_radius, upper_radius = _radii(cs_kind, pi, eps, delta_err, k_arms, tune_m)
+    lower_radius, upper_radius = _radii(cs_kind, pi, eps, delta_err, k_arms)
     return confseq.rank_schedules(pi + eps, lower_radius, pi - eps, upper_radius)
 
 
 def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
-    return _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms,
-                           cfg.tune_m)
+    return _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms)
 
 
 def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):

@@ -68,9 +68,9 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _check_open_unit(p: float, name: str = "p") -> None:
+def _check_open_unit(p: float) -> None:
     if not 0.0 < p < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {p}")
+        raise DomainError(f"p must lie in (0, 1), got {p}")
 
 
 def _check_r(r: float) -> None:
@@ -83,13 +83,13 @@ def _check_mixture(p: float, r: float) -> None:
     _check_r(r)
 
 
-def _times(t, minimum: float = 1.0):
-    """Validate a time grid and return (array, was_scalar)."""
+def _times(t):
+    """Validate a time grid (every t >= 1) and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and np.any(arr < minimum):
-        raise DomainError(f"t must be >= {minimum:g}")
+    if arr.size and np.any(arr < 1.0):
+        raise DomainError("t must be >= 1")
     return arr, scalar
 
 
@@ -477,6 +477,9 @@ def tuning_denominator(alpha: float, form: str = "approx") -> float:
     if form == "lambert":
         return -float(lambertw(-(alpha ** 2) / math.e, k=-1).real) - 1.0
     raise ConfigurationError(f"unknown tuning form {form!r}")
+
+
+TUNE_M = 32.0  # the reference tuning time of QLUCB, the A/B simulation and --tune-m
 
 
 def tune_r(m_target: float, p: float, alpha: float = 0.05, form: str = "approx") -> float:

@@ -99,8 +99,6 @@ class Emitter:
     """Writes metadata, a header, and rows in CSV or JSON form."""
 
     def __init__(self, out, fmt: str, columns: list[str], meta: dict):
-        if fmt not in ("csv", "json"):
-            raise UsageError(f"unknown output format {fmt!r}")
         self.out = out
         self.fmt = fmt
         self.columns = columns
@@ -642,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", default="0.5", help="comma-separated quantile levels")
     b.add_argument("--t", default="", help="comma-separated times")
     b.add_argument("--alpha", type=finite_float, default=0.05)
-    b.add_argument("--tune-m", dest="tune_m", type=finite_float, default=32.0,
+    b.add_argument("--tune-m", dest="tune_m", type=finite_float, default=boundaries.TUNE_M,
                    help="tuning time: sets r for beta_binomial and m for the others")
     _add_common(b)
     b.set_defaults(func=cmd_bounds)
@@ -657,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--s-exp", dest="s_exp", type=finite_float, default=1.4)
     tr.add_argument("--m", type=finite_float, default=1.0)
     tr.add_argument("--r", type=finite_float, default=None)
-    tr.add_argument("--tune-m", dest="tune_m", type=finite_float, default=32.0)
+    tr.add_argument("--tune-m", dest="tune_m", type=finite_float, default=boundaries.TUNE_M)
     tr.add_argument("--intersect", action="store_true", help="report the running intersection")
     _add_common(tr)
     tr.set_defaults(func=cmd_track)
@@ -675,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("input", nargs="?", default="-", help="label,value lines")
     ab.add_argument("--p", type=finite_float, default=0.5)
     ab.add_argument("--r", type=finite_float, default=None)
-    ab.add_argument("--tune-m", dest="tune_m", type=finite_float, default=32.0)
+    ab.add_argument("--tune-m", dest="tune_m", type=finite_float, default=boundaries.TUNE_M)
     ab.add_argument("--delta-star", dest="delta_star", type=finite_float, default=0.0)
     ab.add_argument("--mode", default="two_sided", choices=("two_sided", "one_sided", "global"))
     ab.add_argument("--alpha", type=finite_float, default=0.05)

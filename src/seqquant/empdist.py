@@ -6,7 +6,7 @@ count multiplicity exactly.  Equal values keep their insertion order, and
 ``items`` reports each distinct value by its first-inserted representative.
 Values are numbers that compare with float (every caller passes finite
 floats, ints or Fractions); float NaN is rejected at insertion and as a
-CDF query because it breaks rank semantics.
+count or CDF query because it breaks rank semantics.
 
 Quantile conventions: the upper sample quantile at level p is the
 floor(t p) + 1 order statistic, the lower one the ceil(t p) order statistic,
@@ -146,10 +146,14 @@ class OrderedMultiset:
         return self._sl[k - 1]
 
     def count_le(self, x) -> int:
-        """Number of stored values <= x (x may be -inf or inf)."""
+        """Number of stored values <= x (x may be -inf or inf; NaN raises)."""
+        if isinstance(x, float) and x != x:
+            raise ValueError("NaN is not queryable: it breaks rank semantics")
         return self._sl.bisect_right(x)
 
     def count_lt(self, x) -> int:
+        if isinstance(x, float) and x != x:
+            raise ValueError("NaN is not queryable: it breaks rank semantics")
         return self._sl.bisect_left(x)
 
     def cdf_at(self, x) -> tuple[float, float]:
@@ -157,8 +161,6 @@ class OrderedMultiset:
         t = len(self._sl)
         if t == 0:
             raise QueryError("empirical CDF is undefined for an empty distribution")
-        if isinstance(x, float) and x != x:
-            raise ValueError("NaN is not queryable: it breaks rank semantics")
         return self.count_lt(x) / t, self.count_le(x) / t
 
     def upper_quantile(self, p) -> float:

@@ -24,10 +24,10 @@ candidate is evaluated with the same IEEE operations as the per-x
 The minimizing level a* depends only on (n, p, r) and is tabulated over n
 per (p, r).
 
-The paired KS tests keep both samples in one pooled sorted array, with
-masks of the values from sample 1 and of the last value of each run of
-equal values; the ECDF counts of both samples at every run end come from
-one cumulative sum, with no search.
+The paired KS tests keep both samples in one pooled sorted array, with a
+mask of the values from sample 1; the last value of each run of equal
+values is found where the next value differs, and the ECDF counts of both
+samples at every run end come from one cumulative sum, with no search.
 """
 
 from __future__ import annotations
@@ -340,16 +340,16 @@ class KsTestState:
     C(A, alpha/2) for two_sample and C(A, alpha) for dominance (one-sided
     bands suffice there), read from a `RadiusSchedule` by t.
 
-    `n1` and `n2` count each sample's values.  One-sample mode keeps its
-    values as one sorted float64 array beside F0 at each value; f0 is called
-    once per observation, before anything is stored, and must return a value
-    in [0, 1].  The paired modes keep the pooled values of both samples as
-    one sorted float64 array, with two bool arrays in the same order: which
-    values came from sample 1, and which is the last of a run of equal
-    values; each `add` is one search and one concatenate per array.  The
-    read-only properties `sample1` and `sample2` return a copy of each
-    sample's values as a sorted float64 array, equal values (-0.0 and 0.0
-    too) in insertion order.
+    `n1` and `n2` count each sample's values.  Every mode keeps its values
+    (in the paired modes, both samples pooled) as one sorted float64 array,
+    and one mark per value in the same order: F0 at the value in one-sample
+    mode, and in the paired modes whether the value came from sample 1.
+    f0 is called once per observation, before anything is stored, and must
+    return a value in [0, 1].  Each `add` is one search and one concatenate
+    per array; `evaluate` works out the runs of equal values from the sorted
+    values.  The read-only properties `sample1` and `sample2` return a copy
+    of each sample's values as a sorted float64 array, equal values (-0.0
+    and 0.0 too) in insertion order.
 
     Dominance tests H0: F1 <= F2 pointwise and rejects on evidence that
     F1(x) > F2(x) somewhere, i.e. when sup_x [F1(x) - F2(x)] strictly exceeds
@@ -381,17 +381,15 @@ class KsTestState:
         self._thresholds = boundaries.RadiusSchedule(lambda t: width * self.lil.radius(t))
         self.n1 = self.n2 = 0
         self._values = np.empty(0)
-        self._f0 = np.empty(0)
-        self._from1 = np.empty(0, dtype=bool)
-        self._run_end = np.empty(0, dtype=bool)
+        self._marks = np.empty(0, dtype=float if mode == "one_sample" else bool)
 
     @property
     def sample1(self) -> np.ndarray:
-        return self._values.copy() if self.mode == "one_sample" else self._values[self._from1]
+        return self._values.copy() if self.mode == "one_sample" else self._values[self._marks]
 
     @property
     def sample2(self) -> np.ndarray:
-        return np.empty(0) if self.mode == "one_sample" else self._values[~self._from1]
+        return np.empty(0) if self.mode == "one_sample" else self._values[~self._marks]
 
     def add(self, x: float, sample: int = 1) -> None:
         if sample not in (1, 2):
@@ -401,21 +399,17 @@ class KsTestState:
         x = float(x)
         if x != x:
             raise ValueError("NaN is not insertable: it breaks rank semantics")
-        values = self._values
+        if self.mode == "one_sample":
+            mark = self.f0(x)
+            if not 0.0 <= mark <= 1.0:
+                raise DomainError(f"reference CDF must lie in [0, 1], got {mark} at x = {x}")
+        else:
+            mark = sample == 1
+        values, marks = self._values, self._marks
         # x goes after its equals, so it is the last of their run
         i = values.searchsorted(x, "right")
-        if self.mode == "one_sample":
-            f = self.f0(x)
-            if not 0.0 <= f <= 1.0:
-                raise DomainError(f"reference CDF must lie in [0, 1], got {f} at x = {x}")
-            self._f0 = np.concatenate((self._f0[:i], (f,), self._f0[i:]))
-        else:
-            self._from1 = np.concatenate((self._from1[:i], (sample == 1,), self._from1[i:]))
-            run_end = np.concatenate((self._run_end[:i], (True,), self._run_end[i:]))
-            if i and values[i - 1] == x:
-                run_end[i - 1] = False
-            self._run_end = run_end
         self._values = np.concatenate((values[:i], (x,), values[i:]))
+        self._marks = np.concatenate((marks[:i], (mark,), marks[i:]))
         if sample == 1:
             self.n1 += 1
         else:
@@ -430,14 +424,15 @@ class KsTestState:
             raise PairingError(f"paired modes need equal counts, got {t} and {self.n2}")
         if t == 0:
             raise StateError("no data")
+        values, marks = self._values, self._marks
         if self.mode == "one_sample":
             # F0 is equal across a run of ties, whose last index gives F and first F^-
-            gaps = [np.arange(1, t + 1) / t - self._f0, self._f0 - np.arange(t) / t]
+            gaps = [np.arange(1, t + 1) / t - marks, marks - np.arange(t) / t]
         else:
-            # F1 - F2 steps only at sample values; at the last of a run of equal
-            # pooled values x, c1 values of sample 1 and the rest of sample 2 are <= x
-            ends = np.flatnonzero(self._run_end)
-            c1 = np.cumsum(self._from1)[ends]
+            # F1 - F2 steps only at sample values; at the last x of a run of equal
+            # pooled values (-0.0 == 0.0), c1 values of sample 1 and the rest of sample 2 are <= x
+            ends = np.concatenate((np.flatnonzero(values[1:] != values[:-1]), (values.size - 1,)))
+            c1 = np.cumsum(marks)[ends]
             gap = c1 / t - (ends + 1 - c1) / t
             gaps = [np.abs(gap) if self.mode == "two_sample" else gap]
         # dominance: one-sided supremum of F1 - F2, strict exceedance to reject
@@ -493,7 +488,6 @@ def ab_vs_naive_benchmark(
     seed: int = 0,
     eps: float = 0.025,
     max_pairs: int = 200_000,
-    tune_m: float = 32.0,
 ) -> AbBenchmarkRow:
     """Mean stopping sample size: two-sided quantile test vs naive disjoint CS.
 
@@ -514,8 +508,8 @@ def ab_vs_naive_benchmark(
     if max_pairs < 1:
         raise ConfigurationError("max_pairs must be >= 1")
     arms = bandit.scenario_arms(scenario, 2, eps, pi)
-    r_test = boundaries.tune_r(tune_m, pi, alpha)
-    r_naive = boundaries.tune_r(tune_m, pi, alpha / 2.0)
+    r_test = boundaries.tune_r(boundaries.TUNE_M, pi, alpha)
+    r_naive = boundaries.tune_r(boundaries.TUNE_M, pi, alpha / 2.0)
     schedule = _check_schedule(max_pairs)
     grid = np.asarray(schedule, dtype=float)
     naive_lo_ranks = upper_ranks(

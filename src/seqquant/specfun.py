@@ -61,12 +61,13 @@ def log_beta(a, b):
     return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 500, eps: float = 3e-15) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz).
 
     Returns the O(1) factor h with
     I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * h, valid (and rapidly convergent)
-    for x < (a + 1) / (a + b + 2).
+    for x < (a + 1) / (a + b + 2): at most 500 steps, stopping once a step
+    changes h by a factor within 3e-15 of 1.
     """
     tiny = 1e-300
     qab = a + b
@@ -78,7 +79,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 500, eps: float = 3e-1
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 501):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -99,7 +100,7 @@ def _betacf(a: float, b: float, x: float, max_iter: int = 500, eps: float = 3e-1
         d = 1.0 / d
         delt = d * c
         h *= delt
-        if abs(delt - 1.0) < eps:
+        if abs(delt - 1.0) < 3e-15:
             return h
     raise NumericalError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
@@ -186,22 +187,23 @@ def bisection(pred, lo, hi, tol: float = 0.0, max_iter: int = 80):
     return lo, hi
 
 
-def golden_section_min(f, lo, hi, tol: float = 1e-10, max_iter: int = 200):
+def golden_section_min(f, lo, hi, tol: float = 1e-10):
     """Golden-section minimizer for a unimodal f on [lo, hi]; returns argmin.
 
     With one-dimensional array brackets, minimizes one function per element:
     f(x, idx) returns the values at the points x of the elements idx.  Each
-    element stops once its own bracket is at most tol wide, so it takes the
-    same steps, and returns the same bits, as a scalar call on its function.
+    element stops once its own bracket is at most tol wide (or after 200
+    steps), so it takes the same steps, and returns the same bits, as a
+    scalar call on its function.
     """
     if np.ndim(lo) or np.ndim(hi):
-        return _golden_section_min_array(f, lo, hi, tol, max_iter)
+        return _golden_section_min_array(f, lo, hi, tol)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= tol:
             break
         if fc < fd:
@@ -215,7 +217,7 @@ def golden_section_min(f, lo, hi, tol: float = 1e-10, max_iter: int = 200):
     return 0.5 * (a + b)
 
 
-def _golden_section_min_array(f, lo, hi, tol: float, max_iter: int) -> np.ndarray:
+def _golden_section_min_array(f, lo, hi, tol: float) -> np.ndarray:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     c = b - invphi * (b - a)
@@ -224,7 +226,7 @@ def _golden_section_min_array(f, lo, hi, tol: float, max_iter: int) -> np.ndarra
     fc = np.asarray(f(c, idx), dtype=float)
     fd = np.asarray(f(d, idx), dtype=float)
     live = idx[b - a > tol]
-    for _ in range(max_iter):
+    for _ in range(200):
         if live.size == 0:
             break
         al, bl, cl, dl, fcl, fdl = a[live], b[live], c[live], d[live], fc[live], fd[live]

@@ -104,9 +104,9 @@ class TestRankTables:
 
     @pytest.mark.parametrize("cs_kind", bandit.CS_KINDS)
     def test_tables_equal_scalar_rank_rule(self, cs_kind):
-        pi, eps, delta, k_arms, tune_m = 0.3, 0.025, 0.05, 10, 32.0
-        lower, upper = bandit._rank_schedules(cs_kind, pi, eps, delta, k_arms, tune_m)
-        lower_radius, upper_radius = bandit._radii(cs_kind, pi, eps, delta, k_arms, tune_m)
+        pi, eps, delta, k_arms = 0.3, 0.025, 0.05, 10
+        lower, upper = bandit._rank_schedules(cs_kind, pi, eps, delta, k_arms)
+        lower_radius, upper_radius = bandit._radii(cs_kind, pi, eps, delta, k_arms)
         counts = range(1, 3001)
         n = np.arange(1.0, 3001.0)
         k_lo = [_level_floor(m, (pi + eps) - r) + 1 for m, r in zip(counts, lower_radius(n))]

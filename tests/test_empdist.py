@@ -103,12 +103,15 @@ class TestBasics:
             ms.upper_quantile(0.5)
 
     def test_nan_query_raises(self):
-        # NaN has no rank: a query raises as an insert and a NaN level do
+        # NaN has no rank: a query raises as an insert and a NaN level do (a
+        # bisection would count every value <= NaN and none < it)
         ms = OrderedMultiset([1.0, 2.0])
-        for nan in (math.nan, np.float64("nan")):
-            with pytest.raises(ValueError, match="NaN"):
-                ms.cdf_at(nan)
+        for query in (ms.cdf_at, ms.count_le, ms.count_lt):
+            for nan in (math.nan, np.float64("nan")):
+                with pytest.raises(ValueError, match="NaN"):
+                    query(nan)
         assert ms.cdf_at(math.inf) == (1.0, 1.0)
+        assert (ms.count_le(math.inf), ms.count_lt(math.inf)) == (2, 2)
 
     def test_nan_rejected(self):
         ms = OrderedMultiset()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqquant import bandit, boundaries
+from seqquant import bandit, boundaries, cli
 from seqquant.boundaries import (
     beta_binomial_log_mixture,
     lil_C,
@@ -710,6 +710,24 @@ class TestKs:
             gap = np.maximum(np.searchsorted(data, v, side="right") / t - ref,
                              ref - np.searchsorted(data, v, side="left") / t)
             assert state.evaluate().stat == max(0.0, float(np.max(gap)))
+
+    @pytest.mark.parametrize("f0", [
+        cli._reference_cdf("uniform:0,1"),
+        lambda x: sum(x >= jump for jump in (-0.5, 0.5, 1.5)) / 3,  # a step CDF
+    ], ids=["uniform", "step"])
+    def test_one_sample_stat_where_f0_is_flat_across_distinct_values(self, f0):
+        # F0 equals 0 or 1 on the values outside [0, 1] and is flat between the
+        # steps, and continuous at every value, so sup |F_t - F0| is reached at
+        # a value or at its left limit; compared with every count taken by brute force
+        rng = np.random.default_rng(48)
+        state = KsTestState("one_sample", f0=f0)
+        values = rng.choice([-3.0, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 7.0], size=150)
+        for t, x in enumerate(values.tolist(), start=1):
+            state.add(x)
+            data = values[:t]
+            gaps = [abs(count / t - f0(v)) for v in data.tolist()
+                    for count in ((data <= v).sum(), (data < v).sum())]
+            assert state.evaluate().stat == max(gaps)
 
     def test_two_sample_identical_never_rejects(self):
         rng = np.random.default_rng(41)
