@@ -6,7 +6,8 @@ consumers translate out-of-range levels into the order statistics -inf and
 inf.  Functions accepting a time `t` also accept numpy arrays of times and
 broadcast over them; every radius evaluated over an array equals its
 scalar calls bit for bit, which lets `RadiusSchedule` tabulate a radius in
-vectorized chunks without changing any bound.
+vectorized chunks without changing any bound.  `BASELINE_KINDS` names the
+literature baselines of `baseline_radius`, in the order `bounds` lists them.
 
 Numeric contract: every root is found by `specfun.bisection`, each element
 of an array stopping on its own bracket.  The mixture radii bisect to 1e-9
@@ -26,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, lambertw, ndtri
+from scipy.special import gammaln, ndtri
 
 from .errors import ConfigurationError, DomainError, NumericalError, TuningError
 from .specfun import bisection, expit, golden_section_min, log_beta, log_betainc, logit, zeta
@@ -460,34 +461,29 @@ def ftilde_asymptote(t: float, p: float, r: float, alpha: float = 0.05) -> Asymp
 # ---------------------------------------------------------------------------
 
 
-def tuning_denominator(alpha: float, form: str = "approx") -> float:
-    """The divisor -W_{-1}(-alpha^2/e) - 1 of the mixture tuning rule.
+def tuning_denominator(alpha: float) -> float:
+    """The divisor -W_{-1}(-alpha^2/e) - 1 of the mixture tuning rule, asymptotically.
 
-    form="approx" evaluates the asymptotic expansion
-    2 log(1/alpha) + log log(e/alpha^2), which the shipped reference tunings
-    (r = 0.758 at p = 0.5, m = 32, alpha = 0.05) are consistent with;
-    form="lambert" evaluates the exact branch with scipy's lambertw.  The two
-    differ in the second decimal (7.936 vs 8.212 at alpha = 0.05).
+    Evaluates the expansion 2 log(1/alpha) + log log(e/alpha^2), which the
+    shipped reference tunings (r = 0.758 at p = 0.5, m = 32, alpha = 0.05)
+    are consistent with; the exact branch differs in the second decimal
+    (7.936 vs 8.212 at alpha = 0.05).
     """
     _check_alpha(alpha)
-    if form == "approx":
-        # log(e / alpha^2) = 1 - 2 log(alpha), taken as such where alpha^2 is not a normal float
-        log_arg = math.log(math.e / alpha ** 2) if alpha ** 2 >= _TINY else 1 - 2 * math.log(alpha)
-        return 2.0 * math.log(1.0 / alpha) + math.log(log_arg)
-    if form == "lambert":
-        return -float(lambertw(-(alpha ** 2) / math.e, k=-1).real) - 1.0
-    raise ConfigurationError(f"unknown tuning form {form!r}")
+    # log(e / alpha^2) = 1 - 2 log(alpha), taken as such where alpha^2 is not a normal float
+    log_arg = math.log(math.e / alpha ** 2) if alpha ** 2 >= _TINY else 1 - 2 * math.log(alpha)
+    return 2.0 * math.log(1.0 / alpha) + math.log(log_arg)
 
 
 TUNE_M = 32.0  # the reference tuning time of QLUCB, the A/B simulation and --tune-m
 
 
-def tune_r(m_target: float, p: float, alpha: float = 0.05, form: str = "approx") -> float:
+def tune_r(m_target: float, p: float, alpha: float = 0.05) -> float:
     """Mixture tuning r = p(1-p) (m / D(alpha) - 1) optimizing for time m_target."""
     if not 1.0 <= m_target < math.inf:
         raise TuningError(f"m_target must be >= 1, got {m_target}")
     _check_open_unit(p)
-    d = tuning_denominator(alpha, form)
+    d = tuning_denominator(alpha)
     r = p * (1.0 - p) * (m_target / d - 1.0)
     if r <= 0.0:
         raise TuningError(
@@ -595,12 +591,11 @@ def lil_radius(t, a_mult: float, c_add: float, m_start: float = 1.0):
 
 BASELINE_KINDS = (
     "dkw_fixed",
+    "dr1967",
     "dr1968",
     "szorenyi",
-    "dr1967",
     "clt_pointwise",
     "hoeffding_kl",
-    "linear_warmup",
 )
 
 
@@ -626,14 +621,13 @@ def _hoeffding_kl_radius(t_arr, p: float, alpha: float):
     return np.where(trivial, 1.0 - p, out)
 
 
-def baseline_radius(kind: str, t, p: float = 0.5, alpha: float = 0.05, lam: float | None = None):
+def baseline_radius(kind: str, t, p: float = 0.5, alpha: float = 0.05):
     """Radius of a literature baseline at time t.
 
     Kinds ignoring p (dkw_fixed, dr1968, szorenyi, dr1967) accept it but do
     not use it.  szorenyi generalizes the reference constant 2.093 to
     0.5 log(pi^2/(3 alpha)) (a union bound over t >= 32 with quadratically
-    decaying per-time error probability).  linear_warmup takes an optional
-    mixing parameter lam; when omitted it is optimized for the requested t.
+    decaying per-time error probability).
     """
     _check_alpha(alpha)
     t_arr, scalar = _times(t)
@@ -656,15 +650,6 @@ def baseline_radius(kind: str, t, p: float = 0.5, alpha: float = 0.05, lam: floa
     elif kind == "hoeffding_kl":
         _check_open_unit(p)
         out = _hoeffding_kl_radius(t_arr, p, alpha)
-    elif kind == "linear_warmup":
-        log_inv = math.log(1.0 / alpha)
-        if lam is None:
-            lam_arr = np.sqrt(8.0 * log_inv / t_arr)
-        else:
-            if lam <= 0.0:
-                raise DomainError("lam must be positive")
-            lam_arr = np.full_like(t_arr, lam)
-        out = log_inv / (lam_arr * t_arr) + lam_arr / 8.0
     else:
         raise DomainError(f"unknown baseline kind {kind!r}; valid kinds: {BASELINE_KINDS}")
     return _ret(out, scalar)

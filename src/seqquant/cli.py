@@ -46,13 +46,7 @@ BOUNDS_METHODS = (
     "normal_mixture",
     "lil_uniform",
     "double_stitch",
-    "dkw_fixed",
-    "dr1967",
-    "dr1968",
-    "szorenyi",
-    "clt_pointwise",
-    "hoeffding_kl",
-)
+) + boundaries.BASELINE_KINDS
 
 
 class UsageError(Exception):
@@ -486,14 +480,20 @@ def cmd_band(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_abtest(args) -> int:
-    # what only the other mode reads counts as given when off its default, which --config sets
-    how, unread = (("with", ("input", "r", "tune_m", "delta_star", "mode", "running_min"))
-                   if args.simulate else ("without", ("scenario", "eps", "runs", "max_pairs")))
-    for dest in unread:
+def _reject_unread(args, dests, where: str) -> None:
+    """Usage error for any of dests off the subcommand's current default, which --config sets."""
+    for dest in dests:
         if getattr(args, dest) != args.subparser.get_default(dest):
             flag = dest if dest == "input" else "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} is not read {how} --simulate")
+            raise UsageError(f"{flag} is not read {where}")
+
+
+def cmd_abtest(args) -> int:
+    if args.simulate:
+        _reject_unread(args, ("input", "r", "tune_m", "delta_star", "mode", "running_min"),
+                       "with --simulate")
+    else:
+        _reject_unread(args, ("scenario", "eps", "runs", "max_pairs"), "without --simulate")
     _check_level(args.p)
     if args.simulate:
         return _abtest_simulate(args)
@@ -559,6 +559,8 @@ def _abtest_simulate(args) -> int:
 
 def cmd_ks(args) -> int:
     paired = args.mode != "one_sample"
+    if paired:
+        _reject_unread(args, ("ref",), f"in {args.mode} mode")
     f0 = None if paired else _reference_cdf(args.ref)
     state = seqtest.KsTestState(args.mode, f0=f0, a_mult=args.a_mult, alpha=args.alpha,
                                 m_start=args.m)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import boundaries
 from .boundaries import RadiusSchedule
-from .empdist import OrderedMultiset, lower_ranks, run_ends, upper_ranks
+from .empdist import OrderedMultiset, lower_ranks, reject_nan, run_ends, upper_ranks
 from .errors import ConfigurationError, QueryError
 
 __all__ = [
@@ -179,8 +179,7 @@ class CdfBand:
         return len(self._values)
 
     def update(self, x) -> int:
-        if isinstance(x, float) and x != x:
-            raise ValueError("NaN is not insertable: it breaks rank semantics")
+        reject_nan(x, "insertable")
         self._values.append(x)
         return len(self._values)
 
@@ -198,8 +197,7 @@ class CdfBand:
         """Band (lo, hi) at x, clamped into [0, 1]."""
         if not self._values:
             raise QueryError("empirical CDF is undefined for an empty distribution")
-        if isinstance(x, float) and x != x:
-            raise ValueError("NaN is not queryable: it breaks rank semantics")
+        reject_nan(x, "queryable")
         f = bisect_right(self._sorted(), x) / len(self._values)
         w = self.half_width()
         return max(0.0, f - w), min(1.0, f + w)

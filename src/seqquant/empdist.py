@@ -5,14 +5,14 @@ holding every observation, duplicates as repeated entries, so rank queries
 count multiplicity exactly.  Equal values keep their insertion order, and
 ``items`` reports each distinct value by its first-inserted representative.
 Values are numbers that compare with float (every caller passes finite
-floats, ints or Fractions); float NaN is rejected at insertion and as a
-count or CDF query because it breaks rank semantics.
+floats, ints or Fractions); `reject_nan` refuses a float NaN as an insert or
+a count or CDF query, in every store, because it breaks rank semantics.
 
-Quantile conventions: the upper sample quantile at level p is the
-floor(t p) + 1 order statistic, the lower one the ceil(t p) order statistic,
-and out-of-range order statistics are the floats -inf / inf in `order_stat`,
-for any sorted sequence (the supremum of an empty set is the extended real
-line's infimum, and vice versa).
+Quantile conventions, in `upper_quantile` / `lower_quantile` for any sorted
+sequence: the upper sample quantile at level p is the floor(t p) + 1 order
+statistic, the lower one the ceil(t p) order statistic, and out-of-range
+order statistics are the floats -inf / inf in `order_stat` (the supremum of
+an empty set is the extended real line's infimum, and vice versa).
 Levels are interpreted exactly as the dyadic rationals the incoming floats
 denote, so knife-edge levels p = k/t behave consistently with the count
 queries.
@@ -20,7 +20,7 @@ queries.
 (t, level), so a tracker whose levels depend on t alone can tabulate them.
 `RankTracker` follows one order statistic of a growing stream whose rank
 moves by a few places per observation, in O(log t) per step.
-`insert_sorted` grows the sorted float64 array that stores a sequential test's arm.
+`insertion_point` puts x after its equals in a sorted float64 array; `insert_sorted` grows one.
 `run_ends` finds the runs of == values (-0.0 == 0.0) of a sorted array.
 """
 
@@ -36,8 +36,8 @@ from sortedcontainers import SortedList
 
 from .errors import QueryError
 
-__all__ = ["OrderedMultiset", "RankTracker", "insert_sorted", "lower_ranks", "order_stat",
-           "run_ends", "upper_ranks"]
+__all__ = ["OrderedMultiset", "RankTracker", "insert_sorted", "insertion_point", "lower_quantile",
+           "lower_ranks", "order_stat", "reject_nan", "run_ends", "upper_quantile", "upper_ranks"]
 
 
 def _level_floor(t: int, p) -> int:
@@ -92,13 +92,23 @@ def lower_ranks(t, levels) -> np.ndarray:
     return _rounded_products(t, levels, np.ceil, _level_ceil)
 
 
+def reject_nan(x, verb: str) -> None:
+    """Raise ValueError for a float NaN, which is not `verb` because it breaks rank semantics."""
+    if isinstance(x, float) and x != x:
+        raise ValueError(f"NaN is not {verb}: it breaks rank semantics")
+
+
+def insertion_point(arr: np.ndarray, x) -> tuple[float, int]:
+    """(float(x), index) that puts x after its equals in sorted float64 arr; NaN raises."""
+    x = float(x)
+    reject_nan(x, "insertable")
+    return x, arr.searchsorted(x, "right")
+
+
 def insert_sorted(arr: np.ndarray, x) -> np.ndarray:
     """Sorted float64 arr with float(x) inserted after its equals, in the order (and so with the
     zero signs) `OrderedMultiset.insert` gives; NaN is rejected with the same `ValueError`."""
-    x = float(x)
-    if x != x:
-        raise ValueError("NaN is not insertable: it breaks rank semantics")
-    i = np.searchsorted(arr, x, side="right")
+    x, i = insertion_point(arr, x)
     return np.concatenate((arr[:i], (x,), arr[i:]))
 
 
@@ -109,6 +119,16 @@ def order_stat(values, k: int):
     if k > len(values):
         return math.inf
     return values[k - 1]
+
+
+def upper_quantile(values, p):
+    """Q_t(p) of a sorted SortedList or ndarray: the floor(t p) + 1 order statistic."""
+    return order_stat(values, _level_floor(len(values), p) + 1)
+
+
+def lower_quantile(values, p):
+    """Q^-_t(p) of a sorted SortedList or ndarray: the ceil(t p) order statistic."""
+    return order_stat(values, _level_ceil(len(values), p))
 
 
 def run_ends(values: np.ndarray) -> np.ndarray:
@@ -139,8 +159,7 @@ class OrderedMultiset:
 
     def insert(self, x) -> int:
         """Insert one observation (duplicates allowed); returns the new count."""
-        if isinstance(x, float) and x != x:
-            raise ValueError("NaN is not insertable: it breaks rank semantics")
+        reject_nan(x, "insertable")
         self._sl.add(x)
         return len(self._sl)
 
@@ -162,13 +181,11 @@ class OrderedMultiset:
 
     def count_le(self, x) -> int:
         """Number of stored values <= x (x may be -inf or inf; NaN raises)."""
-        if isinstance(x, float) and x != x:
-            raise ValueError("NaN is not queryable: it breaks rank semantics")
+        reject_nan(x, "queryable")
         return self._sl.bisect_right(x)
 
     def count_lt(self, x) -> int:
-        if isinstance(x, float) and x != x:
-            raise ValueError("NaN is not queryable: it breaks rank semantics")
+        reject_nan(x, "queryable")
         return self._sl.bisect_left(x)
 
     def cdf_at(self, x) -> tuple[float, float]:
@@ -180,17 +197,15 @@ class OrderedMultiset:
 
     def upper_quantile(self, p) -> float:
         """Q_t(p): the floor(t p) + 1 order statistic."""
-        t = len(self._sl)
-        if t == 0:
+        if not self._sl:
             raise QueryError("sample quantile is undefined for an empty distribution")
-        return self.order_stat(_level_floor(t, p) + 1)
+        return upper_quantile(self._sl, p)
 
     def lower_quantile(self, p) -> float:
         """Q^-_t(p): the ceil(t p) order statistic."""
-        t = len(self._sl)
-        if t == 0:
+        if not self._sl:
             raise QueryError("sample quantile is undefined for an empty distribution")
-        return self.order_stat(_level_ceil(t, p))
+        return lower_quantile(self._sl, p)
 
     def min(self) -> float:
         return self.order_stat(1)

@@ -13,8 +13,8 @@ endpoints derived from the per-arm argmin quantiles).
 
 Each arm is one sorted float64 array, grown by `empdist.insert_sorted`, and
 every statistic is computed by one numpy kernel on those arrays:
-empirical CDFs are `searchsorted` counts, order statistics come from
-`empdist.order_stat`, an arm's distinct values are the last of each
+empirical CDFs are `searchsorted` counts, sample quantiles come from
+`empdist.upper_quantile`/`lower_quantile`, an arm's distinct values are the last of each
 `empdist.run_ends` run, and all candidates go through one vectorized mixture
 call per arm; the two-sided kernel takes a batch of arm pairs and makes one
 mixture call for the whole batch, and the one-sided
@@ -25,9 +25,9 @@ candidate is evaluated with the same IEEE operations as the per-x
 The minimizing level a* depends only on (n, p, r) and is tabulated over n
 per (p, r).
 
-The paired KS tests keep both samples in one pooled sorted array, with a
-mask of the values from sample 1; the ECDF counts of both samples at every
-`empdist.run_ends` index come from one cumulative sum, with no search.
+The paired KS tests keep both samples in one pooled sorted array, placed by
+`empdist.insertion_point`, with a mask of the values from sample 1; the ECDF
+counts at every `empdist.run_ends` index come from one cumulative sum, with no search.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 from . import bandit, boundaries
 from .boundaries import beta_binomial_log_mixture, one_sided_log_mixture
 from .confseq import LilMethod
-from .empdist import (OrderedMultiset, _level_ceil, _level_floor, insert_sorted, lower_ranks,
-                      order_stat, run_ends, upper_ranks)
+from .empdist import (OrderedMultiset, insert_sorted, insertion_point, lower_quantile, lower_ranks,
+                      order_stat, run_ends, upper_quantile, upper_ranks)
 from .errors import ConfigurationError, DomainError, PairingError, StateError
 from .specfun import golden_section_min
 
@@ -161,13 +161,13 @@ def _two_sided_candidates(x1: np.ndarray, x2: np.ndarray, a1: float, a2: float,
     x_plus < x_minus the objective is nonincreasing up to x_minus and already
     nondecreasing there, so x_minus is the only candidate.
     """
-    q1 = order_stat(x1, _level_floor(len(x1), a1) + 1)
-    q2 = order_stat(x2, _level_floor(len(x2), a2) + 1)
+    q1 = upper_quantile(x1, a1)
+    q2 = upper_quantile(x2, a2)
     if q1 <= q2 - delta_star:
         a, a_star, x_minus, b, b_star, shift = x1, a1, q1, x2, a2, delta_star
     else:
         a, a_star, x_minus, b, b_star, shift = x2, a2, q2, x1, a1, -delta_star
-    b_hi = order_stat(b, _level_ceil(len(b), b_star))
+    b_hi = lower_quantile(b, b_star)
     x_plus = b_hi - shift
     if x_plus < x_minus:
         xs_a, xs_b = np.array([x_minus]), np.array([x_minus + shift])
@@ -382,9 +382,7 @@ class KsTestState:
             raise StateError(f"sample must be 1 or 2, got {sample}")
         if sample == 2 and self.mode == "one_sample":
             raise StateError("one_sample mode has a single sample")
-        x = float(x)
-        if x != x:
-            raise ValueError("NaN is not insertable: it breaks rank semantics")
+        x, i = insertion_point(self._values, x)
         if self.mode == "one_sample":
             mark = self.f0(x)
             if not 0.0 <= mark <= 1.0:
@@ -393,7 +391,6 @@ class KsTestState:
             mark = sample == 1
         values, marks = self._values, self._marks
         # x goes after its equals, so it is the last of their run
-        i = values.searchsorted(x, "right")
         self._values = np.concatenate((values[:i], (x,), values[i:]))
         self._marks = np.concatenate((marks[:i], (mark,), marks[i:]))
         if sample == 1:

@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import betainc
+from scipy.special import betainc, lambertw
 
 from seqquant import boundaries as bd
 from seqquant import confseq, seqtest
@@ -358,26 +358,14 @@ class TestTuning:
     def test_denominator_forms(self):
         # the asymptotic form evaluates to 7.936; the exact Lambert branch
         # gives 8.212 (the reference r values correspond to the former)
-        approx = tuning_denominator(0.05, "approx")
+        approx = tuning_denominator(0.05)
         assert approx == pytest.approx(
             2 * math.log(20) + math.log(math.log(400 * math.e)), rel=1e-12
         )
         assert approx == pytest.approx(7.936, abs=0.001)
-        exact = tuning_denominator(0.05, "lambert")
-        z = -exact - 1 + 0  # recover W_{-1} value: exact = -W - 1
-        w = -(exact + 1)
+        w = float(lambertw(-0.05 ** 2 / math.e, k=-1).real)
         assert w * math.exp(w) == pytest.approx(-0.05 ** 2 / math.e, rel=1e-9)
-        assert exact == pytest.approx(8.212, abs=0.001)
-
-    @pytest.mark.parametrize("alpha", [1e-12, 0.05, 0.5])
-    def test_lambert_form_solves_defining_equation(self, alpha):
-        w = -tuning_denominator(alpha, "lambert") - 1.0
-        assert w < -1.0
-        assert w * math.exp(w) == pytest.approx(-alpha ** 2 / math.e, rel=1e-12)
-
-    def test_lambert_form_r(self):
-        r = tune_r(32, 0.5, 0.05, form="lambert")
-        assert r == pytest.approx(0.25 * (32 / 8.211968062068253 - 1), rel=1e-9)
+        assert -w - 1 == pytest.approx(8.212, abs=0.001)
 
     def test_too_small_m_raises(self):
         with pytest.raises(TuningError, match="increase m_target"):
@@ -496,18 +484,6 @@ class TestBaselines:
         assert baseline_radius("dr1967", t) == pytest.approx(
             3 / (2 * math.sqrt(2)) * math.sqrt((math.log(math.log(t)) + 1.457) / t), rel=1e-12
         )
-
-    def test_linear_warmup(self):
-        t = 100
-        lam = 0.3
-        assert baseline_radius("linear_warmup", t, alpha=0.05, lam=lam) == pytest.approx(
-            math.log(20) / (lam * t) + lam / 8, rel=1e-12
-        )
-        # the optimized default is the lam-minimum
-        opt = baseline_radius("linear_warmup", t, alpha=0.05)
-        grid = [baseline_radius("linear_warmup", t, alpha=0.05, lam=l)
-                for l in np.linspace(0.01, 2.0, 500)]
-        assert opt <= min(grid) + 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -638,7 +614,7 @@ _SCHEDULE_RADII = {
         t, q, DoubleStitchConfig.default_preset(0.05, m_start=32.0)),
     # the baselines defined from t = 1; szorenyi and dr1967 are compared below
     **{kind: (lambda kind: lambda t, q: baseline_radius(kind, t, q, 0.05))(kind)
-       for kind in ("dkw_fixed", "dr1968", "clt_pointwise", "hoeffding_kl", "linear_warmup")},
+       for kind in ("dkw_fixed", "dr1968", "clt_pointwise", "hoeffding_kl")},
 }
 _BISECTED = ("beta_binomial", "beta_binomial_one_sided", "hoeffding_kl")
 # the bisected radii cost up to ~2 ms per scalar call, so they are compared

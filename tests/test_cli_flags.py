@@ -152,6 +152,11 @@ CASES = [
         ["--running-min"], [AB], ["no-such-file.txt"])]
     + [["abtest", AB] + extra for extra in (
         ["--eps", "0.3"], ["--runs", "5"], ["--scenario", "cauchy_shift"], ["--max-pairs", "7"])]
+] + [
+    # a reference CDF, which only the one-sample KS test reads
+    pytest.param(argv, id=_id(argv))
+    for argv in [["ks", KS, "--mode", mode, "--ref", "normal:0,1"]
+                 for mode in ("two_sample", "dominance")]
 ]
 
 # flag values at numeric extremes: each invocation exits 0 with a vacuous
@@ -268,6 +273,16 @@ def test_one_config_serves_both_abtest_modes(tmp_path):
     cfg.write_text("tune-m=64\nmode=one_sided\neps=0.05\n")
     for argv, own_flags in ((SIMULATE, ["--eps", "0.05"]),
                             (["abtest", AB], ["--tune-m", "64", "--mode", "one_sided"])):
+        rc, out, err = run_cli(argv + ["--config", str(cfg)])
+        assert rc == 0, err
+        assert (rc, out, err) == run_cli(argv + own_flags)
+
+
+def test_one_config_serves_both_ks_modes(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("ref=normal:0,1\n")
+    for argv, own_flags in ((["ks", STREAM, "--mode", "one_sample"], ["--ref", "normal:0,1"]),
+                            (["ks", KS, "--mode", "two_sample"], [])):
         rc, out, err = run_cli(argv + ["--config", str(cfg)])
         assert rc == 0, err
         assert (rc, out, err) == run_cli(argv + own_flags)

@@ -17,18 +17,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sortedcontainers import SortedList
 
+from seqquant.confseq import CdfBand
 from seqquant.empdist import (
     OrderedMultiset,
     RankTracker,
     _level_ceil,
     _level_floor,
     insert_sorted,
+    insertion_point,
+    lower_quantile,
     lower_ranks,
     order_stat,
     run_ends,
+    upper_quantile,
     upper_ranks,
 )
 from seqquant.errors import QueryError
+from seqquant.seqtest import AbTestState, KsTestState
 
 
 class SortedOracle:
@@ -289,8 +294,74 @@ class TestInsertSorted:
             insert_sorted(np.array([1.0]), nan)
 
 
+def _array_store():
+    arr = insert_sorted(insert_sorted(np.empty(0), 2.0), 1.0)
+    return (lambda x: insert_sorted(arr, x)), arr.tolist
+
+
+def _multiset_store():
+    ms = OrderedMultiset([2.0, 1.0])
+    return ms.insert, lambda: (len(ms), list(ms))
+
+
+def _band_store():
+    band = CdfBand()
+    band.update(2.0)
+    band.update(1.0)
+    return band.update, lambda: (len(band), band.band())
+
+
+def _tracker_store():
+    tracker = RankTracker()
+    tracker.add(2.0, 1)
+    tracker.add(1.0, 1)
+    return (lambda x: tracker.add(x, 1)), lambda: (
+        sorted(-v for v in tracker._below), sorted(tracker._above))
+
+
+def _ab_store():
+    state = AbTestState(0.5, 1.0)
+    state.add(1, 2.0)
+    state.add(2, 1.0)
+    return (lambda x: state.add(1, x)), lambda: (state.arm1.tolist(), state.arm2.tolist())
+
+
+def _ks_store(mode):
+    calls = []
+    state = KsTestState(mode, f0=lambda x: calls.append(x) or 0.5)
+    for sample in (1,) if mode == "one_sample" else (1, 2):
+        state.add(2.0, sample)
+        state.add(1.0, sample)
+    calls.clear()
+    return (lambda x: state.add(x, 1)), lambda: (
+        state.sample1.tolist(), state.sample2.tolist(), state.n1, state.n2, list(calls))
+
+
+# every store of observations, holding values already: (insert, contents)
+NAN_STORES = {
+    "insert_sorted": _array_store,
+    "OrderedMultiset": _multiset_store,
+    "CdfBand": _band_store,
+    "RankTracker": _tracker_store,
+    "AbTestState": _ab_store,
+    **{f"KsTestState {mode}": (lambda mode: lambda: _ks_store(mode))(mode)
+       for mode in KsTestState.MODES},
+}
+
+
+@pytest.mark.parametrize("nan", [math.nan, np.float64("nan")])
+@pytest.mark.parametrize("store", sorted(NAN_STORES))
+def test_nan_is_not_insertable_into_any_store(store, nan):
+    # the contents of a KS store include the f0 calls since it was filled
+    insert, contents = NAN_STORES[store]()
+    before = contents()
+    with pytest.raises(ValueError, match="^NaN is not insertable: it breaks rank semantics$"):
+        insert(nan)
+    assert contents() == before
+
+
 class TestSortedSequenceRules:
-    """run_ends and order_stat, the one home of each rule on sorted values."""
+    """run_ends, order_stat, insertion_point and the sample quantiles on sorted values."""
 
     @pytest.mark.parametrize("values, ends", [
         (np.empty(0), []),
@@ -312,6 +383,29 @@ class TestSortedSequenceRules:
         n = len(seq)
         assert [order_stat(seq, k) for k in (0, 1, n, n + 1)] == [-math.inf, 1.0, 3.0, math.inf]
         assert type(order_stat(seq, 0)) is float and type(order_stat(seq, n + 1)) is float
+
+    def test_insertion_point(self):
+        assert insertion_point(np.array([1.0, 2.0, 2.0, 3.0]), 2) == (2.0, 3)
+        x, i = insertion_point(np.array([0.0, 0.0]), -0.0)
+        assert (i, math.copysign(1.0, x)) == (2, -1.0)
+        assert insertion_point(np.empty(0), 5.0) == (5.0, 0)
+        assert type(insertion_point(np.empty(0), 5)[0]) is float
+        with pytest.raises(ValueError, match="NaN is not insertable"):
+            insertion_point(np.array([1.0]), math.nan)
+
+    @pytest.mark.parametrize("seq", [SortedList([3.0, 1.0, 2.0, 2.0, 5.0]),
+                                     np.array([1.0, 2.0, 2.0, 3.0, 5.0])])
+    def test_sample_quantiles_equal_the_multiset_methods(self, seq):
+        ms = OrderedMultiset(seq)
+        t = len(seq)
+        levels = [k / t for k in range(t + 1)] + [0.0, 1.0, -math.inf, math.inf]
+        assert [upper_quantile(seq, p) for p in levels] == [ms.upper_quantile(p) for p in levels]
+        assert [lower_quantile(seq, p) for p in levels] == [ms.lower_quantile(p) for p in levels]
+
+    @pytest.mark.parametrize("seq", [SortedList(), np.empty(0)])
+    def test_sample_quantiles_of_an_empty_sequence(self, seq):
+        for p in (0.0, 0.5, 1.0):
+            assert (upper_quantile(seq, p), lower_quantile(seq, p)) == (math.inf, -math.inf)
 
 
 class TestImplicationTable:
