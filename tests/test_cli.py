@@ -83,6 +83,15 @@ GOLDEN_CASES = {
                               "--format", fmt]
        for name, fixture in (("cauchy", "cauchy1100.txt"), ("ties", "cauchy1100_ties.txt"))
        for fmt in ("csv", "json")},
+    # pin the sign of every zero bound and point estimate of each tracker on
+    # 400 seeded lines, about half of them -0.0 or 0.0 and the rest Cauchy
+    # values rounded to integers (seed 2101; see CHANGES.md)
+    **{f"track_zeros_{method}.csv": ["track", str(FIXTURES / "zeros400.txt"), "--p", p,
+                                      "--method", method]
+       for method, p in (("stitched", "0.25"), ("stitched_simple", "0.5"),
+                         ("beta_binomial", "0.5"), ("normal_mixture", "0.75"))},
+    "track_zeros_intersect.csv": ["track", str(FIXTURES / "zeros400.txt"), "--p", "0.25",
+                                  "--method", "stitched_simple", "--intersect"],
 }
 
 
