@@ -322,6 +322,14 @@ def _check_level(p: float) -> None:
         raise UsageError(f"--p must lie in (0, 1), got {p}")
 
 
+def _reject_unread(args, dests, where: str) -> None:
+    """Usage error for any of dests off the subcommand's current default, which --config sets."""
+    for dest in dests:
+        if getattr(args, dest) != args.subparser.get_default(dest):
+            flag = dest if dest == "input" else "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} is not read {where}")
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -431,6 +439,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_track(args) -> int:
+    where = f"with --method {args.method}"
+    if args.method != "stitched":
+        _reject_unread(args, ("eta", "s_exp", "m"), where)
+    if args.method not in ("beta_binomial", "normal_mixture"):
+        _reject_unread(args, ("r", "tune_m"), where)
     _check_level(args.p)
     stitch = partial(StitchConfig, eta=args.eta, s_exp=args.s_exp, m_start=args.m,
                      alpha=args.alpha)
@@ -449,7 +462,7 @@ def cmd_track(args) -> int:
             empty = ()
             if args.intersect:
                 lo, hi, *empty = cs.intersected_bounds()
-            emitter.row(len(cs.data), x, lo, hi, cs.point_estimate(), *empty)
+            emitter.row(len(cs), x, lo, hi, cs.point_estimate(), *empty)
         emitter.close()
     return 0
 
@@ -478,14 +491,6 @@ def cmd_band(args) -> int:
 # ---------------------------------------------------------------------------
 # abtest
 # ---------------------------------------------------------------------------
-
-
-def _reject_unread(args, dests, where: str) -> None:
-    """Usage error for any of dests off the subcommand's current default, which --config sets."""
-    for dest in dests:
-        if getattr(args, dest) != args.subparser.get_default(dest):
-            flag = dest if dest == "input" else "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} is not read {where}")
 
 
 def cmd_abtest(args) -> int:

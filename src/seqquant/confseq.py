@@ -1,34 +1,36 @@
 """Stateful confidence-sequence trackers.
 
-Each tracker owns its observations (an OrderedMultiset, or in `CdfBand` a
-list sorted stably at query) and a radius; bounds are always a pair of
-realized order statistics or the floats -inf / inf, never interpolated.  A
-radius is a function `radius(t, level)` that must accept a numpy array of
-times as well as one time, such as
+Each tracker keeps what its queries read and a radius; bounds are always a
+pair of realized order statistics or the floats -inf / inf, never
+interpolated.  A radius is a function `radius(t, level)` that must accept a
+numpy array of times as well as one time, such as
 `lambda t, level: boundaries.beta_binomial_radius(t, level, r, alpha)`.
 `FixedQuantileCS` shifts its fixed level by the radius, so both of its
-bounds are order statistics whose ranks depend on t alone; it tabulates
-those ranks in `RadiusSchedule` tables filled in vectorized chunks (the
-`empdist.upper_ranks`/`lower_ranks` rule) and reads `order_stat` at each
-update.  `QuantileUniformCS` (whose level varies per query) and `CdfBand`
-evaluate radii per query.  `LilMethod` is the one radius kept as an object:
-it resolves the iterated-logarithm constant C from alpha, and its type
-picks the bracket of the uniform bound.  When a shifted level p +/- radius
-leaves [0, 1] the rank leaves [1, t] and the bound is -inf or inf (no
-clamping to extreme order statistics), which keeps coverage conservative.
+bounds, and its point estimate, are order statistics whose ranks depend on t
+alone; it tabulates those ranks in `RadiusSchedule` tables filled in
+vectorized chunks (the `empdist.upper_ranks`/`lower_ranks` rule) and follows
+each with an `empdist.RankTracker`, so an update reads all three in
+O(log t).  `QuantileUniformCS` (whose level varies per query, over an
+`OrderedMultiset`) and `CdfBand` (a list sorted stably at query) evaluate
+radii per query.  `LilMethod` is the one radius kept as an object: it
+resolves the iterated-logarithm constant C from alpha, and its type picks
+the bracket of the uniform bound.  When a shifted level p +/- radius leaves
+[0, 1] the rank leaves [1, t] and the bound is -inf or inf (no clamping to
+extreme order statistics), which keeps coverage conservative.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import boundaries
 from .boundaries import RadiusSchedule
-from .empdist import OrderedMultiset, lower_ranks, reject_nan, run_ends, upper_ranks
+from .empdist import (OrderedMultiset, RankTracker, lower_ranks, reject_nan, run_ends,
+                      upper_ranks)
 from .errors import ConfigurationError, QueryError
 
 __all__ = [
@@ -65,8 +67,19 @@ class FixedQuantileCS:
     the upper endpoint the lower sample quantile at p + radius(t, p); the two
     sides use the radius at mirrored levels because the underlying centered
     process has increments in [-p, 1-p].  Their ranks come from
-    `rank_schedules`.  The running intersection of all bounds so far is
-    kept as well, for `intersected_bounds`.
+    `rank_schedules`, the point estimate's (the upper sample quantile at p,
+    rank floor(t p) + 1) from a third table, and each of the three is
+    followed by a `RankTracker` that answers as the value is added; `update`
+    stores the answers, which `bounds` and `point_estimate` return.  Values
+    are taken as `float(x)`.
+
+    A `RankTracker` may read any member of a run of equal values, and equal
+    floats differ only in the sign of zero.  A sorted list puts each value
+    after its equals, so its zeros stand in insertion order after the
+    negative values: a zero read at rank r is replaced by the one the sorted
+    order holds there, zeros[r - negatives - 1], so every bound shows the
+    sign an `OrderedMultiset` read gives.  The running intersection of all
+    bounds so far is kept as well, for `intersected_bounds`.
     """
 
     def __init__(self, p: float, method):
@@ -75,14 +88,38 @@ class FixedQuantileCS:
         self.method = method
         self._lower_rank, self._upper_rank = rank_schedules(
             p, lambda t: method(t, 1.0 - p), p, lambda t: method(t, p))
-        self.data = OrderedMultiset()
-        self._run_lower = -math.inf
-        self._run_upper = math.inf
+        self._point_rank = RadiusSchedule(lambda t: upper_ranks(t, p))
+        self._lower_tracker, self._upper_tracker, self._point_tracker = (
+            RankTracker(), RankTracker(), RankTracker())
+        self._t = 0
+        self._negatives = 0
+        self._zeros = []
+        self._lower = self._run_lower = -math.inf
+        self._upper = self._run_upper = math.inf
+        self._point = math.nan
+
+    def __len__(self) -> int:
+        return self._t
+
+    def _add(self, tracker: RankTracker, r: int, x: float) -> float:
+        """tracker.add(x, r), a zero read as the one the sorted order holds at rank r."""
+        value = tracker.add(x, r)
+        if value == 0.0:
+            return self._zeros[r - self._negatives - 1]
+        return value
 
     def update(self, x) -> tuple[float, float]:
         """Ingest one observation and return the instantaneous bounds."""
-        self.data.insert(x)
-        lo, hi = self.bounds()
+        x = float(x)
+        reject_nan(x, "insertable")
+        t = self._t = self._t + 1
+        if x < 0.0:
+            self._negatives += 1
+        elif x == 0.0:
+            self._zeros.append(x)
+        lo = self._lower = self._add(self._lower_tracker, self._lower_rank.at(t), x)
+        hi = self._upper = self._add(self._upper_tracker, self._upper_rank.at(t), x)
+        self._point = self._add(self._point_tracker, self._point_rank.at(t), x)
         if self._run_lower < lo:
             self._run_lower = lo
         if hi < self._run_upper:
@@ -90,11 +127,8 @@ class FixedQuantileCS:
         return lo, hi
 
     def bounds(self) -> tuple[float, float]:
-        t = len(self.data)
-        if t == 0:
-            return -math.inf, math.inf
-        data = self.data
-        return data.order_stat(self._lower_rank.at(t)), data.order_stat(self._upper_rank.at(t))
+        """The bounds at the last update; (-inf, inf) before the first."""
+        return self._lower, self._upper
 
     def intersected_bounds(self) -> tuple[float, float, bool]:
         """Running intersection; the empty flag is evidence of violated assumptions."""
@@ -102,7 +136,10 @@ class FixedQuantileCS:
         return self._run_lower, self._run_upper, empty
 
     def point_estimate(self) -> float:
-        return self.data.upper_quantile(self.p)
+        """Q_t(p), the floor(t p) + 1 order statistic."""
+        if not self._t:
+            raise QueryError("sample quantile is undefined for an empty distribution")
+        return self._point
 
 
 @dataclass(frozen=True)
@@ -184,11 +221,21 @@ class CdfBand:
         return len(self._values)
 
     def _sorted(self) -> list:
-        """The values in order; the sort is stable, so equal values keep insertion order."""
-        if self._n_sorted != len(self._values):
-            self._values.sort()
-            self._n_sorted = len(self._values)
-        return self._values
+        """The values in order, equal values in insertion order.
+
+        One value added since the last query is placed after its equals by
+        `insort_right`, so `at()` after every `update` costs one O(log t)
+        search and a list shift; more are placed by the stable sort, which
+        puts each after its equals as well.
+        """
+        values = self._values
+        pending = len(values) - self._n_sorted
+        if pending == 1:
+            insort_right(values, values.pop())
+        elif pending:
+            values.sort()
+        self._n_sorted = len(values)
+        return values
 
     def half_width(self) -> float:
         return self.method.radius(len(self._values))

@@ -236,7 +236,9 @@ class RankTracker:
     first heap holds clamp(r, 0, t) values: O(log t) per step when r moves
     by a bounded amount, as the rank tables of a confidence bound do.
     Out-of-range ranks read -inf / inf, as in `order_stat`;
-    of a run of equal values (0.0 and -0.0 included) any one may be read.
+    of a run of equal values (0.0 and -0.0 included) any one may be read:
+    QLUCB compares its reads with == only, and `confseq.FixedQuantileCS`
+    replaces a zero read by the one a sorted list holds at that rank.
     """
 
     __slots__ = ("_below", "_above")

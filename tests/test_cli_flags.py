@@ -153,6 +153,17 @@ CASES = [
     + [["abtest", AB] + extra for extra in (
         ["--eps", "0.3"], ["--runs", "5"], ["--scenario", "cauchy_shift"], ["--max-pairs", "7"])]
 ] + [
+    # a flag only other track methods read, set off its default
+    pytest.param(argv, id=_id(argv))
+    for argv in [["track", STREAM, "--p", "0.5", "--method", method, *extra]
+                 for method, flags in (
+                     ("stitched", (["--r", "2"], ["--tune-m", "9"])),
+                     ("stitched_simple", (["--eta", "3"], ["--s-exp", "2"], ["--m", "2"],
+                                          ["--r", "2"], ["--tune-m", "9"])),
+                     ("beta_binomial", (["--eta", "3"], ["--s-exp", "2"], ["--m", "2"])),
+                     ("normal_mixture", (["--eta", "3"], ["--s-exp", "2"], ["--m", "2"])))
+                 for extra in flags]
+] + [
     # a reference CDF, which only the one-sample KS test reads
     pytest.param(argv, id=_id(argv))
     for argv in [["ks", KS, "--mode", mode, "--ref", "normal:0,1"]
@@ -273,6 +284,19 @@ def test_one_config_serves_both_abtest_modes(tmp_path):
     cfg.write_text("tune-m=64\nmode=one_sided\neps=0.05\n")
     for argv, own_flags in ((SIMULATE, ["--eps", "0.05"]),
                             (["abtest", AB], ["--tune-m", "64", "--mode", "one_sided"])):
+        rc, out, err = run_cli(argv + ["--config", str(cfg)])
+        assert rc == 0, err
+        assert (rc, out, err) == run_cli(argv + own_flags)
+
+
+def test_one_config_serves_every_track_method(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("eta=3\ns-exp=2\nm=2\nr=2\ntune-m=9\n")
+    for method, own_flags in (("stitched", ["--eta", "3", "--s-exp", "2", "--m", "2"]),
+                              ("stitched_simple", []),
+                              ("beta_binomial", ["--r", "2", "--tune-m", "9"]),
+                              ("normal_mixture", ["--r", "2", "--tune-m", "9"])):
+        argv = ["track", STREAM, "--p", "0.5", "--method", method]
         rc, out, err = run_cli(argv + ["--config", str(cfg)])
         assert rc == 0, err
         assert (rc, out, err) == run_cli(argv + own_flags)

@@ -68,9 +68,38 @@ class TestFixedQuantileCS:
 
     def test_point_estimate_is_upper_sample_quantile(self):
         cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
+        oracle = OrderedMultiset()
         for x in [5.0, 1.0, 3.0]:
             cs.update(x)
-        assert cs.point_estimate() == cs.data.upper_quantile(0.5) == 3.0
+            oracle.insert(x)
+        assert cs.point_estimate() == oracle.upper_quantile(0.5) == 3.0
+
+    def test_empty_tracker(self):
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
+        assert len(cs) == 0
+        assert cs.bounds() == (-math.inf, math.inf)
+        assert cs.intersected_bounds() == (-math.inf, math.inf, False)
+        with pytest.raises(QueryError, match="sample quantile is undefined"):
+            cs.point_estimate()
+
+    def test_values_are_taken_as_floats(self):
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
+        for x in range(1, 1001):
+            cs.update(x)
+        assert len(cs) == 1000
+        assert cs.bounds() == (426.0, 575.0)
+        assert cs.point_estimate() == 501.0
+        assert all(type(v) is float for v in (*cs.bounds(), cs.point_estimate()))
+
+    def test_nan_is_rejected_before_anything_is_stored(self):
+        cs = FixedQuantileCS(0.5, partial(stitched_radius_simple, alpha=0.05))
+        cs.update(-0.0)
+        with pytest.raises(ValueError, match="NaN is not insertable"):
+            cs.update(math.nan)
+        assert len(cs) == 1
+        assert repr(cs.point_estimate()) == "-0.0"
+        assert repr(cs.update(0.0)) == "(-inf, inf)"
+        assert repr(cs.point_estimate()) == "0.0"
 
 
 class TestIntersection:
@@ -152,11 +181,71 @@ class TestRankTables:
         p = 0.25
         radius = partial(stitched_radius_simple, alpha=0.05)
         cs = FixedQuantileCS(p, radius)
+        oracle = OrderedMultiset()
         for x in rng.standard_cauchy(size=1100):
             lo, hi = cs.update(float(x))
-            t = len(cs.data)
-            assert lo == cs.data.upper_quantile(p - radius(t, 1.0 - p))
-            assert hi == cs.data.lower_quantile(p + radius(t, p))
+            oracle.insert(float(x))
+            t = len(oracle)
+            assert lo == oracle.upper_quantile(p - radius(t, 1.0 - p))
+            assert hi == oracle.lower_quantile(p + radius(t, p))
+
+
+def _oracle_reads(values, p, radius):
+    """(lower, upper, point estimate) after each value, read from an OrderedMultiset."""
+    t = np.arange(1.0, len(values) + 1.0)
+    lows, highs = radius(t, 1.0 - p).tolist(), radius(t, p).tolist()
+    oracle = OrderedMultiset()
+    reads = []
+    for x, low, high in zip(values, lows, highs):
+        oracle.insert(x)
+        reads.append((oracle.upper_quantile(p - low), oracle.lower_quantile(p + high),
+                      oracle.upper_quantile(p)))
+    return reads
+
+
+def _tracker_reads(values, p, radius):
+    cs = FixedQuantileCS(p, radius)
+    reads = []
+    for x in values:
+        lo, hi = cs.update(x)
+        assert (lo, hi) == cs.bounds()
+        reads.append((lo, hi, cs.point_estimate()))
+    return reads
+
+
+# zeros of both signs, values that round to ties (and to -0.0), and Cauchy draws
+_ZERO_HEAVY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-3.0, 3.0).map(lambda v: float(np.round(v))),
+    st.floats(0.001, 0.999).map(lambda u: math.tan(math.pi * (u - 0.5))),
+)
+_ZERO_HEAVY_RNG = np.random.default_rng(21)
+_ZERO_HEAVY_STREAM = np.where(_ZERO_HEAVY_RNG.random(3000) < 0.5,
+                              np.where(_ZERO_HEAVY_RNG.random(3000) < 0.5, 0.0, -0.0),
+                              np.round(_ZERO_HEAVY_RNG.standard_cauchy(3000), 0)).tolist()
+
+
+class TestExactReads:
+    """Every bound and point estimate equals, by repr, the read of an OrderedMultiset fed the
+    same values: the rank trackers read the member of a run of equal values, the sign of
+    zero included, that the sorted order holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(_TRACK_RADII)), p=st.sampled_from([0.05, 0.25, 0.5, 0.9]),
+           values=st.lists(_ZERO_HEAVY, min_size=1, max_size=300))
+    def test_reads_equal_the_multiset(self, name, p, values):
+        radius = _TRACK_RADII[name](p)
+        assert repr(_tracker_reads(values, p, radius)) == repr(_oracle_reads(values, p, radius))
+
+    @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("name", sorted(_TRACK_RADII))
+    def test_long_zero_heavy_stream(self, name, p):
+        # past the first rank-table chunk, with zeros read
+        radius = _TRACK_RADII[name](p)
+        got = _tracker_reads(_ZERO_HEAVY_STREAM, p, radius)
+        want = _oracle_reads(_ZERO_HEAVY_STREAM, p, radius)
+        assert any(v == 0.0 for row in got for v in row)
+        assert repr(got) == repr(want)
 
 
 class TestLilMethod:
@@ -344,6 +433,19 @@ class TestCdfBandExport:
             for x in (first, -first, 1.0):
                 band.update(x)
             assert [repr(x) for x, *_ in band.band()] == [repr(first), "1.0"]
+
+    def test_query_after_every_update(self):
+        # each at() places the one value added since the last query, and band() shows each
+        # run by its first-inserted member, so ties and the sign of zero show a misplaced one
+        values = _ZERO_HEAVY_STREAM[:400]
+        band = CdfBand(alpha=0.05)
+        for t, x in enumerate(values, start=1):
+            band.update(x)
+            for q in (-1.0, -0.0, 0.0, 1.0):
+                assert repr(band.at(q)) == repr(_at_by_multiset(values[:t], band, q))
+            got, want = band.band(), _band_by_runs(values[:t], band)
+            assert [list(map(repr, row)) for row in got] == \
+                [list(map(repr, row)) for row in want]
 
     # ties from rounded Cauchy draws, both zeros, ints, Fractions, and two numbers one float64
     # cannot tell apart
