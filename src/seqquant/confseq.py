@@ -22,7 +22,7 @@ extreme order statistics), which keeps coverage conservative.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,21 +221,11 @@ class CdfBand:
         return len(self._values)
 
     def _sorted(self) -> list:
-        """The values in order, equal values in insertion order.
-
-        One value added since the last query is placed after its equals by
-        `insort_right`, so `at()` after every `update` costs one O(log t)
-        search and a list shift; more are placed by the stable sort, which
-        puts each after its equals as well.
-        """
-        values = self._values
-        pending = len(values) - self._n_sorted
-        if pending == 1:
-            insort_right(values, values.pop())
-        elif pending:
-            values.sort()
-        self._n_sorted = len(values)
-        return values
+        """The values in order; the sort is stable, so equal values keep insertion order."""
+        if self._n_sorted != len(self._values):
+            self._values.sort()
+            self._n_sorted = len(self._values)
+        return self._values
 
     def half_width(self) -> float:
         return self.method.radius(len(self._values))

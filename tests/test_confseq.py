@@ -435,7 +435,7 @@ class TestCdfBandExport:
             assert [repr(x) for x, *_ in band.band()] == [repr(first), "1.0"]
 
     def test_query_after_every_update(self):
-        # each at() places the one value added since the last query, and band() shows each
+        # each at() sorts the one value added since the last query in, and band() shows each
         # run by its first-inserted member, so ties and the sign of zero show a misplaced one
         values = _ZERO_HEAVY_STREAM[:400]
         band = CdfBand(alpha=0.05)
