@@ -52,6 +52,17 @@ GOLDEN_CASES = {
     "abtest_one_sided.csv": ["abtest", str(FIXTURES / "ab_shift200.txt"), "--mode", "one_sided"],
     "abtest_global.csv": ["abtest", str(FIXTURES / "ab3_210.txt"), "--mode", "global"],
     "abtest_ties.csv": ["abtest", str(FIXTURES / "ab_ties200.txt"), "--delta-star", "0.3"],
+    # pin --running-min in every mode, and a global null whose third and fourth
+    # arms open at lines 40 and 90, after rows have started, on values rounded
+    # to 0.1 (ties, with -0.0 and 0.0; seed 2201, see CHANGES.md)
+    "abtest_running_min.csv": ["abtest", str(FIXTURES / "ab_shift200.txt"), "--running-min"],
+    "abtest_one_sided_running_min.csv": ["abtest", str(FIXTURES / "ab_shift200.txt"),
+                                         "--mode", "one_sided", "--running-min"],
+    "abtest_global_running_min.csv": ["abtest", str(FIXTURES / "ab3_210.txt"), "--mode", "global",
+                                      "--running-min"],
+    "abtest_global_late.csv": ["abtest", str(FIXTURES / "ab4_late200.txt"), "--mode", "global"],
+    "abtest_global_late_running_min.csv": ["abtest", str(FIXTURES / "ab4_late200.txt"),
+                                           "--mode", "global", "--running-min"],
     "ks_dominance.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "dominance"],
     "ks_two_sample.csv": ["ks", str(FIXTURES / "ks_dom200.txt"), "--mode", "two_sample"],
     "ks_one_sample.csv": ["ks", str(FIXTURES / "cauchy1100.txt"), "--mode", "one_sample",
