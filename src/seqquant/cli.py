@@ -27,7 +27,6 @@ from scipy.special import ndtr
 
 from . import bandit, boundaries, confseq, seqtest
 from .boundaries import DoubleStitchConfig, StitchConfig
-from .empdist import insert_sorted
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -508,28 +507,19 @@ def cmd_abtest(args) -> int:
     r = args.r if args.r is not None else boundaries.tune_r(args.tune_m, args.p, args.alpha)
     meta = {"p": args.p, "r": r, "delta_star": args.delta_star, "mode": args.mode,
             "alpha": args.alpha}
-    # the state checks p, r and alpha before any output; the global null
-    # tests arm 0 against every later arm, added as their labels appear
+    # the state checks p, r and alpha before any output, and opens an arm per new label
     state = seqtest.AbTestState(args.p, r, args.delta_star, args.alpha)
-    global_null = args.mode == "global"
-    arms = []
+    evaluate = {"two_sided": state.two_sided, "one_sided": state.one_sided,
+                "global": state.global_null}[args.mode]
     running_min = 1.0
     with _input(args.input) as handle, _output(args.out) as out:
         emitter = Emitter(out, args.format, ["t", "stat", "pvalue", "reject"], meta)
-        stream = _arm_stream(handle, math.inf if global_null else 2)
+        stream = _arm_stream(handle, math.inf if args.mode == "global" else 2)
         for t, (_, arm, value) in enumerate(stream, start=1):
-            if global_null:
-                if arm == len(arms):
-                    arms.append(np.empty(0))
-                arms[arm] = insert_sorted(arms[arm], value)
-                if len(arms) < 2 or not all(map(len, arms)):
-                    continue
-                result = seqtest.global_null_result(arms[0], arms[1:], args.p, r, args.alpha)
-            else:
-                state.add(arm + 1, value)
-                if not (len(state.arm1) and len(state.arm2)):
-                    continue
-                result = state.two_sided() if args.mode == "two_sided" else state.one_sided()
+            state.add(arm + 1, value)
+            if not all(map(len, state.arms)):
+                continue
+            result = evaluate()
             running_min = min(running_min, result.pvalue)
             pv = running_min if args.running_min else result.pvalue
             emitter.row(t, result.stat, pv, result.reject)

@@ -223,11 +223,13 @@ def _one_sided_stats(a: np.ndarray, bs: Sequence[np.ndarray], p: float, r: float
 
 
 class AbTestState:
-    """Two-arm sequential quantile test state.
+    """Sequential quantile test state over K >= 2 arms.
 
     Tests H0: Q_2(p) - Q_1(p) = delta_star (two-sided) or <= delta_star
-    (one-sided) at level alpha, with always-valid p-values.  `arm1` and
-    `arm2` are the arms' values as sorted float64 arrays.
+    (one-sided) on two arms, or the global null of arm 1 against the rest,
+    at level alpha, with always-valid p-values.  `arms[k - 1]` holds arm k's
+    values as a sorted float64 array: two empty arms at first, and
+    `add(len(arms) + 1, x)` opens the next.
     """
 
     def __init__(self, p: float, r: float, delta_star: float = 0.0, alpha: float = 0.05):
@@ -239,28 +241,27 @@ class AbTestState:
         self.r = r
         self.delta_star = delta_star
         self.alpha = alpha
-        self.arm1 = np.empty(0)
-        self.arm2 = np.empty(0)
+        self.arms = [np.empty(0), np.empty(0)]
 
     def add(self, arm: int, x: float) -> None:
-        if arm == 1:
-            self.arm1 = insert_sorted(self.arm1, x)
-        elif arm == 2:
-            self.arm2 = insert_sorted(self.arm2, x)
+        if arm not in range(1, len(self.arms) + 2):
+            raise StateError(f"arm must lie in 1..{len(self.arms) + 1}, got {arm}")
+        if arm > len(self.arms):  # x is inserted first, so a refused value opens no arm
+            self.arms.append(insert_sorted(np.empty(0), x))
         else:
-            raise StateError(f"arm must be 1 or 2, got {arm}")
+            self.arms[arm - 1] = insert_sorted(self.arms[arm - 1], x)
 
-    def _arms(self) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.arm1) == 0 or len(self.arm2) == 0:
-            raise StateError("both arms need at least one observation")
-        return self.arm1, self.arm2
+    def _pair(self) -> list[np.ndarray]:
+        if len(self.arms) != 2 or not all(map(len, self.arms)):
+            raise StateError("the two-arm tests need two arms, each with an observation")
+        return self.arms
 
     def _result(self, stat: float) -> TestResult:
         return TestResult(stat, _pvalue(stat), stat >= math.log(1.0 / self.alpha))
 
     def two_sided(self) -> TestResult:
         """min_x [G_1(x) + G_2(x + delta_star)] versus log(1/alpha)."""
-        x1, x2 = self._arms()
+        x1, x2 = self._pair()
         table = _astar_table(self.p, self.r)
         entry = _two_sided_candidates(x1, x2, table.at(len(x1) + 1), table.at(len(x2) + 1),
                                       self.delta_star)
@@ -268,8 +269,14 @@ class AbTestState:
 
     def one_sided(self) -> TestResult:
         """min_x [G+_1(x) + G-_2(x + delta_star)] versus log(1/alpha)."""
-        x1, x2 = self._arms()
+        x1, x2 = self._pair()
         return self._result(_one_sided_stats(x1, [x2], self.p, self.r, self.delta_star)[0])
+
+    def global_null(self) -> TestResult:
+        """`global_null_result` of arm 1 against every later arm."""
+        if self.delta_star != 0.0:
+            raise ConfigurationError(f"the global null tests a zero shift, got {self.delta_star}")
+        return global_null_result(self.arms[0], self.arms[1:], self.p, self.r, self.alpha)
 
 
 def global_null_pvalue(

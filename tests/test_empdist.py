@@ -319,11 +319,11 @@ def _tracker_store():
         sorted(-v for v in tracker._below), sorted(tracker._above))
 
 
-def _ab_store():
+def _ab_store(arm=1):
     state = AbTestState(0.5, 1.0)
     state.add(1, 2.0)
     state.add(2, 1.0)
-    return (lambda x: state.add(1, x)), lambda: (state.arm1.tolist(), state.arm2.tolist())
+    return (lambda x: state.add(arm, x)), lambda: [values.tolist() for values in state.arms]
 
 
 def _ks_store(mode):
@@ -344,6 +344,8 @@ NAN_STORES = {
     "CdfBand": _band_store,
     "RankTracker": _tracker_store,
     "AbTestState": _ab_store,
+    # a refused value opens no arm: AbTestState keeps two
+    "AbTestState new arm": lambda: _ab_store(3),
     **{f"KsTestState {mode}": (lambda mode: lambda: _ks_store(mode))(mode)
        for mode in KsTestState.MODES},
 }

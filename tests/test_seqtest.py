@@ -140,13 +140,12 @@ class TestGEvaluator:
 def _evaluators(state):
     """The per-x GEvaluator oracle of each arm, on an OrderedMultiset of its values."""
     return [GEvaluator(OrderedMultiset(arm.tolist()), state.p, state.r)
-            for arm in (state.arm1, state.arm2)]
+            for arm in state.arms]
 
 
 def _breakpoint_pairs(state):
     d = state.delta_star
-    vals1 = sorted(set(state.arm1.tolist()))
-    vals2 = sorted(set(state.arm2.tolist()))
+    vals1, vals2 = (sorted(set(arm.tolist())) for arm in state.arms)
     pairs = [(v, v + d) for v in vals1] + [(w - d, w) for w in vals2]
     pairs.sort()
     return pairs
@@ -283,7 +282,7 @@ class TestKernelBits:
         for state in states:
             state.p, state.r = p, r
         batch = _two_sided_stats([_two_sided_candidates(
-            s.arm1, s.arm2, table.at(len(s.arm1) + 1), table.at(len(s.arm2) + 1), s.delta_star)
+            *s.arms, *(table.at(len(arm) + 1) for arm in s.arms), s.delta_star)
             for s in states], p, r)
         assert batch == [_scan_two_sided(s) for s in states]
 
@@ -419,6 +418,67 @@ class TestGlobalNull:
         arms = [np.array([2.0]), np.array([0.5])]
         assert global_null_pvalue(control, arms, 0.5, 0.758) == 1.0
 
+
+class TestAbArms:
+    """`AbTestState.arms` holds K >= 2 arms; `add(len(arms) + 1, x)` opens the next."""
+
+    @staticmethod
+    def _state(k):
+        state = AbTestState(0.5, 0.758)
+        for arm in range(1, k + 1):
+            state.add(arm, float(arm))
+        return state
+
+    def test_global_null_equals_the_function_on_a_stream_that_opens_arms_late(self):
+        # values rounded to 0.1 (ties, -0.0 and 0.0); arm 3 opens at step 30 and
+        # arm 4 at step 70, after the statistic is defined
+        rng = np.random.default_rng(2202)
+        p, r = 0.5, 0.758
+        state = AbTestState(p, r)
+        lists = [[], []]
+        for step in range(1, 161):
+            arm = {1: 1, 2: 2, 30: 3, 70: 4}.get(step, int(rng.integers(1, len(lists) + 1)))
+            x = round(float(rng.standard_normal()) + (arm == 4), 1)
+            state.add(arm, x)
+            if arm > len(lists):
+                lists.append([])
+            lists[arm - 1].append(x)
+            # a stable sort keeps equal values, -0.0 and 0.0 too, in insertion order
+            oracle = [np.array(sorted(values)) for values in lists]
+            assert list(map(repr, state.arms)) == list(map(repr, oracle))
+            if step == 1:
+                with pytest.raises(StateError):
+                    state.global_null()
+            else:
+                assert state.global_null() == global_null_result(oracle[0], oracle[1:], p, r)
+        assert len(state.arms) == 4
+        assert any(x == 0.0 and math.copysign(1.0, x) < 0 for x in np.concatenate(state.arms))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 2])
+    def test_an_arm_outside_one_to_k_plus_one_is_a_state_error(self, k, offset):
+        # arm 0, arm -1 and arm k + 2
+        state = self._state(k)
+        before = list(map(repr, state.arms))
+        with pytest.raises(StateError):
+            state.add(offset if offset < 1 else k + offset, 1.0)
+        assert list(map(repr, state.arms)) == before
+
+    @pytest.mark.parametrize("test", ["two_sided", "one_sided"])
+    def test_three_arms_refuse_the_two_arm_tests(self, test):
+        state = self._state(3)
+        with pytest.raises(StateError):
+            getattr(state, test)()
+        assert state.global_null() == global_null_result(
+            state.arms[0], state.arms[1:], 0.5, 0.758)
+
+    def test_global_null_tests_a_zero_shift(self):
+        state = AbTestState(0.5, 0.758, delta_star=0.5)
+        state.add(1, 1.0)
+        state.add(2, 2.0)
+        with pytest.raises(ConfigurationError):
+            state.global_null()
+
     def test_requires_a_treatment(self):
         with pytest.raises(ValueError):
             global_null_pvalue(np.array([1.0]), [], 0.5, 0.758)
@@ -442,7 +502,7 @@ class TestGlobalNull:
                 scans = []
                 for b in treatments:
                     state = AbTestState(p, r, 0.0, 0.05)
-                    state.arm1, state.arm2 = control, b
+                    state.arms = [control, b]
                     scans.append(_scan_one_sided(state))
                 assert stat == max(scans)
         # signed zeros shared between arms
