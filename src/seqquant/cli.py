@@ -142,12 +142,14 @@ def _output(path):
     it only when the command succeeds, so a failed run leaves an earlier
     file at `path` as it was.  The temporary file is opened first, so an
     output that cannot be opened is a usage error raised before anything
-    is computed or written.  An existing path that is not a regular file
-    (a device or a pipe) is written in place.
+    is computed or written, as is an empty path.  An existing path that is
+    not a regular file (a device or a pipe) is written in place.
     """
     if path in (None, "-"):
         yield sys.stdout
         return
+    if not path:
+        raise UsageError("--out is empty; give a path, or - for stdout")
     tmp = None
     if os.path.isfile(path) or not os.path.exists(path):
         head, tail = os.path.split(path)
@@ -758,6 +760,8 @@ def _config_defaults(args) -> dict:
             if action is None:
                 raise UsageError(f"{args.config}:{i}: unknown key {key!r}: "
                                  f"not a flag of {args.command}")
+            if action.dest == "config":
+                raise UsageError(f"{args.config}:{i}: a config file cannot name another")
             # a store_true flag (nargs 0) reads an on/off value
             convert = _switch if action.nargs == 0 else action.type
             try:
@@ -776,7 +780,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
+        if args.config is not None:
             # the config values become the subcommand's defaults, so argparse
             # itself lets any flag given in argv win
             args.subparser.set_defaults(**_config_defaults(args))

@@ -168,6 +168,13 @@ CASES = [
     pytest.param(argv, id=_id(argv))
     for argv in [["ks", KS, "--mode", mode, "--ref", "normal:0,1"]
                  for mode in ("two_sample", "dominance")]
+] + [
+    # an empty --out (also from --config), an empty --config path, and a
+    # config file that names another config file
+    pytest.param(argv + extra, id=_id(argv + extra))
+    for argv in (["bounds", "--methods", "dkw_fixed", "--t", "10"], ["track", STREAM, "--p", "0.5"])
+    for extra in (["--out="], ["--config", str(FIXTURES / "config_out_empty.cfg")],
+                  ["--config="], ["--config", str(FIXTURES / "config_nested.cfg")])
 ]
 
 # flag values at numeric extremes: each invocation exits 0 with a vacuous
@@ -229,10 +236,13 @@ def test_every_float_flag_is_parsed_finite():
 
 
 @pytest.mark.parametrize("argv", CASES)
-def test_bad_value_is_usage_error_without_output(argv):
+def test_bad_value_is_usage_error_without_output(argv, tmp_path, monkeypatch):
+    # run in an empty directory, which must stay empty: no output or temporary file
+    monkeypatch.chdir(tmp_path)
     rc, out, err = run_cli(argv)
     assert (rc, out) == (2, ""), err
     assert err.startswith("usage error:"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", EXTREMES, ids=map(_id, EXTREMES))
