@@ -18,3 +18,4 @@ def test_python_examples_run():
     assert ns["r"] == pytest.approx(0.758, abs=1e-3)
     assert ns["upper"].at(100) == ns["beta_binomial_radius"](100, 0.5, ns["r"], 0.05)
     assert 0.0 < ns["pvalue"] <= 1.0
+    assert 0.0 < ns["gpvalue"] <= 1.0
