@@ -14,7 +14,6 @@ from .boundaries import (
     beta_binomial_log_mixture,
     beta_binomial_radius,
     double_stitch_radius,
-    ftilde_asymptote,
     lil_C,
     lil_alpha,
     lil_radius,
@@ -27,6 +26,6 @@ from .boundaries import (
 )
 from .confseq import CdfBand, FixedQuantileCS, QuantileUniformCS
 from .empdist import OrderedMultiset
-from .seqtest import AbTestState, GEvaluator, KsTestState, global_null_pvalue
+from .seqtest import AbTestState, KsTestState
 
 __version__ = "0.1.0"

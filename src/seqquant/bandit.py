@@ -10,9 +10,8 @@ per-arm sample counts.  The shifted levels (pi+eps) - l_n and
 on the per-arm count n, so each configuration keeps the pair of rank
 tables `confseq.rank_schedules` builds, shared across runs in one process.
 A run reads each arm's two bounds from two `empdist.RankTracker`s, at
-O(log n) per pull; `qlucb_confidence_bounds` computes the same bounds
-from an `OrderedMultiset` and is their reference.  A rank outside [1, n]
-reads -inf or inf, as in every other tracker.
+O(log n) per pull.  A rank outside [1, n] reads -inf or inf, as in every
+other tracker.
 
 Reproducibility: all sampling is by quantile transform of uniforms drawn as
 integers in (0, 2^53) / 2^53 from numpy PCG64 generators; per-run streams are
@@ -32,7 +31,7 @@ from scipy.special import ndtri
 
 from . import boundaries, confseq, specfun
 from .boundaries import RadiusSchedule
-from .empdist import OrderedMultiset, RankTracker
+from .empdist import RankTracker
 from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "CS_KINDS",
     "SCENARIOS",
     "scenario_arms",
-    "qlucb_confidence_bounds",
     "qlucb_run",
     "eps_optimal_set",
     "gap_deltas",
@@ -216,20 +214,6 @@ def _rank_schedules(cs_kind: str, pi: float, eps: float, delta_err: float,
 
 def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
     return _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms)
-
-
-def qlucb_confidence_bounds(data: OrderedMultiset, cfg: QlucbConfig):
-    """(L, U) at the current per-arm count: order statistics at shifted levels.
-
-    The reference for the bounds `qlucb_run` tracks: equal with `==`, which
-    is all the run compares them with, though of a run of equal values
-    (0.0 and -0.0) the two may read different members.
-    """
-    n = len(data)
-    if n < 1:
-        raise DomainError("confidence bounds need at least one observation")
-    lower_rank, upper_rank = _schedules(cfg)
-    return data.order_stat(lower_rank.at(n)), data.order_stat(upper_rank.at(n))
 
 
 def eps_optimal_set(arms: Sequence[ArmSpec], pi_target: float, eps: float) -> set[int]:

@@ -24,7 +24,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, ndtri
@@ -44,10 +43,6 @@ __all__ = [
     "one_sided_log_mixture",
     "beta_binomial_radius",
     "one_sided_beta_binomial_radius",
-    "ftilde_asymptote",
-    "AsymptoteResult",
-    "expansion_constant",
-    "expansion_constant_limit",
     "tune_r",
     "tuning_denominator",
     "normal_mixture_radius",
@@ -417,43 +412,6 @@ def one_sided_beta_binomial_radius(t, p: float, r: float, alpha: float = 0.05):
     intrinsic time p(1-p)t is symmetric in p).
     """
     return _mixture_radius(one_sided_log_mixture, t, p, r, alpha)
-
-
-class AsymptoteResult(NamedTuple):
-    value: float
-    pre_asymptotic: bool
-
-
-def expansion_constant(p: float, r: float) -> float:
-    """C_{p,r} = sqrt(2 pi) p(1-p) f_beta(p; r/(1-p), r/p)."""
-    _check_mixture(p, r)
-    a = r / (1.0 - p)
-    b = r / p
-    log_pdf = (a - 1.0) * math.log(p) + (b - 1.0) * math.log1p(-p) - float(log_beta(a, b))
-    return math.exp(0.5 * math.log(2.0 * math.pi) + math.log(p * (1.0 - p)) + log_pdf)
-
-
-def expansion_constant_limit(r: float) -> float:
-    """Limit of C_{p,r} as p -> 0 or 1: sqrt(2 pi) r^r / (e^r Gamma(r))."""
-    _check_r(r)
-    return math.exp(0.5 * math.log(2.0 * math.pi) + r * math.log(r) - r - float(gammaln(r)))
-
-
-def ftilde_asymptote(t: float, p: float, r: float, alpha: float = 0.05) -> AsymptoteResult:
-    """Leading-order expansion of the beta-binomial radius (diagnostic only).
-
-    sqrt((p(1-p)/t) log(p(1-p) t / (C_{p,r}^2 alpha^2))) with the o(1) term
-    dropped; returns 0 with pre_asymptotic=True when the log argument is <= 1.
-    """
-    _check_open_unit(p)
-    _check_alpha(alpha)
-    if t < 1:
-        raise DomainError("t must be >= 1")
-    c = expansion_constant(p, r)
-    log_arg = math.log(p * (1.0 - p) * t) - 2.0 * math.log(c) - 2.0 * math.log(alpha)
-    if log_arg <= 0.0:
-        return AsymptoteResult(0.0, True)
-    return AsymptoteResult(math.sqrt(p * (1.0 - p) / t * log_arg), False)
 
 
 # ---------------------------------------------------------------------------

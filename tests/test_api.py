@@ -25,3 +25,19 @@ def test_package_names_are_public_names_of_their_modules():
         home = importlib.import_module(obj.__module__)
         assert getattr(home, name) is obj, name
         assert name in home.__all__, name
+
+
+
+@pytest.mark.parametrize("module, name, kept", [
+    ("bandit", "qlucb_confidence_bounds", False),
+    ("boundaries", "ftilde_asymptote", False),
+    ("boundaries", "AsymptoteResult", False),
+    ("boundaries", "expansion_constant", False),
+    ("boundaries", "expansion_constant_limit", False),
+    ("seqtest", "GEvaluator", True),
+    ("seqtest", "global_null_pvalue", True),
+])
+def test_package_names_only_the_product(module, name, kept):
+    # test-only code is gone; the oracle names the benchmark reads stay in their module
+    assert hasattr(importlib.import_module(f"seqquant.{module}"), name) is kept
+    assert not hasattr(seqquant, name)

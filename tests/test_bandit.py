@@ -16,7 +16,6 @@ from seqquant.bandit import (
     eps_optimal_set,
     gap_deltas,
     normal_arm,
-    qlucb_confidence_bounds,
     qlucb_run,
     scenario_arms,
     tau_bound,
@@ -24,6 +23,12 @@ from seqquant.bandit import (
 )
 from seqquant.empdist import OrderedMultiset, RankTracker, _level_ceil, _level_floor
 from seqquant.errors import ConfigurationError, DomainError
+
+
+def _multiset_bounds(data, cfg):
+    # (L, U) read from an OrderedMultiset: the reference of the bounds qlucb_run tracks
+    lower_rank, upper_rank = bandit._schedules(cfg)
+    return data.order_stat(lower_rank.at(len(data))), data.order_stat(upper_rank.at(len(data)))
 
 
 class TestArms:
@@ -81,7 +86,7 @@ class TestConfidenceBounds:
         cfg = QlucbConfig(pi_target=0.5, eps=0.025, delta_err=0.05,
                           cs_kind="stitched_qlucb", k_arms=10)
         data = OrderedMultiset([0.7])
-        lo, hi = qlucb_confidence_bounds(data, cfg)
+        lo, hi = _multiset_bounds(data, cfg)
         assert lo == -math.inf and hi == math.inf
 
     def test_stitched_log_term_value(self):
@@ -94,7 +99,7 @@ class TestConfidenceBounds:
         cfg = QlucbConfig(pi_target=0.5, eps=0.1, delta_err=0.3,
                           cs_kind="stitched_qlucb", k_arms=2)
         data = OrderedMultiset([1.0] * 2000)
-        lo, hi = qlucb_confidence_bounds(data, cfg)
+        lo, hi = _multiset_bounds(data, cfg)
         assert lo == 1.0 and hi == 1.0
 
 
@@ -117,19 +122,18 @@ class TestRankTables:
     def test_infinite_baseline_radius_reads_sentinels(self):
         # the DKW union baseline has an infinite radius below 32 samples
         cfg = QlucbConfig(pi_target=0.5, eps=0.025, cs_kind="dkw_union_baseline", k_arms=3)
-        lo, hi = qlucb_confidence_bounds(OrderedMultiset([0.0]), cfg)
+        lo, hi = _multiset_bounds(OrderedMultiset([0.0]), cfg)
         assert type(lo) is float and type(hi) is float
         data = OrderedMultiset([float(v) for v in range(31)])
-        lo, hi = qlucb_confidence_bounds(data, cfg)
+        lo, hi = _multiset_bounds(data, cfg)
         assert lo == -math.inf and hi == math.inf
         data.insert(31.0)
-        lo, hi = qlucb_confidence_bounds(data, cfg)
+        lo, hi = _multiset_bounds(data, cfg)
         assert lo != -math.inf or hi != math.inf
 
     @pytest.mark.parametrize("cs_kind", bandit.CS_KINDS)
     def test_run_trackers_equal_the_multiset_bounds(self, cs_kind):
-        # qlucb_run reads L and U from two RankTrackers per arm;
-        # qlucb_confidence_bounds is their OrderedMultiset reference
+        # qlucb_run reads L and U from two RankTrackers per arm
         cfg = QlucbConfig(pi_target=0.3, eps=0.025, cs_kind=cs_kind, k_arms=3)
         lower_rank, upper_rank = bandit._schedules(cfg)
         rng = np.random.default_rng(9)
@@ -139,7 +143,7 @@ class TestRankTables:
         for n, x in enumerate(draws.tolist(), start=1):
             data.insert(x)
             got = (lo_tracker.add(x, lower_rank.at(n)), hi_tracker.add(x, upper_rank.at(n)))
-            assert got == qlucb_confidence_bounds(data, cfg)
+            assert got == _multiset_bounds(data, cfg)
 
     def test_run_uses_no_sorted_list(self, monkeypatch):
         monkeypatch.setattr(empdist, "SortedList", None)

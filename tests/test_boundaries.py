@@ -25,9 +25,6 @@ from seqquant.boundaries import (
     beta_binomial_radius,
     double_stitch_log_constant,
     double_stitch_radius,
-    expansion_constant,
-    expansion_constant_limit,
-    ftilde_asymptote,
     lil_C,
     lil_C_closed_form,
     lil_alpha,
@@ -319,35 +316,22 @@ class TestBetaBinomialRadius:
     def test_largest_computable_r_still_bisects(self):
         assert 1.0 < beta_binomial_radius(10.0, 0.5, 1e304, 0.05) < math.inf
 
-
-class TestFtildeAsymptote:
-    def test_limit_constant_as_p_vanishes(self):
-        c = expansion_constant(1e-6, 1.0)
-        assert c == pytest.approx(expansion_constant_limit(1.0), rel=1e-3)
-
-    def test_large_r_sqrt_growth(self):
-        r = 1e4
-        assert expansion_constant_limit(r) / math.sqrt(r) == pytest.approx(1.0, abs=1e-4)
-
-    def test_direct_value_and_convergence_trend(self):
+    def test_radius_nears_its_leading_order_width(self):
+        # sqrt((p(1-p)/t) log(p(1-p) t / (C^2 alpha^2))) with
+        # C = sqrt(2 pi) p(1-p) f_beta(p; r/(1-p), r/p); the ratio to the
+        # exact radius drifts toward 1 as t grows (no fixed tolerance)
         p, r, alpha = 0.5, 1.0, 0.05
-        c = expansion_constant(p, r)
-        t = 10 ** 6
-        expect = math.sqrt(p * (1 - p) / t * math.log(p * (1 - p) * t / (c ** 2 * alpha ** 2)))
-        got = ftilde_asymptote(t, p, r, alpha)
-        assert not got.pre_asymptotic
-        assert got.value == pytest.approx(expect, rel=1e-12)
-        # ratio to the exact radius drifts toward 1 as t grows (no fixed tolerance)
+        a, b = r / (1 - p), r / p
+        log_c = (0.5 * math.log(2 * math.pi) + math.log(p * (1 - p))
+                 + (a - 1) * math.log(p) + (b - 1) * math.log1p(-p)
+                 - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b))
         ratios = [
-            ftilde_asymptote(t, p, r, alpha).value / beta_binomial_radius(t, p, r, alpha)
+            math.sqrt(p * (1 - p) / t * (math.log(p * (1 - p) * t) - 2 * log_c
+                                         - 2 * math.log(alpha)))
+            / beta_binomial_radius(t, p, r, alpha)
             for t in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)
         ]
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
-
-    def test_pre_asymptotic_flag(self):
-        # p(1-p) t <= C^2 alpha^2 makes the log argument at most one
-        res = ftilde_asymptote(1, 0.5, 1.0, 0.9)
-        assert res.pre_asymptotic and res.value == 0.0
 
 
 class TestTuning:
@@ -688,7 +672,6 @@ class TestNonFiniteParameters:
         "mixture r": lambda v: beta_binomial_radius(10, 0.5, v),
         "one-sided r": lambda v: one_sided_beta_binomial_radius(10, 0.5, v),
         "normal r": lambda v: normal_mixture_radius(10, v),
-        "limit r": lambda v: expansion_constant_limit(v),
         "m_target": lambda v: tune_r(v, 0.5),
         "lil_alpha a_mult": lambda v: lil_alpha(v, 5.0),
         "lil_alpha c_add": lambda v: lil_alpha(0.85, v),
