@@ -378,6 +378,10 @@ def _reference_cdf(spec: str):
 # ---------------------------------------------------------------------------
 
 
+# eta and s of the stitched method in `bounds`, and the defaults of `track --eta/--s-exp`
+_STITCHED = {"eta": 2.04, "s_exp": 1.4}
+
+
 def _radius(method: str, p: float, alpha: float, tune_m: float, stitch, r: float | None = None):
     """The radius(t, level) a method name stands for, and the mixture r it uses.
 
@@ -415,7 +419,7 @@ def cmd_bounds(args) -> int:
         _check_level(p)
     t_list = _parse_int_list(args.t, "t")
     t_grid = np.array(t_list, dtype=float)
-    stitch = partial(StitchConfig, eta=2.04, s_exp=1.4, m_start=args.tune_m, alpha=args.alpha)
+    stitch = partial(StitchConfig, **_STITCHED, m_start=args.tune_m, alpha=args.alpha)
     meta = {"alpha": args.alpha, "tune_m": args.tune_m}
     with _output(args.out) as out:
         # every radius is computed before anything is written
@@ -657,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--method", default="stitched",
                     choices=("stitched", "stitched_simple", "beta_binomial", "normal_mixture"))
     tr.add_argument("--alpha", type=finite_float, default=0.05)
-    tr.add_argument("--eta", type=finite_float, default=2.04)
-    tr.add_argument("--s-exp", dest="s_exp", type=finite_float, default=1.4)
+    tr.add_argument("--eta", type=finite_float, default=_STITCHED["eta"])
+    tr.add_argument("--s-exp", dest="s_exp", type=finite_float, default=_STITCHED["s_exp"])
     tr.add_argument("--m", type=finite_float, default=1.0)
     tr.add_argument("--r", type=finite_float, default=None)
     tr.add_argument("--tune-m", dest="tune_m", type=finite_float, default=boundaries.TUNE_M)
@@ -683,7 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--delta-star", dest="delta_star", type=finite_float, default=0.0)
     ab.add_argument("--mode", default="two_sided", choices=("two_sided", "one_sided", "global"))
     ab.add_argument("--alpha", type=finite_float, default=0.05)
-    ab.add_argument("--running-min", dest="running_min", action="store_true")
+    ab.add_argument("--running-min", dest="running_min", action="store_true",
+                    help="print the running minimum of the p-value; reject stays the "
+                         "decision of each line, so a row can show pvalue <= alpha "
+                         "with reject false")
     ab.add_argument("--simulate", action="store_true",
                     help="run the test-vs-naive stopping comparison instead of ingesting data")
     ab.add_argument("--scenario", default="uniform_shift", choices=bandit.SCENARIOS)
@@ -696,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     ks = sub.add_parser("ks", help="sequential Kolmogorov-Smirnov / dominance test")
     ks.add_argument("input", nargs="?", default="-")
     ks.add_argument("--mode", default="two_sample",
-                    choices=("one_sample", "two_sample", "dominance"))
+                    choices=seqtest.KsTestState.MODES)
     ks.add_argument("--ref", default="uniform:0,1",
                     help="one_sample reference: uniform:a,b | normal:mu,sigma | cauchy:loc,scale")
     ks.add_argument("--A", dest="a_mult", type=finite_float, default=boundaries.LIL_A)

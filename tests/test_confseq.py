@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from functools import partial
 
-from seqquant import boundaries
+from seqquant import boundaries, cli
 from seqquant.boundaries import (
     DoubleStitchConfig,
     StitchConfig,
@@ -20,7 +20,6 @@ from seqquant.boundaries import (
     double_stitch_radius,
     lil_C,
     normal_mixture_radius,
-    stitched_radius,
     stitched_radius_simple,
     tune_r,
 )
@@ -149,14 +148,15 @@ class TestIntersection:
             FixedQuantileCS(0.5, method)
 
 
-# the radius of each `track` method at level p, with the CLI's default parameters
-_TRACK_RADII = {
-    "stitched": lambda p: partial(stitched_radius, cfg=StitchConfig(eta=2.04, s_exp=1.4)),
-    "stitched_simple": lambda p: partial(stitched_radius_simple, alpha=0.05),
-    "beta_binomial": lambda p: partial(beta_binomial_radius, r=tune_r(32.0, p, 0.05),
-                                       alpha=0.05),
-    "normal_mixture": lambda p: lambda t, level: normal_mixture_radius(t, 0.504, 0.05),
-}
+def _track_radius(name, p):
+    """The radius `track --method name --p p` reads, with the CLI's default parameters."""
+    args = cli.build_parser().parse_args(["track", "--p", repr(p), "--method", name])
+    stitch = partial(StitchConfig, eta=args.eta, s_exp=args.s_exp, m_start=args.m,
+                     alpha=args.alpha)
+    return cli._radius(name, p, args.alpha, args.tune_m, stitch, args.r)[0]
+
+
+_TRACK_METHODS = ("beta_binomial", "normal_mixture", "stitched", "stitched_simple")
 
 
 class TestRankTables:
@@ -164,9 +164,9 @@ class TestRankTables:
     across the chunk edges at 1024 and 2048."""
 
     @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.9])
-    @pytest.mark.parametrize("name", sorted(_TRACK_RADII))
+    @pytest.mark.parametrize("name", _TRACK_METHODS)
     def test_tables_equal_scalar_rank_rule(self, name, p):
-        radius = _TRACK_RADII[name](p)
+        radius = _track_radius(name, p)
         cs = FixedQuantileCS(p, radius)
         t = np.arange(1.0, 3001.0)
         lows = radius(t, 1.0 - p).tolist()
@@ -231,17 +231,17 @@ class TestExactReads:
     zero included, that the sorted order holds."""
 
     @settings(max_examples=150, deadline=None)
-    @given(name=st.sampled_from(sorted(_TRACK_RADII)), p=st.sampled_from([0.05, 0.25, 0.5, 0.9]),
+    @given(name=st.sampled_from(_TRACK_METHODS), p=st.sampled_from([0.05, 0.25, 0.5, 0.9]),
            values=st.lists(_ZERO_HEAVY, min_size=1, max_size=300))
     def test_reads_equal_the_multiset(self, name, p, values):
-        radius = _TRACK_RADII[name](p)
+        radius = _track_radius(name, p)
         assert repr(_tracker_reads(values, p, radius)) == repr(_oracle_reads(values, p, radius))
 
     @pytest.mark.parametrize("p", [0.05, 0.25, 0.5, 0.9])
-    @pytest.mark.parametrize("name", sorted(_TRACK_RADII))
+    @pytest.mark.parametrize("name", _TRACK_METHODS)
     def test_long_zero_heavy_stream(self, name, p):
         # past the first rank-table chunk, with zeros read
-        radius = _TRACK_RADII[name](p)
+        radius = _track_radius(name, p)
         got = _tracker_reads(_ZERO_HEAVY_STREAM, p, radius)
         want = _oracle_reads(_ZERO_HEAVY_STREAM, p, radius)
         assert any(v == 0.0 for row in got for v in row)
