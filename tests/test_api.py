@@ -27,7 +27,6 @@ def test_package_names_are_public_names_of_their_modules():
         assert name in home.__all__, name
 
 
-
 @pytest.mark.parametrize("module, name, kept", [
     ("bandit", "qlucb_confidence_bounds", False),
     ("boundaries", "ftilde_asymptote", False),
