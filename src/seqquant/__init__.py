@@ -8,7 +8,6 @@ plus a reproducible benchmark harness and CLI.
 
 from . import bandit, boundaries, confseq, empdist, seqtest
 from .boundaries import (
-    DoubleStitchConfig,
     StitchConfig,
     baseline_radius,
     beta_binomial_log_mixture,

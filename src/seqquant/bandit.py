@@ -151,7 +151,6 @@ class QlucbConfig:
     cs_kind: str = "beta_binomial_one_sided"
     k_arms: int = 2
     max_rounds: int = 10 ** 6
-    seed: int = 0
 
     def __post_init__(self):
         _check_target(self.pi_target, self.eps)
@@ -223,16 +222,13 @@ def eps_optimal_set(arms: Sequence[ArmSpec], pi_target: float, eps: float) -> se
     return {k for k, a in enumerate(arms) if a.quantile_at(pi_target + eps) >= best - tol}
 
 
-def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
-              rng: np.random.Generator | None = None) -> RunResult:
-    """One QLUCB run; deterministic given (arms, cfg, seed)."""
+def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig, rng: np.random.Generator) -> RunResult:
+    """One QLUCB run, drawing every sample from rng; deterministic given (arms, cfg, rng state)."""
     k_arms = len(arms)
     if k_arms < 2:
         raise ConfigurationError("need at least two arms")
     if k_arms != cfg.k_arms:
         raise ConfigurationError(f"config says k_arms={cfg.k_arms}, got {k_arms} arms")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed,)))
     lower_schedule, upper_schedule = _schedules(cfg)
     lower_rank, upper_rank = lower_schedule.at, upper_schedule.at
 
@@ -312,9 +308,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig,
 # ---------------------------------------------------------------------------
 
 
-def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float,
-               tol: float = 1e-9) -> list[float]:
-    """Per-arm difficulty gaps Delta_k from the analytic quantile functions.
+def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float) -> list[float]:
+    """Per-arm difficulty gaps Delta_k from the analytic quantile functions, to 1e-9.
 
     Suboptimal arms (and every arm when several are eps-optimal) solve
     sup{D: Q_k(pi+D) <= max_j Q_j(pi-D)}; a unique eps-optimal arm instead
@@ -329,8 +324,8 @@ def gap_deltas(arms: Sequence[ArmSpec], pi_target: float, eps: float,
         return arms[k].quantile_at(min(max(level, 1e-15), 1.0 - 1e-15))
 
     def sup(holds, hi: float) -> float:
-        """sup{D in [0, hi]: holds(D)} for holds true below it: the low end of a tol bracket."""
-        lo, _ = specfun.bisection(lambda d, _: not holds(float(d[0])), 0.0, hi, tol)
+        """sup{D in [0, hi]: holds(D)} for holds true below it: the low end of a 1e-9 bracket."""
+        lo, _ = specfun.bisection(lambda d, _: not holds(float(d[0])), 0.0, hi, 1e-9)
         return float(lo[0])
 
     def case_one(k: int) -> float:
@@ -370,8 +365,12 @@ def tau_bound(delta_k: float, eps: float, pi_target: float, k_arms: int,
     constant `lil_C_closed_form(delta / K)` = 0.8 log(1612 K / delta); u_n
     and l_n are the stitched per-arm radii used by the algorithm.  Diagnostic
     for the 4 sum(tau_k) sample bound; found by doubling then bisection (the
-    left side is eventually decreasing in n).
+    left side is eventually decreasing in n).  pi_target and eps are checked
+    as `QlucbConfig` checks them, and delta_k must be finite.
     """
+    _check_target(pi_target, eps)
+    if not math.isfinite(delta_k):
+        raise DomainError(f"delta_k must be finite, got {delta_k}")
     target = max(delta_k, eps)
     if target <= 0.0:
         raise DomainError("gap and eps are both zero: the bound is unbounded")
@@ -440,10 +439,8 @@ def bai_benchmark(
     for i_pi, pi in enumerate(pi_list):
         arms = scenario_arms(scenario, k_arms, eps, pi)
         for i_kind, kind in enumerate(cs_kinds):
-            cfg = QlucbConfig(
-                pi_target=pi, eps=eps, delta_err=delta_err, cs_kind=kind,
-                k_arms=k_arms, max_rounds=max_rounds, seed=seed,
-            )
+            cfg = QlucbConfig(pi_target=pi, eps=eps, delta_err=delta_err, cs_kind=kind,
+                              k_arms=k_arms, max_rounds=max_rounds)
             samples = []
             correct = 0
             capped = 0

@@ -15,15 +15,16 @@ absolute in the boundary-crossing variable (or 60 steps); the Hoeffding-KL
 baseline and `lil_C` take 80 steps, or stop early once a bracket has no
 width.  The eta-infimum behind the iterated-logarithm miscoverage rate uses
 a 512-point log grid refined by golden section to 1e-8.  Parameters are
-checked as finite and within their bounds, so NaN or an infinity raises.
+checked as finite and within their bounds, so NaN or an infinity raises, as
+in a time t; a radius that is not finite and positive raises `NumericalError`.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.special import gammaln, ndtri
@@ -34,7 +35,6 @@ from .specfun import bisection, expit, golden_section_min, log_beta, log_betainc
 __all__ = [
     "RadiusSchedule",
     "StitchConfig",
-    "DoubleStitchConfig",
     "stitched_radius",
     "stitched_radius_simple",
     "double_stitch_radius",
@@ -80,12 +80,12 @@ def _check_mixture(p: float, r: float) -> None:
 
 
 def _times(t):
-    """Validate a time grid (every t >= 1) and return (array, was_scalar)."""
+    """Validate a time grid (every t finite and >= 1) and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and np.any(arr < 1.0):
-        raise DomainError("t must be >= 1")
+    if not np.all((arr >= 1.0) & (arr < math.inf)):  # NaN fails the first test
+        raise DomainError("t must be finite and >= 1")
     return arr, scalar
 
 
@@ -93,26 +93,31 @@ def _ret(arr, scalar):
     return float(arr[0]) if scalar else arr
 
 
-def _largest(arr) -> float:
-    """The largest element as a Python float (-inf if empty); one element skips the reduction."""
-    return float(arr[0]) if arr.size == 1 else float(arr.max(initial=-math.inf))
+def _radius(fn):
+    """fn, raising where its radius is not finite and positive; past the float range a
+    radius overflows to inf, or to 0 or NaN beside an inf, so numpy need not warn."""
+    @wraps(fn)
+    def radius(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(*args, **kwargs)
+        if not np.all((out > 0.0) & (out < math.inf)):
+            raise NumericalError(f"{fn.__name__} is not finite and positive at this t")
+        return out
+
+    return radius
 
 
 def _log_or_sum(f, x, log_sum):
-    """np.log(f(x)) for an elementwise f nondecreasing in x; log_sum(mask) where f(x) overflows.
+    """np.log(f(x)) for an elementwise f; log_sum(mask) where f(x) overflows.
 
-    Whether any element overflows is read from f at the largest x in Python
-    floats, which overflow to inf without a warning.  Only elements past
-    the float maximum take the sum of logs, so every other one keeps the
-    bits of the plain log.
+    Only elements past the float maximum take the sum of logs, so every
+    other one keeps the bits of the plain log.  Every caller is a `_radius`.
     """
-    if not math.isinf(f(_largest(x))):
-        return np.log(f(x))
-    with np.errstate(over="ignore"):
-        value = f(x)
+    value = f(x)
     out = np.log(value)
     over = np.isinf(value)
-    out[over] = log_sum(over)
+    if over.any():
+        out[over] = log_sum(over)
     return out
 
 
@@ -188,28 +193,12 @@ class StitchConfig:
         return (math.sqrt(self.eta) + 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class DoubleStitchConfig(StitchConfig):
-    """The stitched boundary's parameters plus the quantile-grid fineness grid_delta > 0."""
-
-    grid_delta: float = field(kw_only=True)
-
-    def __post_init__(self):
-        if not 0.0 < self.grid_delta < math.inf:
-            raise ConfigurationError(f"grid_delta must be positive, got {self.grid_delta}")
-        super().__post_init__()
-
-    @classmethod
-    def default_preset(cls, alpha: float = 0.05, m_start: float = 1.0) -> "DoubleStitchConfig":
-        """delta=0.5, eta=2.041, s=1.4: the reference tuning this bound ships with."""
-        return cls(grid_delta=0.5, eta=2.041, s_exp=1.4, m_start=m_start, alpha=alpha)
-
-
 # ---------------------------------------------------------------------------
 # stitched boundaries
 # ---------------------------------------------------------------------------
 
 
+@_radius
 def stitched_radius(t, p: float, cfg: StitchConfig):
     """General stitched confidence radius S_p(t v m) / t.
 
@@ -231,21 +220,15 @@ def stitched_radius(t, p: float, cfg: StitchConfig):
     log_tm = _log_or_sum(lambda x: cfg.eta * x / cfg.m_start, tm,
                          lambda i: math.log(cfg.eta) + np.log(tm[i] / cfg.m_start))
     ell = cfg.s_exp * np.log(log_tm) + const
-    if not np.all((0.0 <= ell) & (ell < 1e150)):  # below 1e150, ell ** 2 is finite
-        raise NumericalError("stitched log term is outside [0, 1e150) for this configuration")
+    if np.any(ell < 0.0):
+        raise NumericalError("stitched log term is negative for this configuration")
     cp = (1.0 - 2.0 * p) / 3.0
-
-    def variance(tm, ell):
-        return cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2
-
-    # ell grows with tm, so the largest tm and ell give the largest term
-    if math.isinf(variance(_largest(tm), _largest(ell))):
-        raise NumericalError("stitched boundary leaves the float range for this configuration")
-    s_val = np.sqrt(variance(tm, ell))
+    s_val = np.sqrt(cfg.k1 ** 2 * p * (1.0 - p) * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2)
     s_val += cp * cfg.k2 * ell
     return _ret(s_val / t_arr, scalar)
 
 
+@_radius
 def stitched_radius_simple(t, p: float, alpha: float = 0.05):
     """Closed-form stitched radius with conservatively rounded constants.
 
@@ -261,37 +244,43 @@ def stitched_radius_simple(t, p: float, alpha: float = 0.05):
     return _ret(out, scalar)
 
 
-def double_stitch_log_constant(cfg: DoubleStitchConfig) -> float:
+# the one tuning the double-stitched bound ships with: grid fineness delta, eta and s
+_DS_DELTA, _DS_ETA, _DS_S = 0.5, 2.041, 1.4
+
+
+def double_stitch_log_constant() -> float:
     """The additive constant 2 zeta(s)(2 zeta(s)+1) / log^s(eta) inside l(p, t)."""
-    z = zeta(cfg.s_exp)
-    return 2.0 * z * (2.0 * z + 1.0) / math.log(cfg.eta) ** cfg.s_exp
+    z = zeta(_DS_S)
+    return 2.0 * z * (2.0 * z + 1.0) / math.log(_DS_ETA) ** _DS_S
 
 
-def double_stitch_radius(t, p: float, cfg: DoubleStitchConfig):
-    """Time- and quantile-uniform stitched radius g~_t(p) / t.
+@_radius
+def double_stitch_radius(t, p: float, alpha: float = 0.05, m_start: float = 1.0):
+    """Time- and quantile-uniform stitched radius g~_t(p) / t, tuned to m_start.
 
     Three-term form: a quantile-grid rounding term, the stitched main term in
     the surrogate level r(p,t), and the sub-gamma correction.
     """
+    cfg = StitchConfig(eta=_DS_ETA, s_exp=_DS_S, m_start=m_start, alpha=alpha)
     _check_open_unit(p)
     t_arr, scalar = _times(t)
     tm = np.maximum(t_arr, cfg.m_start)
-    delta = cfg.grid_delta
     if p >= 0.5:
         rpt = np.full_like(tm, p)
     else:
-        rpt = np.minimum(0.5, expit(logit(p) + 2.0 * delta * np.sqrt(cfg.m_start * cfg.eta / tm)))
+        inflation = 2.0 * _DS_DELTA * np.sqrt(cfg.m_start * cfg.eta / tm)
+        rpt = np.minimum(0.5, expit(logit(p) + inflation))
     sigma2 = rpt * (1.0 - rpt)
-    j = np.sqrt(tm / cfg.m_start) * abs(logit(p)) / (2.0 * delta) + 1.0
+    j = np.sqrt(tm / cfg.m_start) * abs(logit(p)) / (2.0 * _DS_DELTA) + 1.0
     ell = (
         cfg.s_exp * np.log(np.log(cfg.eta * tm / cfg.m_start))
         + cfg.s_exp * np.log(j)
-        + math.log(double_stitch_log_constant(cfg) / cfg.alpha)
+        + math.log(double_stitch_log_constant() / cfg.alpha)
     )
     if np.any(ell < 0.0):
         raise NumericalError("double-stitch log term is negative for this configuration")
     cp = (1.0 - 2.0 * p) / 3.0
-    g = delta * np.sqrt(cfg.eta * tm * sigma2 / cfg.m_start)
+    g = _DS_DELTA * np.sqrt(cfg.eta * tm * sigma2 / cfg.m_start)
     g += np.sqrt(cfg.k1 ** 2 * sigma2 * tm * ell + (cfg.k2 * cp) ** 2 * ell ** 2)
     g += cp * cfg.k2 * ell
     return _ret(g / t_arr, scalar)
@@ -400,11 +389,13 @@ def _mixture_radius(log_mix, t, p: float, r: float, alpha: float):
     return _ret(root / t_arr, scalar)
 
 
+@_radius
 def beta_binomial_radius(t, p: float, r: float, alpha: float = 0.05):
     """Two-sided beta-binomial radius f~_t(p): root of M_{p,r}(s, p(1-p)t) = 1/alpha."""
     return _mixture_radius(beta_binomial_log_mixture, t, p, r, alpha)
 
 
+@_radius
 def one_sided_beta_binomial_radius(t, p: float, r: float, alpha: float = 0.05):
     """One-sided radius: root of M^1_{p,r}(s, p(1-p)t) = 1/alpha.
 
@@ -457,6 +448,7 @@ def tune_r(m_target: float, p: float, alpha: float = 0.05) -> float:
 LIL_A = 0.85  # the iterated-logarithm multiplier A of every band, KS test and --A default
 
 
+@_radius
 def normal_mixture_radius(t, r: float, alpha: float = 0.05):
     """Sub-Gaussian mixture radius sqrt(((t+r)/t^2) log((t+r)/(alpha^2 r)))."""
     _check_r(r)
@@ -531,6 +523,7 @@ def lil_C(a_mult: float, alpha: float) -> float:
     return float(hi[0])
 
 
+@_radius
 def lil_radius(t, a_mult: float, c_add: float, m_start: float = 1.0):
     """g_t = A sqrt((log log(e (t v m) / m) + C) / t)."""
     if not 1.0 <= m_start < math.inf:
@@ -579,6 +572,7 @@ def _hoeffding_kl_radius(t_arr, p: float, alpha: float):
     return np.where(trivial, 1.0 - p, out)
 
 
+@_radius
 def baseline_radius(kind: str, t, p: float = 0.5, alpha: float = 0.05):
     """Radius of a literature baseline at time t.
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import bandit, boundaries, confseq, seqtest
-from .boundaries import DoubleStitchConfig, StitchConfig
+from .boundaries import StitchConfig
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -407,8 +407,7 @@ def _radius(method: str, p: float, alpha: float, tune_m: float, stitch, r: float
     if method == "lil_uniform":
         return confseq.LilMethod(a_mult=boundaries.LIL_A, alpha=alpha, m_start=tune_m).radius, None
     if method == "double_stitch":
-        cfg = DoubleStitchConfig.default_preset(alpha=alpha, m_start=tune_m)
-        return lambda t, level: boundaries.double_stitch_radius(t, level, cfg), None
+        return lambda t, level: boundaries.double_stitch_radius(t, level, alpha, tune_m), None
     return lambda t, level: boundaries.baseline_radius(method, t, level, alpha), None
 
 

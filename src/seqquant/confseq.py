@@ -153,7 +153,7 @@ class LilMethod:
 
     a_mult: float = boundaries.LIL_A
     c_add: float | None = None
-    alpha: float | None = 0.05
+    alpha: float = 0.05
     m_start: float = 1.0
 
     def __post_init__(self):
@@ -162,8 +162,6 @@ class LilMethod:
         if not 1.0 <= self.m_start < math.inf:
             raise ConfigurationError(f"m_start must be >= 1, got {self.m_start}")
         if self.c_add is None:
-            if self.alpha is None:
-                raise ConfigurationError("LilMethod needs either c_add or alpha")
             object.__setattr__(self, "c_add", boundaries.lil_C(self.a_mult, self.alpha))
         elif not 0.0 < self.c_add < math.inf:
             raise ConfigurationError(f"c_add must be positive, got {self.c_add}")
@@ -206,9 +204,8 @@ class QuantileUniformCS:
 class CdfBand:
     """Fixed-width confidence band for the CDF, uniform over time and x."""
 
-    def __init__(self, a_mult: float = boundaries.LIL_A, alpha: float | None = 0.05,
-                 c_add: float | None = None, m_start: float = 1.0):
-        self.method = LilMethod(a_mult=a_mult, c_add=c_add, alpha=alpha, m_start=m_start)
+    def __init__(self, a_mult: float = boundaries.LIL_A, alpha: float = 0.05, m_start: float = 1.0):
+        self.method = LilMethod(a_mult=a_mult, alpha=alpha, m_start=m_start)
         self._values = []
         self._n_sorted = 0
 

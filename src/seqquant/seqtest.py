@@ -336,13 +336,13 @@ class KsTestState:
     (in the paired modes, both samples pooled) as one sorted float64 array,
     and one mark per value in the same order: F0 at the value in one-sample
     mode, and in the paired modes whether the value came from sample 1.
-    f0 is called once per observation, before anything is stored, and must
-    return a value in [0, 1].  f0 must be continuous: `evaluate` reads F0 at
-    x for its left limit, so an atom of F0 at an observed value overstates the
-    statistic.  Each `add` is one search and one concatenate per array.  The
-    read-only properties `sample1` and `sample2` return a copy of each
-    sample's values as a sorted float64 array, equal values (-0.0 and 0.0
-    too) in insertion order.
+    Only one-sample mode takes f0; it is called once per observation, before
+    anything is stored, must return a value in [0, 1] and must be continuous:
+    `evaluate` reads F0 at x for its left limit, so an atom of F0 at an
+    observed value overstates the statistic.  Each `add` is one search and
+    one concatenate per array.  The read-only properties `sample1` and
+    `sample2` return a copy of each sample's values as a sorted float64
+    array, equal values (-0.0 and 0.0 too) in insertion order.
 
     Dominance tests H0: F1 <= F2 pointwise and rejects on evidence that
     F1(x) > F2(x) somewhere, i.e. when sup_x [F1(x) - F2(x)] strictly exceeds
@@ -365,6 +365,8 @@ class KsTestState:
             raise ConfigurationError(f"mode must be one of {self.MODES}, got {mode!r}")
         if mode == "one_sample" and f0 is None:
             raise ConfigurationError("one_sample mode requires a reference CDF f0")
+        if mode != "one_sample" and f0 is not None:
+            raise ConfigurationError(f"{mode} mode compares two samples and reads no f0")
         boundaries._check_alpha(alpha)
         self.mode = mode
         self.f0 = f0

@@ -16,7 +16,6 @@ import pytest
 from seqquant import bandit, boundaries, seqtest
 from seqquant.bandit import QlucbConfig, bai_benchmark, qlucb_run, scenario_arms
 from seqquant.boundaries import (
-    DoubleStitchConfig,
     baseline_radius,
     beta_binomial_log_mixture,
     beta_binomial_radius,
@@ -67,7 +66,7 @@ def test_criterion_02_tuning_reproduction():
 def test_criterion_03_baseline_reproduction():
     start = time.monotonic()
     dkw = baseline_radius("dkw_fixed", 100, alpha=0.05) * math.sqrt(100)
-    const = double_stitch_log_constant(DoubleStitchConfig.default_preset(0.05))
+    const = double_stitch_log_constant()
     elapsed = time.monotonic() - start
     ok = abs(dkw - 1.358) <= 1e-3 and abs(const - 72.0) <= 0.3 and elapsed < 1.0
     _report("C3 baseline reproduction",
@@ -251,7 +250,7 @@ def test_criterion_09_ab_efficiency():
 
 def test_criterion_10_boundary_ordering():
     t_tail = 10 ** 5
-    ds = double_stitch_radius(t_tail, 0.95, DoubleStitchConfig.default_preset(0.05, m_start=32.0))
+    ds = double_stitch_radius(t_tail, 0.95, 0.05, 32.0)
     lil = lil_radius(t_tail, 0.85, lil_C(0.85, 0.05), 32.0)
     szor = baseline_radius("szorenyi", t_tail, alpha=0.05)
     t_med = 10 ** 6

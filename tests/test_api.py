@@ -33,6 +33,7 @@ def test_package_names_are_public_names_of_their_modules():
     ("boundaries", "AsymptoteResult", False),
     ("boundaries", "expansion_constant", False),
     ("boundaries", "expansion_constant_limit", False),
+    ("boundaries", "DoubleStitchConfig", False),
     ("seqtest", "GEvaluator", True),
     ("seqtest", "global_null_pvalue", True),
 ])

@@ -25,6 +25,10 @@ from seqquant.empdist import OrderedMultiset, RankTracker, _level_ceil, _level_f
 from seqquant.errors import ConfigurationError, DomainError
 
 
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed,)))
+
+
 def _multiset_bounds(data, cfg):
     # (L, U) read from an OrderedMultiset: the reference of the bounds qlucb_run tracks
     lower_rank, upper_rank = bandit._schedules(cfg)
@@ -150,7 +154,7 @@ class TestRankTables:
         arms = scenario_arms("uniform_shift", 3, 0.05, 0.5)
         cfg = QlucbConfig(pi_target=0.5, eps=0.05, cs_kind="stitched_qlucb", k_arms=3,
                           max_rounds=200)
-        assert qlucb_run(arms, cfg).rounds >= 1
+        assert qlucb_run(arms, cfg, _rng(0)).rounds >= 1
 
 
 def _point_mass(value: float):
@@ -161,8 +165,8 @@ class TestQlucbRun:
     def test_degenerate_point_masses_select_the_larger(self):
         arms = [_point_mass(0.0), _point_mass(1.0)]
         cfg = QlucbConfig(pi_target=0.5, eps=0.1, delta_err=0.05,
-                          cs_kind="stitched_qlucb", k_arms=2, seed=3)
-        res = qlucb_run(arms, cfg)
+                          cs_kind="stitched_qlucb", k_arms=2)
+        res = qlucb_run(arms, cfg, _rng(3))
         assert res.chosen_arm == 1
         assert not res.stopped_by_cap
         assert res.total_samples == sum(res.per_arm_counts)
@@ -172,25 +176,25 @@ class TestQlucbRun:
         # sampled each round, so counts stay balanced
         arms = [_point_mass(1.0), _point_mass(1.0), _point_mass(1.0)]
         cfg = QlucbConfig(pi_target=0.5, eps=0.1, delta_err=0.05,
-                          cs_kind="stitched_qlucb", k_arms=3, seed=4, max_rounds=50)
-        res = qlucb_run(arms, cfg)
+                          cs_kind="stitched_qlucb", k_arms=3, max_rounds=50)
+        res = qlucb_run(arms, cfg, _rng(4))
         counts = res.per_arm_counts
         assert max(counts) - min(counts) <= 1
 
     def test_cap_is_reported(self):
         arms = [uniform_arm(0.0, 1.0), uniform_arm(0.0, 1.0)]
         cfg = QlucbConfig(pi_target=0.5, eps=0.01, delta_err=0.05,
-                          cs_kind="stitched_qlucb", k_arms=2, seed=5, max_rounds=10)
-        res = qlucb_run(arms, cfg)
+                          cs_kind="stitched_qlucb", k_arms=2, max_rounds=10)
+        res = qlucb_run(arms, cfg, _rng(5))
         assert res.stopped_by_cap
         assert res.rounds == 10
 
     def test_deterministic_given_seed(self):
         arms = scenario_arms("uniform_shift", 4, 0.05, 0.5)
         cfg = QlucbConfig(pi_target=0.5, eps=0.05, delta_err=0.1,
-                          cs_kind="stitched_qlucb", k_arms=4, seed=11)
-        a = qlucb_run(arms, cfg)
-        b = qlucb_run(arms, cfg)
+                          cs_kind="stitched_qlucb", k_arms=4)
+        a = qlucb_run(arms, cfg, _rng(11))
+        b = qlucb_run(arms, cfg, _rng(11))
         assert a == b
         assert repr(a) == repr(b)
 
@@ -202,8 +206,8 @@ class TestQlucbRun:
         arms = [shifted(0.0), shifted(1.0)]
         assert eps_optimal_set(arms, 0.5, 0.1) == {1}
         cfg = QlucbConfig(pi_target=0.5, eps=0.1, delta_err=0.05,
-                          cs_kind="stitched_qlucb", k_arms=2, seed=3)
-        res = qlucb_run(arms, cfg)
+                          cs_kind="stitched_qlucb", k_arms=2)
+        res = qlucb_run(arms, cfg, _rng(3))
         assert res.chosen_arm == 1
         assert res.eps_optimal is True
 
@@ -226,7 +230,7 @@ class TestQlucbRun:
     def test_pinned_capped_run_on_identical_arms(self):
         cfg = QlucbConfig(pi_target=0.5, eps=0.0, cs_kind="stitched_qlucb", k_arms=2,
                           max_rounds=200_000)
-        res = qlucb_run([uniform_arm(0.0, 1.0)] * 2, cfg)
+        res = qlucb_run([uniform_arm(0.0, 1.0)] * 2, cfg, _rng(0))
         assert res == RunResult(chosen_arm=1, total_samples=400000,
                                 per_arm_counts=(200000, 200000), rounds=200000,
                                 eps_optimal=True, stopped_by_cap=True)
@@ -235,7 +239,7 @@ class TestQlucbRun:
         arms = scenario_arms("uniform_shift", 3, 0.05, 0.5)
         cfg = QlucbConfig(pi_target=0.5, eps=0.05, k_arms=4)
         with pytest.raises(ConfigurationError):
-            qlucb_run(arms, cfg)
+            qlucb_run(arms, cfg, _rng(0))
 
 
 class TestEpsOptimalAndGaps:
@@ -320,6 +324,17 @@ class TestTauBound:
     def test_zero_gap_unbounded(self):
         with pytest.raises(DomainError):
             tau_bound(0.0, 0.0, 0.5, 10, 0.05)
+
+    @pytest.mark.parametrize("delta_k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gap_is_domain_error(self, delta_k):
+        with pytest.raises(DomainError, match="delta_k must be finite"):
+            tau_bound(delta_k, 0.025, 0.5, 10, 0.05)
+
+    @pytest.mark.parametrize("eps, pi_target", [(0.6, 0.5), (0.5, 0.5), (-0.1, 0.5),
+                                                (math.nan, 0.5), (0.025, 1.2)])
+    def test_target_is_checked_as_qlucb_config_checks_it(self, eps, pi_target):
+        with pytest.raises(ConfigurationError, match="eps must lie|pi_target must lie"):
+            tau_bound(0.1, eps, pi_target, 10, 0.05)
 
     def test_minimality(self):
         n = tau_bound(0.15, 0.025, 0.5, 10, 0.05)

@@ -17,7 +17,6 @@ from seqquant import boundaries as bd
 from seqquant import confseq, seqtest
 from seqquant.boundaries import (
     BASELINE_KINDS,
-    DoubleStitchConfig,
     StitchConfig,
     baseline_radius,
     bernoulli_kl,
@@ -91,13 +90,13 @@ class TestStitched:
         ell = 1000 * math.log(math.log(10 * t) / math.log(10)) + math.log(2 / 0.05)
         expected = math.sqrt(cfg.k1 ** 2 * 0.25 * t * ell) / t
         assert stitched_radius(t, 0.5, cfg) == pytest.approx(expected, rel=1e-9)
-        # log(2.04) ** 1e300 underflows, and ell ** 2 would overflow
-        with pytest.raises(NumericalError, match="outside"):
+        # log(2.04) ** 1e300 underflows, and ell ** 2 overflows
+        with pytest.raises(NumericalError, match="stitched_radius is not finite and positive"):
             stitched_radius(2.0, 0.5, StitchConfig(eta=2.04, s_exp=1e300))
 
     def test_boundary_past_the_floats_raises(self):
         # eta (t v m) overflows and is summed in logs, but t l(t) still leaves the floats
-        with pytest.raises(NumericalError, match="float range"):
+        with pytest.raises(NumericalError, match="stitched_radius is not finite and positive"):
             stitched_radius(10.0, 0.5, StitchConfig(eta=2.04, s_exp=1.4, m_start=1e308))
 
     def test_vectorized(self):
@@ -108,48 +107,55 @@ class TestStitched:
 
 
 class TestDoubleStitch:
+    # the reference tuning the bound ships with: grid fineness, epoch ratio, decay
+    DELTA, ETA, S = 0.5, 2.041, 1.4
+
     def test_additive_constant_rounds_to_72(self):
-        cfg = DoubleStitchConfig.default_preset(alpha=0.05)
-        assert double_stitch_log_constant(cfg) == pytest.approx(71.9, abs=0.2)
+        assert double_stitch_log_constant() == pytest.approx(71.9, abs=0.2)
 
     def test_rpt_is_p_above_half(self):
-        cfg = DoubleStitchConfig.default_preset(alpha=0.05)
+        delta, eta, s, m, alpha = self.DELTA, self.ETA, self.S, 1.0, 0.05
+        k1 = (eta ** 0.25 + eta ** -0.25) / math.sqrt(2)
+        k2 = (math.sqrt(eta) + 1) / 2
         # first case of the surrogate-level definition: no grid inflation
         for p in (0.5, 0.7, 0.95):
             for t in (1, 100, 10 ** 6):
-                tm = max(t, cfg.m_start)
+                tm = max(t, m)
                 rpt = p  # by definition
                 sigma2 = rpt * (1 - rpt)
-                j = math.sqrt(tm / cfg.m_start) * abs(logit(p)) / (2 * cfg.grid_delta) + 1
+                j = math.sqrt(tm / m) * abs(logit(p)) / (2 * delta) + 1
                 ell = (
-                    cfg.s_exp * math.log(math.log(cfg.eta * tm / cfg.m_start))
-                    + cfg.s_exp * math.log(j)
-                    + math.log(double_stitch_log_constant(cfg) / cfg.alpha)
+                    s * math.log(math.log(eta * tm / m))
+                    + s * math.log(j)
+                    + math.log(double_stitch_log_constant() / alpha)
                 )
                 cp = (1 - 2 * p) / 3
-                g = cfg.grid_delta * math.sqrt(cfg.eta * tm * sigma2 / cfg.m_start)
-                g += math.sqrt(cfg.k1 ** 2 * sigma2 * tm * ell + (cfg.k2 * cp * ell) ** 2)
-                g += cp * cfg.k2 * ell
-                assert double_stitch_radius(t, p, cfg) == pytest.approx(g / t, rel=1e-12)
+                g = delta * math.sqrt(eta * tm * sigma2 / m)
+                g += math.sqrt(k1 ** 2 * sigma2 * tm * ell + (k2 * cp * ell) ** 2)
+                g += cp * k2 * ell
+                assert double_stitch_radius(t, p, alpha) == pytest.approx(g / t, rel=1e-12)
 
     def test_low_p_value_frozen_oracle(self):
         # 50-digit mpmath evaluation of the three-term general formula
-        cfg = DoubleStitchConfig.default_preset(alpha=0.05)
-        assert double_stitch_radius(1000, 0.05, cfg) == pytest.approx(
+        assert double_stitch_radius(1000, 0.05, 0.05) == pytest.approx(
             0.052480197209501532234, rel=1e-10
         )
 
     def test_below_half_uses_inflated_level(self):
-        cfg = DoubleStitchConfig.default_preset(alpha=0.05)
         t = 1000
-        rpt = min(0.5, expit(logit(0.05) + 2 * 0.5 * math.sqrt(cfg.eta / t)))
+        rpt = min(0.5, expit(logit(0.05) + 2 * self.DELTA * math.sqrt(self.ETA / t)))
         assert 0.05 < rpt < 0.5
 
     def test_domain(self):
-        cfg = DoubleStitchConfig.default_preset()
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
-                double_stitch_radius(100, p, cfg)
+                double_stitch_radius(100, p)
+
+    @pytest.mark.parametrize("kwargs", [dict(alpha=1.5), dict(alpha=0.0), dict(alpha=math.nan),
+                                        dict(m_start=0.5)])
+    def test_bad_alpha_or_m_start_is_configuration_error(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            double_stitch_radius(100, 0.5, **kwargs)
 
 
 class TestBetaBinomialMixture:
@@ -508,14 +514,13 @@ class TestInvariants:
         m = 32
         grid = np.unique(np.round(np.geomspace(m, 10 ** 6, 40)).astype(int))
         cfg = StitchConfig(eta=2.04, s_exp=1.4, m_start=float(m), alpha=0.05)
-        ds = DoubleStitchConfig.default_preset(alpha=0.05, m_start=float(m))
         curves = {
             "stitched": stitched_radius(grid, 0.5, cfg),
             "stitched_simple": stitched_radius_simple(grid, 0.5, 0.05),
             "beta_binomial": beta_binomial_radius(grid, 0.5, 0.758, 0.05),
             "one_sided_bb": one_sided_beta_binomial_radius(grid, 0.5, 0.758, 0.05),
             "normal_mixture": normal_mixture_radius(grid, 0.504, 0.05),
-            "double_stitch": double_stitch_radius(grid, 0.5, ds),
+            "double_stitch": double_stitch_radius(grid, 0.5, 0.05, float(m)),
             "lil": lil_radius(grid, 0.85, 8.123, float(m)),
             "dkw_fixed": baseline_radius("dkw_fixed", grid),
             "dr1968": baseline_radius("dr1968", grid),
@@ -560,10 +565,9 @@ class TestInvariants:
 
     def test_double_stitch_beats_lil_at_tail_quantile(self):
         c = lil_C(0.85, 0.05)
-        ds = DoubleStitchConfig.default_preset(alpha=0.05, m_start=32.0)
         for t in np.geomspace(10 ** 3, 10 ** 6, 13):
             t = int(t)
-            assert double_stitch_radius(t, 0.95, ds) < lil_radius(t, 0.85, c, 32.0)
+            assert double_stitch_radius(t, 0.95, 0.05, 32.0) < lil_radius(t, 0.85, c, 32.0)
 
 
 class TestOneSidedRadiusRoot:
@@ -594,8 +598,7 @@ _SCHEDULE_RADII = {
     "beta_binomial_one_sided": lambda t, q: one_sided_beta_binomial_radius(
         t, q, _SCHEDULE_R, 0.05),
     "lil": lambda t, q: lil_radius(t, 0.85, lil_C(0.85, 0.05)),
-    "double_stitch": lambda t, q: double_stitch_radius(
-        t, q, DoubleStitchConfig.default_preset(0.05, m_start=32.0)),
+    "double_stitch": lambda t, q: double_stitch_radius(t, q, 0.05, 32.0),
     # the baselines defined from t = 1; szorenyi and dr1967 are compared below
     **{kind: (lambda kind: lambda t, q: baseline_radius(kind, t, q, 0.05))(kind)
        for kind in ("dkw_fixed", "dr1968", "clt_pointwise", "hoeffding_kl")},
@@ -661,6 +664,43 @@ class TestRadiusSchedule:
             schedule.at(0)
 
 
+# every radius function, as f(t) at level 0.5
+_RADII_AT_HALF = {
+    "stitched": lambda t: stitched_radius(t, 0.5, StitchConfig(eta=2.04, s_exp=1.4)),
+    "stitched_simple": lambda t: stitched_radius_simple(t, 0.5),
+    "double_stitch": lambda t: double_stitch_radius(t, 0.5),
+    "beta_binomial": lambda t: beta_binomial_radius(t, 0.5, 0.758),
+    "one_sided_bb": lambda t: one_sided_beta_binomial_radius(t, 0.5, 0.758),
+    "normal_mixture": lambda t: normal_mixture_radius(t, 0.504),
+    "lil": lambda t: lil_radius(t, 0.85, 8.123),
+    **{kind: (lambda kind: lambda t: baseline_radius(kind, t, 0.5))(kind)
+       for kind in BASELINE_KINDS},
+}
+
+
+class TestTimeAndRadiusChecks:
+    """A time must be finite and >= 1; a radius must come out finite and positive."""
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(_RADII_AT_HALF))
+    def test_non_finite_time_is_domain_error(self, name, t):
+        for times in (t, np.array([100.0, t])):
+            with pytest.raises(DomainError, match="t must be finite and >= 1"):
+                _RADII_AT_HALF[name](times)
+
+    @pytest.mark.parametrize("name, t", [("double_stitch", 1e308), ("normal_mixture", 1e300),
+                                         ("dkw_fixed", 1e308), ("dr1968", 1e308)])
+    def test_radius_past_the_float_range_is_numerical_error(self, name, t):
+        # nan, 0.0, 0.0 and inf before the check; no overflow warning on the way
+        for times in (t, np.array([100.0, t])):
+            with pytest.raises(NumericalError, match="is not finite and positive"):
+                _RADII_AT_HALF[name](times)
+
+    def test_radii_at_large_finite_times_still_return(self):
+        for name, radius in _RADII_AT_HALF.items():
+            assert 0.0 < radius(1e12) < 1e-3, name
+
+
 class TestNonFiniteParameters:
     """NaN and infinities fail every parameter check, as an out-of-range value does."""
 
@@ -668,7 +708,6 @@ class TestNonFiniteParameters:
         "eta": lambda v: StitchConfig(eta=v, s_exp=1.4),
         "s_exp": lambda v: StitchConfig(eta=2.0, s_exp=v),
         "stitch m_start": lambda v: StitchConfig(eta=2.0, s_exp=1.4, m_start=v),
-        "grid_delta": lambda v: DoubleStitchConfig(grid_delta=v, eta=2.0, s_exp=1.4),
         "mixture r": lambda v: beta_binomial_radius(10, 0.5, v),
         "one-sided r": lambda v: one_sided_beta_binomial_radius(10, 0.5, v),
         "normal r": lambda v: normal_mixture_radius(10, v),
@@ -676,6 +715,7 @@ class TestNonFiniteParameters:
         "lil_alpha a_mult": lambda v: lil_alpha(v, 5.0),
         "lil_alpha c_add": lambda v: lil_alpha(0.85, v),
         "lil_radius m_start": lambda v: lil_radius(10, 0.85, 5.0, m_start=v),
+        "double_stitch m_start": lambda v: double_stitch_radius(10, 0.5, m_start=v),
         "LilMethod a_mult": lambda v: confseq.LilMethod(a_mult=v, c_add=5.0),
         "LilMethod m_start": lambda v: confseq.LilMethod(c_add=5.0, m_start=v),
         "LilMethod c_add": lambda v: confseq.LilMethod(c_add=v),

@@ -245,6 +245,15 @@ def test_bad_value_is_usage_error_without_output(argv, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method, t", [("double_stitch", "1e308"), ("normal_mixture", "1e300"),
+                                     ("dkw_fixed", "1e308"), ("dr1968", "1e308")])
+def test_radius_past_the_float_range_is_numerical_failure(method, t):
+    # the radius would print as nan, 0.0, 0.0 and inf
+    rc, out, err = run_cli(["bounds", "--methods", method, "--t", t])
+    assert (rc, out) == (4, ""), err
+    assert err.startswith("numerical failure:"), err
+
+
 @pytest.mark.parametrize("argv", EXTREMES, ids=map(_id, EXTREMES))
 def test_extreme_value_exits_cleanly(argv):
     # RuntimeWarnings are errors in this suite, so a warning fails the run too

@@ -13,7 +13,6 @@ from functools import partial
 
 from seqquant import boundaries, cli
 from seqquant.boundaries import (
-    DoubleStitchConfig,
     StitchConfig,
     baseline_radius,
     beta_binomial_radius,
@@ -254,7 +253,7 @@ class TestLilMethod:
         assert LilMethod(a_mult=0.85, c_add=7.0, alpha=0.05).c_add == 7.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"m_start": 0.5}, {"a_mult": 0.5}, {"alpha": 1.5}, {"alpha": None},
+        {"m_start": 0.5}, {"a_mult": 0.5}, {"alpha": 1.5},
     ])
     def test_bad_parameter_fails_when_built(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -289,8 +288,7 @@ class TestUniformCS:
         rng = np.random.default_rng(123)
         xs = [float(v) for v in rng.normal(size=5000)]
         lil = QuantileUniformCS(LilMethod(a_mult=0.85, alpha=0.05, m_start=1.0))
-        ds = QuantileUniformCS(partial(double_stitch_radius,
-                                       cfg=DoubleStitchConfig.default_preset(0.05)))
+        ds = QuantileUniformCS(partial(double_stitch_radius, alpha=0.05))
         for x in xs:
             lil.update(x)
             ds.update(x)
@@ -308,8 +306,7 @@ class TestUniformCS:
 
     def test_double_stitch_tighter_in_tail(self):
         t = 10 ** 5
-        ds_cfg = DoubleStitchConfig.default_preset(alpha=0.05, m_start=32.0)
-        ds_radius = boundaries.double_stitch_radius(t, 0.05, ds_cfg)
+        ds_radius = boundaries.double_stitch_radius(t, 0.05, 0.05, 32.0)
         lil_radius = boundaries.lil_radius(t, 0.85, lil_C(0.85, 0.05), 32.0)
         assert ds_radius < lil_radius
 
@@ -330,10 +327,12 @@ class TestLevelCheck:
 
 class TestCdfBand:
     def test_half_width_value(self):
-        band = CdfBand(a_mult=0.85, alpha=None, c_add=boundaries.lil_C_closed_form(0.05))
+        # C resolved from alpha, 8.1227 (the closed form 8.30 gives 0.269)
+        band = CdfBand(a_mult=0.85, alpha=0.05)
         for x in range(100):
             band.update(float(x))
-        assert band.half_width() == pytest.approx(0.269, abs=1e-3)
+        assert band.half_width() == boundaries.lil_radius(100, 0.85, lil_C(0.85, 0.05))
+        assert band.half_width() == pytest.approx(0.2667, abs=1e-4)
 
     def test_below_all_data(self):
         band = CdfBand(alpha=0.05)

@@ -328,7 +328,8 @@ def _ab_store(arm=1):
 
 def _ks_store(mode):
     calls = []
-    state = KsTestState(mode, f0=lambda x: calls.append(x) or 0.5)
+    f0 = (lambda x: calls.append(x) or 0.5) if mode == "one_sample" else None
+    state = KsTestState(mode, f0=f0)
     for sample in (1,) if mode == "one_sample" else (1, 2):
         state.add(2.0, sample)
         state.add(1.0, sample)

@@ -693,7 +693,7 @@ class TestKs:
 
     @pytest.mark.parametrize("mode", KsTestState.MODES)
     def test_samples_are_read_only_copies(self, mode):
-        state = KsTestState(mode, f0=lambda x: 0.5)
+        state = KsTestState(mode, f0=(lambda x: 0.5) if mode == "one_sample" else None)
         state.add(1.0, 1)
         if mode != "one_sample":
             state.add(2.0, 2)
@@ -818,8 +818,8 @@ class TestKs:
         # thresholds are read from a table filled by vectorized radius calls;
         # each equals the scalar radius bit for bit, past the first table chunk too
         for mode, width, level in (("one_sample", 1, alpha), ("two_sample", 2, alpha / 2)):
-            state = KsTestState(mode, f0=lambda x: x, a_mult=a_mult, alpha=alpha,
-                                m_start=m_start)
+            state = KsTestState(mode, f0=(lambda x: x) if mode == "one_sample" else None,
+                                a_mult=a_mult, alpha=alpha, m_start=m_start)
             c = lil_C(a_mult, level)
             for t in [*range(1, 2100), 10 ** 5]:
                 assert state.threshold(t) == width * lil_radius(t, a_mult, c, m_start), t
@@ -988,3 +988,9 @@ class TestParameterChecks:
             AbTestState(0.5, 1.0, alpha=alpha)
         with pytest.raises(ConfigurationError):
             KsTestState("two_sample", alpha=alpha)
+
+    @pytest.mark.parametrize("mode", ["two_sample", "dominance"])
+    def test_paired_mode_with_a_reference_cdf_is_a_configuration_error(self, mode):
+        # the paired modes compare two samples, so an f0 would go unread
+        with pytest.raises(ConfigurationError, match="reads no f0"):
+            KsTestState(mode, f0=lambda x: 0.5)
