@@ -94,8 +94,11 @@ def _ret(arr, scalar):
 
 
 def _radius(fn):
-    """fn, raising where its radius is not finite and positive; past the float range a
-    radius overflows to inf, or to 0 or NaN beside an inf, so numpy need not warn."""
+    """fn, raising `NumericalError` where its radius is not finite and positive.
+
+    A radius past the float range comes out inf, 0 or NaN, which the check
+    reports, so numpy's overflow and invalid-value warnings are silenced.
+    """
     @wraps(fn)
     def radius(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -664,17 +664,11 @@ class TestRadiusSchedule:
             schedule.at(0)
 
 
-# every radius function, as f(t) at level 0.5
-_RADII_AT_HALF = {
-    "stitched": lambda t: stitched_radius(t, 0.5, StitchConfig(eta=2.04, s_exp=1.4)),
-    "stitched_simple": lambda t: stitched_radius_simple(t, 0.5),
-    "double_stitch": lambda t: double_stitch_radius(t, 0.5),
-    "beta_binomial": lambda t: beta_binomial_radius(t, 0.5, 0.758),
-    "one_sided_bb": lambda t: one_sided_beta_binomial_radius(t, 0.5, 0.758),
-    "normal_mixture": lambda t: normal_mixture_radius(t, 0.504),
-    "lil": lambda t: lil_radius(t, 0.85, 8.123),
-    **{kind: (lambda kind: lambda t: baseline_radius(kind, t, 0.5))(kind)
-       for kind in BASELINE_KINDS},
+# every radius function, as f(t, level)
+_EVERY_RADIUS = {
+    **_SCHEDULE_RADII,
+    **{kind: (lambda kind: lambda t, q: baseline_radius(kind, t, q, 0.05))(kind)
+       for kind in ("szorenyi", "dr1967")},
 }
 
 
@@ -682,11 +676,11 @@ class TestTimeAndRadiusChecks:
     """A time must be finite and >= 1; a radius must come out finite and positive."""
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", sorted(_RADII_AT_HALF))
+    @pytest.mark.parametrize("name", sorted(_EVERY_RADIUS))
     def test_non_finite_time_is_domain_error(self, name, t):
         for times in (t, np.array([100.0, t])):
             with pytest.raises(DomainError, match="t must be finite and >= 1"):
-                _RADII_AT_HALF[name](times)
+                _EVERY_RADIUS[name](times, 0.5)
 
     @pytest.mark.parametrize("name, t", [("double_stitch", 1e308), ("normal_mixture", 1e300),
                                          ("dkw_fixed", 1e308), ("dr1968", 1e308)])
@@ -694,11 +688,11 @@ class TestTimeAndRadiusChecks:
         # nan, 0.0, 0.0 and inf before the check; no overflow warning on the way
         for times in (t, np.array([100.0, t])):
             with pytest.raises(NumericalError, match="is not finite and positive"):
-                _RADII_AT_HALF[name](times)
+                _EVERY_RADIUS[name](times, 0.5)
 
     def test_radii_at_large_finite_times_still_return(self):
-        for name, radius in _RADII_AT_HALF.items():
-            assert 0.0 < radius(1e12) < 1e-3, name
+        for name, radius in _EVERY_RADIUS.items():
+            assert 0.0 < radius(1e12, 0.5) < 1e-3, name
 
 
 class TestNonFiniteParameters:
