@@ -94,6 +94,11 @@ GOLDEN_CASES = {
                               "--format", fmt]
        for name, fixture in (("cauchy", "cauchy1100.txt"), ("ties", "cauchy1100_ties.txt"))
        for fmt in ("csv", "json")},
+    # pin the band's x column on runs of -0.0 and 0.0 (the first-inserted zero
+    # stands for its run) and on tied integers, in both formats
+    **{f"band_zeros.{fmt}": ["band", str(FIXTURES / "zeros400.txt"), "--checkpoints",
+                             "1,10,100,400", "--format", fmt]
+       for fmt in ("csv", "json")},
     # pin the sign of every zero bound and point estimate of each tracker on
     # 400 seeded lines, about half of them -0.0 or 0.0 and the rest Cauchy
     # values rounded to integers (seed 2101; see CHANGES.md)
