@@ -14,7 +14,9 @@ of an array stopping on its own bracket.  The mixture radii bisect to 1e-9
 absolute in the boundary-crossing variable (or 60 steps); the Hoeffding-KL
 baseline and `lil_C` take 80 steps, or stop early once a bracket has no
 width.  The eta-infimum behind the iterated-logarithm miscoverage rate uses
-a 512-point log grid refined by golden section to 1e-8.  Parameters are
+a 512-point log grid, evaluated in one array pass and settled by the scalar
+objective at its near-minimal points, refined by golden section to 1e-8;
+`lil_alpha` returns the bits of a scalar pass over the grid.  Parameters are
 checked as finite and within their bounds, so NaN or an infinity raises, as
 in a time t; a radius that is not finite and positive raises `NumericalError`.
 """
@@ -209,8 +211,7 @@ def stitched_radius(t, p: float, cfg: StitchConfig):
     l(t) = s log log(eta t / m) + log(2 zeta(s) / (alpha log^s eta)) and
     c_p = (1 - 2p)/3.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    _check_open_unit(p)
     t_arr, scalar = _times(t)
     tm = np.maximum(t_arr, cfg.m_start)
     z = zeta(cfg.s_exp)
@@ -494,15 +495,33 @@ def lil_alpha(a_mult: float, c_add: float) -> float:
     eta_lo = 1.0 + 1e-6
     if eta_hi <= eta_lo:
         return math.inf
-    grid = np.exp(np.linspace(math.log(eta_lo), math.log(eta_hi), 512)).tolist()
-    vals = np.array([_lil_objective(e, a_mult, c_add) for e in grid])
-    i = int(np.argmin(vals))
-    if not math.isfinite(vals[i]):
+    eta = np.exp(np.linspace(math.log(eta_lo), math.log(eta_hi), 512))
+    # the objective over the grid in one pass; gamma, and so the feasible set, are the
+    # scalar's bits (sqrt and the arithmetic are correctly rounded), but exp and log may
+    # differ from math's by a few ulps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gamma = np.sqrt(2.0 / eta) * (a_mult - np.sqrt(2.0 * (eta - 1.0) / c_add))
+        g2 = gamma * gamma
+        tail = np.exp(-g2 * c_add)
+        vals = 4.0 * tail * (1.0 + 1.0 / ((g2 - 1.0) * np.log(eta)))
+    feasible = gamma > 1.0
+    if not feasible.any():
         return math.inf
+    # Where the tail is a normal float the array value is within a relative 1e-12 of the
+    # scalar one, so the scalar's first minimum lies among the points within 1e-12 of the
+    # array minimum of those; a subnormal or zero tail has no relative bound, so such a
+    # point is always taken.  The scalar objective over these points picks the grid point.
+    normal = tail >= _TINY
+    near = vals <= np.min(vals, where=feasible & normal, initial=math.inf) * (1.0 + 1e-12)
+    points = np.flatnonzero(feasible & (near | ~normal)).tolist()
+    grid = eta.tolist()
+    scalar = [_lil_objective(grid[j], a_mult, c_add) for j in points]
+    best = min(scalar)
+    i = points[scalar.index(best)]
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     eta_star = golden_section_min(lambda e: _lil_objective(e, a_mult, c_add), lo, hi, tol=1e-8)
-    return min(float(vals[i]), _lil_objective(eta_star, a_mult, c_add))
+    return min(best, _lil_objective(eta_star, a_mult, c_add))
 
 
 def lil_C_closed_form(alpha: float) -> float:

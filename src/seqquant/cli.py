@@ -20,7 +20,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import astuple
 from functools import partial
-from operator import itemgetter
 
 import numpy as np
 from scipy.special import ndtr
@@ -111,16 +110,29 @@ class Emitter:
             self._rows.append(list(map(_json_cell, cells)))
 
     def rows(self, batch) -> None:
-        """Write a batch of rows: one write in CSV, encoded column by column; one extend in JSON."""
+        """Write a batch of rows: `table` of its columns."""
         batch = list(batch)
         if set(map(len, batch)) - {len(self.columns)}:
             raise ValueError(f"every row needs {len(self.columns)} cells")
+        if batch:
+            self.table(list(zip(*batch)))
+
+    def table(self, cols) -> None:
+        """Write a batch given as its columns, one per header name, of equal lengths.
+
+        CSV is one write, encoded a column at a time by `_column_text`; JSON
+        is one extend of the rows.  A batch of empty columns writes nothing.
+        """
+        if len(cols) != len(self.columns):
+            raise ValueError(f"every row needs {len(self.columns)} cells")
+        if len(set(map(len, cols))) != 1:
+            raise ValueError("every column needs as many cells as the first")
+        if not cols[0]:
+            return
         if self.fmt == "json":
-            self._rows.extend([list(map(_json_cell, cells)) for cells in batch])
-        elif batch:
-            cols = [_column_text(list(map(itemgetter(i), batch)))
-                    for i in range(len(self.columns))]
-            self.out.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            self._rows.extend(map(list, zip(*[list(map(_json_cell, col)) for col in cols])))
+        else:
+            self.out.write("\n".join(map(",".join, zip(*map(_column_text, cols)))) + "\n")
 
     def close(self) -> None:
         if self.fmt == "json":
@@ -281,12 +293,13 @@ def _text_lines(handle):
     """Yield (line_number, stripped text) of the non-blank lines.
 
     A line that is not valid UTF-8 is an ingest error: the input is read
-    with surrogateescape, so such a line holds a lone surrogate.
+    with surrogateescape, so such a line holds a lone surrogate.  An ASCII
+    line is valid UTF-8, so only the others are encoded to check.
     """
     for i, line in enumerate(handle, start=1):
         text = line.strip()
         if text:
-            if not _utf8(text):
+            if not (text.isascii() or _utf8(text)):
                 raise IngestError(f"line {i}: not valid UTF-8")
             yield i, text
 
@@ -487,7 +500,8 @@ def cmd_band(args) -> int:
         for _, x in _numeric_stream(handle):
             t = band.update(x)
             if t in checkpoints:
-                emitter.rows([(t, *cells) for cells in band.band()])
+                x, *cols = band.band()
+                emitter.table([[t] * len(x), x, *cols])
         emitter.close()
     return 0
 

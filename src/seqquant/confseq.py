@@ -236,23 +236,25 @@ class CdfBand:
         w = self.half_width()
         return max(0.0, f - w), min(1.0, f + w)
 
-    def band(self) -> list[tuple[float, float, float, float]]:
-        """Step-function export: (x, ecdf, lo, hi) at each distinct data point.
+    def band(self) -> tuple[list, list, list, list]:
+        """Step-function export: the columns x, ecdf, lo and hi, one entry per distinct value.
 
         One numpy pass over the sorted values.  `run_ends` finds the runs of
         equal values on an object array, so equality is Python's: 2**53 + 1 and 2.0**53,
         which one float64 cannot tell apart, stay two runs.  x is the first
         value of its run, the one inserted first (-0.0 or 0.0, whichever came
         first), and ecdf = (run end + 1) / t is the correctly rounded quotient
-        of two integers below 2**53, as a running count over t is.
+        of two integers below 2**53, as a running count over t is.  Every
+        column is a list of Python values; before the first update all four
+        are empty.
         """
         values = np.array(self._sorted(), dtype=object)
         t = len(values)
         if t == 0:
-            return []
+            return [], [], [], []
         ends = run_ends(values)
         starts = np.append(0, ends[:-1] + 1)
         f = (ends + 1) / t
         w = self.half_width()
-        return list(zip(values[starts].tolist(), f.tolist(),
-                        np.maximum(0.0, f - w).tolist(), np.minimum(1.0, f + w).tolist()))
+        return (values[starts].tolist(), f.tolist(),
+                np.maximum(0.0, f - w).tolist(), np.minimum(1.0, f + w).tolist())

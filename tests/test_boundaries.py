@@ -37,7 +37,7 @@ from seqquant.boundaries import (
     tuning_denominator,
 )
 from seqquant.errors import ConfigurationError, DomainError, NumericalError, TuningError
-from seqquant.specfun import expit, log_betainc, logit, zeta
+from seqquant.specfun import bisection, expit, golden_section_min, log_betainc, logit, zeta
 
 mp.mp.dps = 40
 
@@ -54,6 +54,12 @@ class TestStitched:
         for t in (10, 1000, 12345):
             ell = (1.4 * math.log(math.log(2.1 * t)) + math.log(10 / 0.05)) / t
             assert stitched_radius_simple(t, 0.0, 0.05) == pytest.approx(0.8 * ell, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5])
+    def test_general_level_outside_open_unit_is_domain_error(self, p):
+        # at p = 1 the radius is exactly 0 and at p = 0 it is positive; both are outside (0, 1)
+        with pytest.raises(DomainError, match=r"p must lie in \(0, 1\)"):
+            stitched_radius(100, p, StitchConfig(eta=2.04, s_exp=1.4))
 
     def test_general_below_simple(self):
         # the simple preset rounds every constant upward
@@ -434,6 +440,83 @@ class TestLil:
         amps = [0.72, 0.85, 1.0, 1.5]
         vals = [lil_alpha(a, 8.0) for a in amps]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def _grid_lil_alpha(a_mult, c_add):
+    """`lil_alpha` as a scalar pass over its 512-point grid: the reference."""
+    eta_hi = 2.0 * a_mult ** 2 - 1e-6 if a_mult < 1e150 else 1e300
+    eta_lo = 1.0 + 1e-6
+    if eta_hi <= eta_lo:
+        return math.inf
+    grid = np.exp(np.linspace(math.log(eta_lo), math.log(eta_hi), 512)).tolist()
+    vals = np.array([bd._lil_objective(e, a_mult, c_add) for e in grid])
+    i = int(np.argmin(vals))
+    if not math.isfinite(vals[i]):
+        return math.inf
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    eta_star = golden_section_min(lambda e: bd._lil_objective(e, a_mult, c_add), lo, hi, tol=1e-8)
+    return min(float(vals[i]), bd._lil_objective(eta_star, a_mult, c_add))
+
+
+def _grid_lil_C(a_mult, alpha):
+    """`lil_C`'s search over `_grid_lil_alpha`: (C, {every C probed: its alpha})."""
+    probes = {}
+
+    def crossing(c):
+        if c not in probes:
+            probes[c] = _grid_lil_alpha(a_mult, c)
+        return probes[c]
+
+    hi = 1.0
+    while crossing(hi) > alpha:
+        hi *= 2.0
+    _, hi = bisection(lambda c, _: crossing(float(c[0])) <= alpha, 1e-9, hi)
+    return float(hi[0]), probes
+
+
+_LIL_RNG = np.random.default_rng(2501)
+# A in (1/sqrt 2, 5] and alpha in [1e-12, 0.9], log-uniform; then a small A whose grid is
+# infeasible at every small C, alpha = 1e-300 whose tail underflows, and A past 1e150
+_LIL_PAIRS = list(zip((5.0 - (5.0 - 1.0 / math.sqrt(2.0)) * _LIL_RNG.random(300)).tolist(),
+                      np.exp(_LIL_RNG.uniform(math.log(1e-12), math.log(0.9), 300)).tolist()))
+_LIL_PAIRS += [(0.85, 0.05), (0.85, 0.025), (0.7072, 0.05), (0.85, 1e-300), (1e155, 0.05),
+               (1e300, 0.05)]
+
+
+class TestLilGrid:
+    """`lil_alpha` evaluates its grid in one array pass, where exp and log may differ from
+    math's by a few ulps; it must still return the scalar pass's bits, and so must `lil_C`."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_equals_the_scalar_grid(self):
+        # Every probe of the C search is compared.  Taking the argmin of the array values with
+        # no scalar re-check differs at 16,860 probes and 303 of the 306 C values; re-checking
+        # only the near-minimal points whose tail is a normal float differs at 52 probes, where
+        # the tail underflows (each seen on a copy with that part removed).
+        bd.lil_alpha.cache_clear()
+        bd.lil_C.cache_clear()
+        mismatched = []
+        for a_mult, alpha in _LIL_PAIRS:
+            c, probes = _grid_lil_C(a_mult, alpha)
+            if lil_C(a_mult, alpha) != c:
+                mismatched.append((a_mult, alpha))
+            mismatched += [(a_mult, alpha, c_add) for c_add, value in probes.items()
+                           if lil_alpha(a_mult, c_add) != value]
+        assert mismatched == []
+
+    def test_cold_lil_c_work(self, monkeypatch):
+        # A cold lil_C(0.85, 0.05) makes 58 lil_alpha calls.  A scalar grid costs 31,320
+        # objective calls; the array pass leaves the golden section and about one re-check
+        # per call, 1682 in all.  The bound is that count plus about 20%.
+        calls = []
+        objective = bd._lil_objective
+        monkeypatch.setattr(bd, "_lil_objective", lambda *args: (calls.append(args),
+                                                                 objective(*args))[1])
+        bd.lil_alpha.cache_clear()
+        bd.lil_C.cache_clear()
+        lil_C(0.85, 0.05)
+        assert len(calls) <= 2000
 
 
 class TestBaselines:

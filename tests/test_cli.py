@@ -442,14 +442,38 @@ class TestEmitter:
         with pytest.raises(KeyError):
             self._emit("csv", lambda e: e.rows(batch))
 
-    def test_rows_writes_what_row_writes_on_a_band_batch(self):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_writes_what_rows_write(self, fmt):
+        cols = [list(col) for col in zip(*self.BATCH)]
+        assert self._emit(fmt, lambda e: e.table(cols)) == \
+            self._emit(fmt, lambda e: e.rows(self.BATCH))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_writes_what_row_writes_on_a_band_batch(self, fmt):
         band = confseq.CdfBand(alpha=0.05)
         for x in np.random.default_rng(3).standard_cauchy(41000).tolist():
             band.update(x)
-        batch = [(len(band), *cells) for cells in band.band()]
-        assert len(batch) == 41000
-        assert self._emit("csv", lambda e: e.rows(batch)) == \
-            self._emit("csv", lambda e: [e.row(*cells) for cells in batch])
+        x, *cols = band.band()
+        cols = [[len(band)] * len(x), x, *cols]
+        assert len(x) == 41000
+        assert self._emit(fmt, lambda e: e.table(cols)) == \
+            self._emit(fmt, lambda e: [e.row(*cells) for cells in zip(*cols)])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [[[1], [2.0], [3.0], ["x"]],
+                                     [[1], [2.0], [3.0], ["x"], [True], [0]],
+                                     [[1, 2], [2.0, 3.0], [3.0], ["x", "y"], [True, False]]])
+    def test_ragged_table_raises(self, fmt, bad):
+        with pytest.raises(ValueError, match="cells"):
+            self._emit(fmt, lambda e: e.table(bad))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table_writes_nothing(self, fmt):
+        assert self._emit(fmt, lambda e: e.table([[]] * 5)) == self._emit(fmt, lambda e: None)
+
+    def test_numpy_scalar_in_a_table_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            self._emit("csv", lambda e: e.table([[1], [2.0], [3.0], ["x"], [np.float64(0.5)]]))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(_ALL_MODES))

@@ -359,7 +359,7 @@ class TestCdfBand:
         for x in (-10.0, -1.0, 0.0, 1.0, 10.0):
             lo, hi = band.at(x)
             assert 0.0 <= lo <= hi <= 1.0
-        for _, f, lo, hi in band.band():
+        for _, f, lo, hi in _band_rows(band):
             assert 0.0 <= lo <= f <= hi <= 1.0
 
     def test_band_width_constant_in_x(self):
@@ -367,10 +367,15 @@ class TestCdfBand:
         band = CdfBand(alpha=0.05)
         for x in rng.normal(size=200):
             band.update(float(x))
-        rows = band.band()
+        rows = _band_rows(band)
         interior = [(lo, hi, f) for _, f, lo, hi in rows if 0 < lo and hi < 1]
         for lo, hi, f in interior:
             assert hi - f == pytest.approx(f - lo, rel=1e-12)
+
+
+def _band_rows(band):
+    """`CdfBand.band`'s four columns as (x, ecdf, lo, hi) rows."""
+    return list(zip(*band.band()))
 
 
 def _band_by_runs(inserted, band):
@@ -420,18 +425,28 @@ class TestCdfBandExport:
         band = CdfBand(alpha=0.05)
         for x in self.CASES[case]:
             band.update(x)
-        got, want = band.band(), _band_by_runs(self.CASES[case], band)
+        got, want = _band_rows(band), _band_by_runs(self.CASES[case], band)
         assert got == want
         assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]
         assert all(type(f) is float and type(lo) is float and type(hi) is float
                    for _, f, lo, hi in got)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_four_lists_of_one_length(self, case):
+        # the columns go to the CSV encoder as they are, which keys each cell by exact type
+        band = CdfBand(alpha=0.05)
+        for x in self.CASES[case]:
+            band.update(x)
+        cols = band.band()
+        assert len(cols) == 4 and all(type(col) is list for col in cols)
+        assert {len(col) for col in cols} == {len(set(self.CASES[case]))}
 
     def test_first_inserted_zero_represents_its_run(self):
         for first in (-0.0, 0.0):
             band = CdfBand(alpha=0.05)
             for x in (first, -first, 1.0):
                 band.update(x)
-            assert [repr(x) for x, *_ in band.band()] == [repr(first), "1.0"]
+            assert list(map(repr, band.band()[0])) == [repr(first), "1.0"]
 
     def test_query_after_every_update(self):
         # each at() sorts the one value added since the last query in, and band() shows each
@@ -442,7 +457,7 @@ class TestCdfBandExport:
             band.update(x)
             for q in (-1.0, -0.0, 0.0, 1.0):
                 assert repr(band.at(q)) == repr(_at_by_multiset(values[:t], band, q))
-            got, want = band.band(), _band_by_runs(values[:t], band)
+            got, want = _band_rows(band), _band_by_runs(values[:t], band)
             assert [list(map(repr, row)) for row in got] == \
                 [list(map(repr, row)) for row in want]
 
@@ -466,7 +481,7 @@ class TestCdfBandExport:
                 inserted.append(op[1])
                 assert band.update(op[1]) == len(band) == len(inserted)
             elif op[0] == "band":
-                got, want = band.band(), _band_by_runs(inserted, band)
+                got, want = _band_rows(band), _band_by_runs(inserted, band)
                 assert [list(map(repr, row)) for row in got] == \
                     [list(map(repr, row)) for row in want]
             elif inserted:
