@@ -489,8 +489,8 @@ def lil_alpha(a_mult: float, c_add: float) -> float:
         raise ConfigurationError(f"a_mult must exceed 1/sqrt(2), got {a_mult}")
     if not 0.0 < c_add < math.inf:
         raise ConfigurationError(f"c_add must be positive, got {c_add}")
-    # past A = 1e150 eta searches (1, 1e300) within (1, 2A^2), so alpha only grows; the grid
-    # holds Python floats, whose products overflow to inf without a numpy warning
+    # past A = 1e150 eta searches (1, 1e300) within (1, 2A^2), so alpha only grows; a product
+    # that overflows is inf, silently in the array pass as in Python floats
     eta_hi = 2.0 * a_mult ** 2 - 1e-6 if a_mult < 1e150 else 1e300
     eta_lo = 1.0 + 1e-6
     if eta_hi <= eta_lo:

@@ -425,21 +425,15 @@ class TestCdfBandExport:
         band = CdfBand(alpha=0.05)
         for x in self.CASES[case]:
             band.update(x)
-        got, want = _band_rows(band), _band_by_runs(self.CASES[case], band)
+        cols = band.band()
+        # four lists of one length, which go to the CSV encoder as they are
+        assert len(cols) == 4 and all(type(col) is list for col in cols)
+        assert len(set(map(len, cols))) == 1
+        got, want = list(zip(*cols)), _band_by_runs(self.CASES[case], band)
         assert got == want
         assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]
         assert all(type(f) is float and type(lo) is float and type(hi) is float
                    for _, f, lo, hi in got)
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_four_lists_of_one_length(self, case):
-        # the columns go to the CSV encoder as they are, which keys each cell by exact type
-        band = CdfBand(alpha=0.05)
-        for x in self.CASES[case]:
-            band.update(x)
-        cols = band.band()
-        assert len(cols) == 4 and all(type(col) is list for col in cols)
-        assert {len(col) for col in cols} == {len(set(self.CASES[case]))}
 
     def test_first_inserted_zero_represents_its_run(self):
         for first in (-0.0, 0.0):
