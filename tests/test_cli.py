@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqquant import boundaries, cli, confseq, empdist
+from seqquant import boundaries, cli, confseq, empdist, specfun
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -108,6 +108,11 @@ GOLDEN_CASES = {
                          ("beta_binomial", "0.5"), ("normal_mixture", "0.75"))},
     "track_zeros_intersect.csv": ["track", str(FIXTURES / "zeros400.txt"), "--p", "0.25",
                                   "--method", "stitched_simple", "--intersect"],
+    # pin the one-sided statistic where the incomplete beta underflows and the
+    # continued fraction takes over: 2000 seeded lines, Cauchy arms, arm b
+    # shifted by 0.5 (SeedSequence((2601,)); see CHANGES.md)
+    "abtest_one_sided_deep.csv": ["abtest", str(FIXTURES / "ab_deep2000.txt"),
+                                  "--mode", "one_sided"],
 }
 
 
@@ -126,6 +131,18 @@ def test_sequential_tests_use_no_sorted_list(monkeypatch, name):
     rc, out, err = run_cli(GOLDEN_CASES[name])
     assert rc == 0, err
     assert out == (GOLDEN / name).read_text()
+
+
+def test_deep_tail_golden_reaches_the_continued_fraction(monkeypatch):
+    # 2343 calls, the first at line 1867; no other CLI test enters the fraction
+    calls = []
+    fraction = specfun._log_betainc_cf
+    monkeypatch.setattr(specfun, "_log_betainc_cf",
+                        lambda *args: (calls.append(args), fraction(*args))[1])
+    rc, out, err = run_cli(GOLDEN_CASES["abtest_one_sided_deep.csv"])
+    assert rc == 0, err
+    assert out == (GOLDEN / "abtest_one_sided_deep.csv").read_text()
+    assert calls
 
 
 @pytest.mark.parametrize("name", ["track.csv", "bai.csv"])
