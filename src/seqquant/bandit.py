@@ -27,7 +27,6 @@ from statistics import median
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import boundaries, confseq, specfun
 from .boundaries import RadiusSchedule
@@ -39,7 +38,6 @@ __all__ = [
     "uniform_arm",
     "cauchy_arm",
     "normal_arm",
-    "custom_arm",
     "QlucbConfig",
     "RunResult",
     "CS_KINDS",
@@ -62,15 +60,13 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class ArmSpec:
-    """An arm as a quantile function; analytic kinds carry their parameters.
+    """An arm as its quantile function.
 
     The quantile callable must be monotone nondecreasing on (0, 1) and accept
     numpy arrays.  For the built-in continuous families the upper and lower
     quantile functions coincide.
     """
 
-    kind: str
-    params: tuple
     quantile: Callable
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -85,38 +81,33 @@ class ArmSpec:
 def uniform_arm(a: float, b: float) -> ArmSpec:
     if not b > a:
         raise ConfigurationError("uniform arm needs b > a")
-    return ArmSpec("uniform", (a, b), lambda p: a + (b - a) * np.asarray(p, dtype=float))
+    return ArmSpec(lambda p: a + (b - a) * np.asarray(p, dtype=float))
 
 
 def cauchy_arm(loc: float, scale: float) -> ArmSpec:
     if scale <= 0:
         raise ConfigurationError("cauchy arm needs positive scale")
-    return ArmSpec(
-        "cauchy", (loc, scale),
-        lambda p: loc + scale * np.tan(math.pi * (np.asarray(p, dtype=float) - 0.5)),
-    )
+    return ArmSpec(lambda p: loc + scale * np.tan(math.pi * (np.asarray(p, dtype=float) - 0.5)))
 
 
 def normal_arm(mu: float, sigma: float) -> ArmSpec:
     if sigma <= 0:
         raise ConfigurationError("normal arm needs positive sigma")
-    return ArmSpec("normal", (mu, sigma), lambda p: mu + sigma * ndtri(np.asarray(p, dtype=float)))
-
-
-def custom_arm(quantile: Callable) -> ArmSpec:
-    return ArmSpec("custom", (), quantile)
+    return ArmSpec(lambda p: mu + sigma * specfun.ndtri(np.asarray(p, dtype=float)))
 
 
 def _check_target(pi_target: float, eps: float) -> None:
     """pi_target in (0, 1), and eps in [0, min(pi_target, 1 - pi_target)).
 
-    So pi_target - eps and pi_target + eps lie in (0, 1) as well.
+    So pi_target - eps and pi_target + eps lie in (0, 1) as well, and so does
+    1 - (pi_target + eps), the lower radius's level, in floats.
     """
     if not 0.0 < pi_target < 1.0:
         raise ConfigurationError(f"pi_target must lie in (0, 1), got {pi_target}")
     cap = min(pi_target, 1.0 - pi_target)
     if not 0.0 <= eps < cap:
         raise ConfigurationError(f"eps must lie in [0, {cap:g}), got {eps}")
+    boundaries._check_complement(pi_target + eps, "pi_target + eps")
 
 
 def scenario_arms(name: str, k_arms: int, eps: float, pi_target: float) -> list[ArmSpec]:
@@ -211,10 +202,6 @@ def _rank_schedules(cs_kind: str, pi: float, eps: float, delta_err: float,
     return confseq.rank_schedules(pi + eps, lower_radius, pi - eps, upper_radius)
 
 
-def _schedules(cfg: QlucbConfig) -> tuple[RadiusSchedule, RadiusSchedule]:
-    return _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps, cfg.delta_err, cfg.k_arms)
-
-
 def eps_optimal_set(arms: Sequence[ArmSpec], pi_target: float, eps: float) -> set[int]:
     """Arms k with Q_k(pi+eps) >= max_j Q_j(pi-eps), up to a 1e-12 grace."""
     best = max(a.quantile_at(pi_target - eps) for a in arms)
@@ -229,7 +216,8 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig, rng: np.random.Generato
         raise ConfigurationError("need at least two arms")
     if k_arms != cfg.k_arms:
         raise ConfigurationError(f"config says k_arms={cfg.k_arms}, got {k_arms} arms")
-    lower_schedule, upper_schedule = _schedules(cfg)
+    lower_schedule, upper_schedule = _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps,
+                                                     cfg.delta_err, cfg.k_arms)
     lower_rank, upper_rank = lower_schedule.at, upper_schedule.at
 
     lower_trackers = [RankTracker() for _ in range(k_arms)]

@@ -15,7 +15,8 @@ absolute in the boundary-crossing variable (or 60 steps); the Hoeffding-KL
 baseline and `lil_C` take 80 steps, or stop early once a bracket has no
 width.  The eta-infimum behind the iterated-logarithm miscoverage rate uses
 a 512-point log grid, evaluated in one array pass and settled by the scalar
-objective at its near-minimal points, refined by golden section to 1e-8;
+objective at its near-minimal points (a grid with an exp tail of exactly 0
+reads 0.0 with no scalar call), refined by golden section to 1e-8;
 `lil_alpha` returns the bits of a scalar pass over the grid.  Parameters are
 checked as finite and within their bounds, so NaN or an infinity raises, as
 in a time t; a radius that is not finite and positive raises `NumericalError`.
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .errors import ConfigurationError, DomainError, NumericalError, TuningError
-from .specfun import bisection, expit, golden_section_min, log_beta, log_betainc, logit, zeta
+from .specfun import (bisection, expit, gammaln, golden_section_min, log_beta, log_betainc,
+                      logit, ndtri, zeta)
 
 __all__ = [
     "RadiusSchedule",
@@ -69,6 +70,13 @@ def _check_alpha(alpha: float) -> None:
 def _check_open_unit(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
+
+
+def _check_complement(level: float, name: str) -> None:
+    """level in (2^-54, 1), for a caller that reads 1 - level too, which rounds to 1 below."""
+    if not 2.0 ** -54 < level < 1.0:
+        raise ConfigurationError(f"{name} must lie in (2^-54, 1), so that 1 minus it is "
+                                 f"below 1 in floats, got {level!r}")
 
 
 def _check_r(r: float) -> None:
@@ -507,6 +515,11 @@ def lil_alpha(a_mult: float, c_add: float) -> float:
     feasible = gamma > 1.0
     if not feasible.any():
         return math.inf
+    # Below -746 the exp argument (the scalar's bits) makes math.exp exactly 0, as the least
+    # subnormal is e^-744.4, so the scalar objective there is 0.0, its least value, which the
+    # golden section cannot lower: the scalar pass returns 0.0.
+    if (feasible & (g2 * c_add > 746.0)).any():
+        return 0.0
     # Where the tail is a normal float the array value is within a relative 1e-12 of the
     # scalar one, so the scalar's first minimum lies among the points within 1e-12 of the
     # array minimum of those; a subnormal or zero tail has no relative bound, so such a

@@ -22,7 +22,6 @@ from dataclasses import astuple
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import bandit, boundaries, confseq, seqtest
 from .boundaries import StitchConfig
@@ -35,16 +34,13 @@ from .errors import (
     StateError,
     TuningError,
 )
+from .specfun import ndtr
 
 SEED_ENV = "SEQQUANT_SEED"
 
-BOUNDS_METHODS = (
-    "stitched",
-    "beta_binomial",
-    "normal_mixture",
-    "lil_uniform",
-    "double_stitch",
-) + boundaries.BASELINE_KINDS
+# the radii a fixed-quantile tracker can follow, and every radius `bounds` tabulates
+TRACK_METHODS = ("stitched", "stitched_simple", "beta_binomial", "normal_mixture")
+BOUNDS_METHODS = TRACK_METHODS + ("lil_uniform", "double_stitch") + boundaries.BASELINE_KINDS
 
 
 class UsageError(Exception):
@@ -108,14 +104,6 @@ class Emitter:
             self.out.write(",".join(map(_fmt_cell, cells)) + "\n")
         else:
             self._rows.append(list(map(_json_cell, cells)))
-
-    def rows(self, batch) -> None:
-        """Write a batch of rows: `table` of its columns."""
-        batch = list(batch)
-        if set(map(len, batch)) - {len(self.columns)}:
-            raise ValueError(f"every row needs {len(self.columns)} cells")
-        if batch:
-            self.table(list(zip(*batch)))
 
     def table(self, cols) -> None:
         """Write a batch given as its columns, one per header name, of equal lengths.
@@ -435,17 +423,20 @@ def cmd_bounds(args) -> int:
     meta = {"alpha": args.alpha, "tune_m": args.tune_m}
     with _output(args.out) as out:
         # every radius is computed before anything is written
-        rows = []
+        cols = [[], [], [], [], []]
         for method in methods:
             for p in p_list:
                 radius, r = _radius(method, p, args.alpha, args.tune_m, stitch)
                 if method == "beta_binomial":
                     meta[f"r[p={_fmt_cell(p)}]"] = r
-                for t, rad in zip(t_list, radius(t_grid, p).tolist()):
-                    rows.append((t, p, method, rad, rad * math.sqrt(t)))
+                rads = radius(t_grid, p).tolist()
+                block = (t_list, [p] * len(t_list), [method] * len(t_list), rads,
+                         [rad * math.sqrt(t) for t, rad in zip(t_list, rads)])
+                for col, cells in zip(cols, block):
+                    col += cells
         emitter = Emitter(out, args.format, ["t", "p", "method", "radius", "radius_times_sqrt_t"],
                           meta)
-        emitter.rows(rows)
+        emitter.table(cols)
         emitter.close()
     return 0
 
@@ -624,7 +615,7 @@ def cmd_bai(args) -> int:
              "capped"],
             meta,
         )
-        emitter.rows(map(astuple, rows))
+        emitter.table(list(zip(*map(astuple, rows))))
         emitter.close()
     return 0
 
@@ -671,8 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("track", help="stream a fixed-quantile confidence sequence")
     tr.add_argument("input", nargs="?", default="-", help="numeric lines, or - for stdin")
     tr.add_argument("--p", type=finite_float, required=True)
-    tr.add_argument("--method", default="stitched",
-                    choices=("stitched", "stitched_simple", "beta_binomial", "normal_mixture"))
+    tr.add_argument("--method", default="stitched", choices=TRACK_METHODS)
     tr.add_argument("--alpha", type=finite_float, default=0.05)
     tr.add_argument("--eta", type=finite_float, default=_STITCHED["eta"])
     tr.add_argument("--s-exp", dest="s_exp", type=finite_float, default=_STITCHED["s_exp"])

@@ -84,6 +84,7 @@ class FixedQuantileCS:
 
     def __init__(self, p: float, method):
         boundaries._check_open_unit(p)
+        boundaries._check_complement(p, "p")
         self.p = p
         self.method = method
         self._lower_rank, self._upper_rank = rank_schedules(

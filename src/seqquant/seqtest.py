@@ -234,6 +234,7 @@ class AbTestState:
 
     def __init__(self, p: float, r: float, delta_star: float = 0.0, alpha: float = 0.05):
         boundaries._check_mixture(p, r)
+        boundaries._check_complement(p, "p")
         boundaries._check_alpha(alpha)
         if not math.isfinite(delta_star):
             raise ConfigurationError(f"delta_star must be finite, got {delta_star}")

@@ -3,7 +3,9 @@
 All Beta/Gamma quantities are handled in log space because mixture arguments
 grow linearly with the sample size and overflow otherwise.  The incomplete
 beta function falls back to a continued fraction (with the usual symmetry
-switch) wherever the direct regularized value would underflow.
+switch) wherever the direct regularized value would underflow.  This is the
+one module that imports scipy: the others read `gammaln`, `ndtri` and
+`ndtr` from here.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc as _betainc_reg
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, ndtr, ndtri
 
 from .errors import DomainError, NumericalError
 
 __all__ = [
+    "betainc",
+    "gammaln",
+    "ndtr",
+    "ndtri",
     "zeta",
     "log_beta",
     "log_betainc",
@@ -133,7 +138,7 @@ def log_betainc(a, b, x):
         raise DomainError("incomplete beta requires positive shape parameters")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"incomplete beta requires x in [0, 1], got {x}")
-    direct = _betainc_reg(a_arr, b_arr, x)
+    direct = betainc(a_arr, b_arr, x)
     # only a zero makes the log warn, and entering np.errstate costs more than the check
     if direct.all():
         out = np.log(direct)

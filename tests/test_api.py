@@ -1,7 +1,9 @@
 """Every public name the package and its modules declare resolves."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ def test_package_names_are_public_names_of_their_modules():
 
 @pytest.mark.parametrize("module, name, kept", [
     ("bandit", "qlucb_confidence_bounds", False),
+    ("bandit", "custom_arm", False),
     ("boundaries", "ftilde_asymptote", False),
     ("boundaries", "AsymptoteResult", False),
     ("boundaries", "expansion_constant", False),
@@ -41,3 +44,19 @@ def test_package_names_only_the_product(module, name, kept):
     # test-only code is gone; the oracle names the benchmark reads stay in their module
     assert hasattr(importlib.import_module(f"seqquant.{module}"), name) is kept
     assert not hasattr(seqquant, name)
+
+
+def test_only_specfun_imports_scipy():
+    # scipy is read through specfun alone, so replacing it edits one module
+    importers = []
+    for path in sorted((Path(seqquant.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.stem)
+    assert importers == ["specfun"]

@@ -8,11 +8,11 @@ import pytest
 
 from seqquant import bandit, empdist
 from seqquant.bandit import (
+    ArmSpec,
     QlucbConfig,
     RunResult,
     bai_benchmark,
     cauchy_arm,
-    custom_arm,
     eps_optimal_set,
     gap_deltas,
     normal_arm,
@@ -31,7 +31,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _multiset_bounds(data, cfg):
     # (L, U) read from an OrderedMultiset: the reference of the bounds qlucb_run tracks
-    lower_rank, upper_rank = bandit._schedules(cfg)
+    lower_rank, upper_rank = bandit._rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps,
+                                                    cfg.delta_err, cfg.k_arms)
     return data.order_stat(lower_rank.at(len(data))), data.order_stat(upper_rank.at(len(data)))
 
 
@@ -56,13 +57,14 @@ class TestArms:
         # location 2 (Q(pi+eps) - Q(pi)) at pi = 0.5: 2 tan(0.025 pi)
         arms = scenario_arms("cauchy_shift", 10, 0.025, 0.5)
         expect = 2.0 * math.tan(math.pi * 0.025)
-        assert arms[-1].params[0] == pytest.approx(expect, rel=1e-12)
+        assert arms[-1].quantile_at(0.5) == pytest.approx(expect, rel=1e-12)
 
     def test_uniform_scenario_parameters(self):
         arms = scenario_arms("uniform_shift", 10, 0.025, 0.5)
         assert len(arms) == 10
-        assert arms[0].params == (0.0, 1.0)
-        assert arms[-1].params == (0.05, 1.05)
+        assert [arms[0].quantile_at(level) for level in (0.0, 1.0)] == [0.0, 1.0]
+        assert [arms[-1].quantile_at(level) for level in (0.0, 1.0)] == \
+            pytest.approx([0.05, 1.05], rel=1e-15)
 
     @pytest.mark.parametrize("scenario", bandit.SCENARIOS)
     @pytest.mark.parametrize("pi, eps", [(0.5, math.nan), (0.5, math.inf), (0.5, 0.6),
@@ -75,6 +77,17 @@ class TestArms:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("pi, eps", [(1e-300, 0.0), (2.0 ** -54, 0.0),
+                                         (0.5, 0.5 - 2.0 ** -54)])
+    def test_lower_level_outside_the_floats(self, pi, eps):
+        # the lower bound reads its radius at 1 - (pi + eps), which rounds to 1 or to 0 here
+        for check in (lambda: QlucbConfig(pi_target=pi, eps=eps),
+                      lambda: scenario_arms("uniform_shift", 2, eps, pi),
+                      lambda: tau_bound(0.1, eps, pi, 2, 0.05)):
+            with pytest.raises(ConfigurationError, match="pi_target \\+ eps must lie in"):
+                check()
+        QlucbConfig(pi_target=math.nextafter(2.0 ** -54, 1.0), eps=0.0)
+
     def test_eps_cap(self):
         with pytest.raises(ConfigurationError):
             QlucbConfig(pi_target=0.9, eps=0.2)
@@ -139,7 +152,7 @@ class TestRankTables:
     def test_run_trackers_equal_the_multiset_bounds(self, cs_kind):
         # qlucb_run reads L and U from two RankTrackers per arm
         cfg = QlucbConfig(pi_target=0.3, eps=0.025, cs_kind=cs_kind, k_arms=3)
-        lower_rank, upper_rank = bandit._schedules(cfg)
+        lower_rank, upper_rank = bandit._rank_schedules(cs_kind, 0.3, 0.025, cfg.delta_err, 3)
         rng = np.random.default_rng(9)
         draws = np.round(rng.normal(size=3000), 1)  # ties, 0.0 and -0.0
         lo_tracker, hi_tracker = RankTracker(), RankTracker()
@@ -158,7 +171,7 @@ class TestRankTables:
 
 
 def _point_mass(value: float):
-    return custom_arm(lambda u, v=value: np.full_like(np.asarray(u, dtype=float), v))
+    return ArmSpec(lambda u, v=value: np.full_like(np.asarray(u, dtype=float), v))
 
 
 class TestQlucbRun:
@@ -201,7 +214,7 @@ class TestQlucbRun:
     def test_array_only_quantiles_get_an_eps_optimality_verdict(self):
         # a quantile callable that only accepts arrays (the ArmSpec contract)
         def shifted(shift):
-            return custom_arm(lambda u: np.array([float(v) + shift for v in u]))
+            return ArmSpec(lambda u: np.array([float(v) + shift for v in u]))
 
         arms = [shifted(0.0), shifted(1.0)]
         assert eps_optimal_set(arms, 0.5, 0.1) == {1}
@@ -222,7 +235,7 @@ class TestQlucbRun:
     def test_pinned_run_on_tied_bounds(self, cs_kind, expected):
         # step quantiles draw ten atoms, so bounds tie across arms and the
         # pull rule upper[j] == max_other_u picks several arms in a round
-        step = custom_arm(lambda u: np.floor(10 * np.asarray(u, dtype=float)) / 10)
+        step = ArmSpec(lambda u: np.floor(10 * np.asarray(u, dtype=float)) / 10)
         cfg = QlucbConfig(pi_target=0.5, eps=0.0, cs_kind=cs_kind, k_arms=3,
                           max_rounds=50_000)
         assert qlucb_run([step] * 3, cfg, rng=np.random.default_rng(7)) == expected

@@ -518,6 +518,20 @@ class TestLilGrid:
         lil_C(0.85, 0.05)
         assert len(calls) <= 2000
 
+    @pytest.mark.parametrize("a_mult", [1e155, 1e300])
+    def test_cold_lil_c_work_past_a_1e150(self, monkeypatch, a_mult):
+        # Past A = 1e150 every feasible grid point has an exp argument below -746, where the
+        # objective is exactly 0.0: a cold lil_C(A, 0.05) makes no objective call, against
+        # 44,930 when each such point takes a scalar call.  The bound is that count plus 100.
+        calls = []
+        objective = bd._lil_objective
+        monkeypatch.setattr(bd, "_lil_objective", lambda *args: (calls.append(args),
+                                                                 objective(*args))[1])
+        bd.lil_alpha.cache_clear()
+        bd.lil_C.cache_clear()
+        lil_C(a_mult, 0.05)
+        assert len(calls) <= 100
+
 
 class TestBaselines:
     def test_dkw_fixed(self):

@@ -164,6 +164,14 @@ CASES = [
                      ("normal_mixture", (["--eta", "3"], ["--s-exp", "2"], ["--m", "2"])))
                  for extra in flags]
 ] + [
+    # a level whose complement 1 - p rounds to 1 (p <= 2^-54), where 1 - p is read
+    pytest.param(argv, id=_id(argv))
+    for argv in (["track", STREAM, "--p", "1e-300"], ["track", STREAM, "--p", repr(2.0 ** -54)],
+                 ["abtest", AB, "--p", "1e-300"],
+                 ["abtest", AB, "--p", "1e-300", "--mode", "one_sided"],
+                 ["bai", "--pi", "1e-300", "--eps", "0", "--runs", "1", "--k-arms", "2"],
+                 SIMULATE + ["--p", "1e-300", "--eps", "0"])
+] + [
     # a reference CDF, which only the one-sample KS test reads
     pytest.param(argv, id=_id(argv))
     for argv in [["ks", KS, "--mode", mode, "--ref", "normal:0,1"]

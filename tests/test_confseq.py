@@ -324,6 +324,15 @@ class TestLevelCheck:
             with pytest.raises(DomainError, match="p must lie in"):
                 build()
 
+    @pytest.mark.parametrize("p", [1e-300, 2.0 ** -54])
+    def test_level_whose_complement_rounds_to_one(self, p):
+        # both read the radius at level 1 - p, which rounds to 1 at p <= 2^-54
+        for build in (lambda q: FixedQuantileCS(q, partial(stitched_radius_simple, alpha=0.05)),
+                      lambda q: AbTestState(q, 1.0)):
+            with pytest.raises(ConfigurationError, match="p must lie in \\(2\\^-54, 1\\)"):
+                build(p)
+            build(math.nextafter(2.0 ** -54, 1.0))
+
 
 class TestCdfBand:
     def test_half_width_value(self):
