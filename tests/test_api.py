@@ -49,7 +49,7 @@ def test_package_names_only_the_product(module, name, kept):
 def test_only_specfun_imports_scipy():
     # scipy is read through specfun alone, so replacing it edits one module
     importers = []
-    for path in sorted((Path(seqquant.__file__).parent).glob("*.py")):
+    for path in sorted(Path(seqquant.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]

@@ -152,7 +152,8 @@ class TestRankTables:
     def test_run_trackers_equal_the_multiset_bounds(self, cs_kind):
         # qlucb_run reads L and U from two RankTrackers per arm
         cfg = QlucbConfig(pi_target=0.3, eps=0.025, cs_kind=cs_kind, k_arms=3)
-        lower_rank, upper_rank = bandit._rank_schedules(cs_kind, 0.3, 0.025, cfg.delta_err, 3)
+        lower_rank, upper_rank = bandit._rank_schedules(cs_kind, cfg.pi_target, cfg.eps,
+                                                        cfg.delta_err, cfg.k_arms)
         rng = np.random.default_rng(9)
         draws = np.round(rng.normal(size=3000), 1)  # ties, 0.0 and -0.0
         lo_tracker, hi_tracker = RankTracker(), RankTracker()
