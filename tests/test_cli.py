@@ -113,6 +113,21 @@ GOLDEN_CASES = {
     # shifted by 0.5 (SeedSequence((2601,)); see CHANGES.md)
     "abtest_one_sided_deep.csv": ["abtest", str(FIXTURES / "ab_deep2000.txt"),
                                   "--mode", "one_sided"],
+    # pin the simulation at the default --max-pairs on every scenario, with runs
+    # that stop at 500-16000 pairs, far below the cap, so which draws each arm
+    # gets is pinned past the first blocks
+    **{f"abtest_simulate_default_{scenario}.csv": ["abtest", "--simulate", "--scenario", scenario,
+                                                   "--p", p, "--runs", "4", "--seed", seed]
+       for scenario, p, seed in (("uniform_shift", "0.5", "7"), ("cauchy_shift", "0.5", "8"),
+                                 ("normal_scale", "0.6", "7"))},
+    # pin specfun.ndtri through the normal arms of QLUCB, and specfun.ndtr
+    # through the normal reference CDF, deep tails included (Cauchy data)
+    "bai_normal_scale.csv": ["bai", "--scenario", "normal_scale", "--pi", "0.5,0.9",
+                             "--eps", "0.05", "--delta", "0.2", "--cs-kinds",
+                             "stitched_qlucb,beta_binomial_one_sided,dkw_union_baseline",
+                             "--runs", "2", "--k-arms", "3", "--seed", "7"],
+    "ks_one_sample_normal.csv": ["ks", str(FIXTURES / "cauchy1100.txt"), "--mode", "one_sample",
+                                 "--ref", "normal:0,1"],
 }
 
 
