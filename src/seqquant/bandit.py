@@ -58,6 +58,16 @@ _U53 = float(1 << 53)
 _TOL = 1e-12
 
 
+def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The integers in [1, 2^53) behind `ArmSpec.sample`'s uniforms.
+
+    Each takes whole 64-bit outputs of the generator (a range wider than 32
+    bits keeps no buffered half-word), so `size` draws split into chunks give
+    the same integers, and leave the same state, as one call.
+    """
+    return rng.integers(1, 1 << 53, size=size)
+
+
 @dataclass(frozen=True)
 class ArmSpec:
     """An arm as its quantile function.
@@ -70,8 +80,12 @@ class ArmSpec:
     quantile: Callable
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.integers(1, 1 << 53, size=size) / _U53
+        u = _draw(rng, size) / _U53
         return np.asarray(self.quantile(u), dtype=float)
+
+    def skip(self, rng: np.random.Generator, size: int) -> None:
+        """Advance rng past the draws of `sample(rng, size)`, without the quantile step."""
+        _draw(rng, size)
 
     def quantile_at(self, level: float) -> float:
         """The quantile at one level, through a one-element array as `sample` calls it."""
@@ -218,7 +232,10 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig, rng: np.random.Generato
         raise ConfigurationError(f"config says k_arms={cfg.k_arms}, got {k_arms} arms")
     lower_schedule, upper_schedule = _rank_schedules(cfg.cs_kind, cfg.pi_target, cfg.eps,
                                                      cfg.delta_err, cfg.k_arms)
-    lower_rank, upper_rank = lower_schedule.at, upper_schedule.at
+    # the rank tables themselves, re-fetched when a count passes their length
+    lower_rank = lower_schedule.table(1)
+    upper_rank = upper_schedule.table(1)
+    size = min(len(lower_rank), len(upper_rank))
 
     lower_trackers = [RankTracker() for _ in range(k_arms)]
     upper_trackers = [RankTracker() for _ in range(k_arms)]
@@ -234,10 +251,15 @@ def qlucb_run(arms: Sequence[ArmSpec], cfg: QlucbConfig, rng: np.random.Generato
         return buf.pop()
 
     def pull(k: int) -> None:
+        nonlocal lower_rank, upper_rank, size
         x = draw(k)
         n = counts[k] = counts[k] + 1
-        lower[k] = lower_trackers[k].add(x, lower_rank(n))
-        upper[k] = upper_trackers[k].add(x, upper_rank(n))
+        if n > size:
+            lower_rank = lower_schedule.table(n)
+            upper_rank = upper_schedule.table(n)
+            size = min(len(lower_rank), len(upper_rank))
+        lower[k] = lower_trackers[k].add(x, lower_rank[n - 1])
+        upper[k] = upper_trackers[k].add(x, upper_rank[n - 1])
 
     for k in range(k_arms):
         pull(k)

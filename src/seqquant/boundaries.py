@@ -147,7 +147,9 @@ class RadiusSchedule:
     with one vectorized call, so a stream queried at every t pays O(log t)
     calls in all.  The table is an `array` of doubles, or of 64-bit
     integers when the function returns integers, whose lookups return
-    Python floats or ints without a numpy scalar.
+    Python floats or ints without a numpy scalar.  A loop that reads every t
+    in turn can index the table itself: `table(n)` returns it with at least
+    n entries, the value at t in entry t - 1.
     """
 
     __slots__ = ("_radius", "_table")
@@ -159,14 +161,24 @@ class RadiusSchedule:
     def at(self, t: int):
         table = self._table
         if t > len(table):
-            grid = np.arange(len(table) + 1, max(1024, 2 * len(table), t) + 1, dtype=float)
-            values = np.atleast_1d(self._radius(grid))
-            if not table and values.dtype.kind in "iu":
-                table = self._table = array("q")
-            table.extend(values.tolist())
+            table = self._extend(t)
         elif t < 1:
             raise DomainError(f"t must be >= 1, got {t}")
         return table[t - 1]
+
+    def table(self, n: int) -> array:
+        """The table extended to at least n >= 1 entries; later extensions grow it in place."""
+        table = self._table
+        return self._extend(n) if n > len(table) else table
+
+    def _extend(self, t: int) -> array:
+        table = self._table
+        grid = np.arange(len(table) + 1, max(1024, 2 * len(table), t) + 1, dtype=float)
+        values = np.atleast_1d(self._radius(grid))
+        if not table and values.dtype.kind in "iu":
+            table = self._table = array("q")
+        table.extend(values.tolist())
+        return table
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ SEED_ENV = "SEQQUANT_SEED"
 # the radii a fixed-quantile tracker can follow, and every radius `bounds` tabulates
 TRACK_METHODS = ("stitched", "stitched_simple", "beta_binomial", "normal_mixture")
 BOUNDS_METHODS = TRACK_METHODS + ("lil_uniform", "double_stitch") + boundaries.BASELINE_KINDS
+# the radii that read --tune-m: r of the two mixtures, the start time m of the others
+TUNED_METHODS = ("stitched", "beta_binomial", "normal_mixture", "lil_uniform", "double_stitch")
 
 
 class UsageError(Exception):
@@ -414,6 +416,8 @@ def _radius(method: str, p: float, alpha: float, tune_m: float, stitch, r: float
 
 def cmd_bounds(args) -> int:
     methods = _parse_names(args.methods, "method", BOUNDS_METHODS)
+    if not set(methods) & set(TUNED_METHODS):
+        _reject_unread(args, ("tune_m",), f"with --methods {','.join(methods)}")
     p_list = _parse_float_list(args.p, "p")
     for p in p_list:
         _check_level(p)
@@ -655,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--t", default="", help="comma-separated times")
     b.add_argument("--alpha", type=finite_float, default=0.05)
     b.add_argument("--tune-m", dest="tune_m", type=finite_float, default=boundaries.TUNE_M,
-                   help="tuning time: sets r for beta_binomial and m for the others")
+                   help="tuning time: sets r for beta_binomial and normal_mixture and m for "
+                        "stitched, lil_uniform and double_stitch; the others read none")
     _add_common(b)
     b.set_defaults(func=cmd_bounds)
 

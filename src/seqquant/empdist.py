@@ -27,7 +27,7 @@ moves by a few places per observation, in O(log t) per step.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from itertools import groupby
 from typing import Iterable, Iterator
 
@@ -234,7 +234,10 @@ class RankTracker:
     clamp(r, 0, t) smallest values and a min-heap of the rest, so the
     answer is the top of the first.  `add` moves tops across until the
     first heap holds clamp(r, 0, t) values: O(log t) per step when r moves
-    by a bounded amount, as the rank tables of a confidence bound do.
+    by a bounded amount, as the rank tables of a confidence bound do.  When
+    that count stays or rises by one, as at nearly every step of a tracked
+    bound, x is placed and the one value that crosses is moved by one
+    `heappush`, or one `heappushpop` and one `heappush`.
     Out-of-range ranks read -inf / inf, as in `order_stat`;
     of a run of equal values (0.0 and -0.0 included) any one may be read:
     QLUCB compares its reads with == only, and `confseq.FixedQuantileCS`
@@ -252,16 +255,28 @@ class RankTracker:
         if x != x:
             raise ValueError("NaN is not insertable: it breaks rank semantics")
         below, above = self._below, self._above
+        m = len(below)
+        n = m + len(above) + 1
+        k = 0 if r < 0 else n if r > n else r
+        # place x, moving the value that crosses when below keeps its size or gains one;
+        # a larger step of the clamped rank is made up by the loops
         if below and x < -below[0]:
-            heappush(below, -x)
+            if k == m:
+                heappush(above, -heappushpop(below, -x))
+            else:
+                heappush(below, -x)
+                m += 1
+        elif k == m + 1:
+            heappush(below, -heappushpop(above, x))
+            m = k
         else:
             heappush(above, x)
-        n = len(below) + len(above)
-        k = 0 if r < 0 else n if r > n else r
-        while len(below) > k:
+        while m > k:
             heappush(above, -heappop(below))
-        while len(below) < k:
+            m -= 1
+        while m < k:
             heappush(below, -heappop(above))
+            m += 1
         if r < 1:
             return -math.inf
         if r > n:

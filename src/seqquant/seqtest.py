@@ -494,6 +494,13 @@ def ab_vs_naive_benchmark(
     checkpoint keeps only its test candidates, and the block's test
     statistics come from one batched kernel call, so a run stops at the same
     first crossing as a check after every checkpoint.
+
+    Run i draws from the generator seeded by SeedSequence((seed, i)): arm 1
+    its first max_pairs values and arm 2 the next max_pairs, as if both were
+    drawn up front.  Each arm is drawn only as far as the blocks read it,
+    from its own copy of the generator, arm 2's advanced past arm 1's share
+    by `ArmSpec.skip`; `ArmSpec.sample` in chunks equals one call, so a run
+    that stops at n pairs draws about n values per arm, not max_pairs.
     """
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
@@ -516,12 +523,19 @@ def ab_vs_naive_benchmark(
     stops_naive = []
     capped_test = capped_naive = 0
     for run in range(runs):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
-        x1_all = arms[0].sample(rng, max_pairs)
-        x2_all = arms[1].sample(rng, max_pairs)
+        # arm 1 takes the first max_pairs draws of the run's stream and arm 2
+        # the next max_pairs, each drawn as far as the next block reads it
+        seed_seq = np.random.SeedSequence((seed, run))
+        rng1 = np.random.default_rng(seed_seq)
+        rng2 = np.random.default_rng(seed_seq)
+        arms[0].skip(rng2, max_pairs)
+        x1_all = x2_all = np.empty(0)
         stop_test = stop_naive = None
         for start in range(0, len(checks), _SIM_BLOCK):
             block = checks[start:start + _SIM_BLOCK]
+            more = block[-1][0] - len(x1_all)
+            x1_all = np.concatenate((x1_all, arms[0].sample(rng1, more)))
+            x2_all = np.concatenate((x2_all, arms[1].sample(rng2, more)))
             entries = []
             for n, a_star, k_lo, k_hi in block:
                 x1 = np.sort(x1_all[:n])

@@ -53,6 +53,27 @@ class TestArms:
         assert 0.0 < xs.min() and xs.max() < 1.0
         assert np.mean(xs) == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("arm", [uniform_arm(0.0, 1.0), cauchy_arm(0.3, 2.0),
+                                     normal_arm(0.0, 2.0)], ids=["uniform", "cauchy", "normal"])
+    def test_sampling_in_chunks_equals_one_call(self, arm):
+        # seqtest.ab_vs_naive_benchmark draws each arm block by block and
+        # must give the values, and leave the state, of one up-front call
+        whole, chunked = np.random.default_rng(21), np.random.default_rng(21)
+        want = arm.sample(whole, 5000)
+        got = np.concatenate([arm.sample(chunked, size) for size in (1, 7, 256, 736, 4000)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert chunked.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("arm", [uniform_arm(0.0, 1.0), cauchy_arm(0.0, 1.0),
+                                     normal_arm(1.0, 0.5)], ids=["uniform", "cauchy", "normal"])
+    def test_skip_leaves_the_state_sample_leaves(self, arm):
+        sampled, skipped = np.random.default_rng(22), np.random.default_rng(22)
+        arm.sample(sampled, 3001)
+        assert arm.skip(skipped, 3001) is None
+        assert skipped.bit_generator.state == sampled.bit_generator.state
+        assert np.array_equal(arm.sample(skipped, 50), arm.sample(sampled, 50))
+
     def test_cauchy_scenario_location(self):
         # location 2 (Q(pi+eps) - Q(pi)) at pi = 0.5: 2 tan(0.025 pi)
         arms = scenario_arms("cauchy_shift", 10, 0.025, 0.5)

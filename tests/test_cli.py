@@ -861,7 +861,8 @@ class TestConfigErrors:
             assert rc == 0, err
             assert "# alpha=0.3" in out
             assert "# tune_m=64.0" in out
-        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed", "--t", "100",
+        # a method that reads --tune-m, which is a usage error with dkw_fixed alone
+        rc, out, err = run_cli(["bounds", "--methods", "dkw_fixed,lil_uniform", "--t", "100",
                                 "--tune", "16", "--config", str(cfg)])
         assert rc == 0, err
         assert "# tune_m=16.0" in out and "# alpha=0.2" in out

@@ -164,6 +164,12 @@ CASES = [
                      ("normal_mixture", (["--eta", "3"], ["--s-exp", "2"], ["--m", "2"])))
                  for extra in flags]
 ] + [
+    # --tune-m set off its default where no chosen bounds method reads it
+    pytest.param(["bounds", "--methods", methods, "--t", "10", "--tune-m", "64"],
+                 id=f"bounds --methods {methods} --tune-m 64")
+    for methods in ("stitched_simple", "dkw_fixed", "stitched_simple,dkw_fixed",
+                    ",".join(("stitched_simple",) + cli.boundaries.BASELINE_KINDS))
+] + [
     # a level whose complement 1 - p rounds to 1 (p <= 2^-54), where 1 - p is read
     pytest.param(argv, id=_id(argv))
     for argv in (["track", STREAM, "--p", "1e-300"], ["track", STREAM, "--p", repr(2.0 ** -54)],
@@ -327,6 +333,29 @@ def test_one_config_serves_every_track_method(tmp_path):
         rc, out, err = run_cli(argv + ["--config", str(cfg)])
         assert rc == 0, err
         assert (rc, out, err) == run_cli(argv + own_flags)
+
+
+def test_one_config_serves_every_bounds_method(tmp_path):
+    # a --config tune-m is the default, so a method that reads no m accepts it;
+    # the metadata echoes the default, so only the rows are compared
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("tune-m=64\n")
+    for method in cli.BOUNDS_METHODS:
+        argv = ["bounds", "--methods", method, "--t", "100,1000"]
+        own_flags = ["--tune-m", "64"] if method in cli.TUNED_METHODS else []
+        rc, out, err = run_cli(argv + ["--config", str(cfg)])
+        assert rc == 0, err
+        rc_own, out_own, err_own = run_cli(argv + own_flags)
+        assert (rc, err) == (rc_own, err_own)
+        assert [line for line in out.splitlines() if not line.startswith("#")] == \
+            [line for line in out_own.splitlines() if not line.startswith("#")]
+
+
+def test_tune_m_is_read_when_one_chosen_bounds_method_reads_it():
+    rc, out, err = run_cli(["bounds", "--methods", "stitched_simple,double_stitch,dkw_fixed",
+                            "--t", "10", "--tune-m", "64"])
+    assert rc == 0, err
+    assert "# tune_m=64.0" in out
 
 
 def test_one_config_serves_both_ks_modes(tmp_path):

@@ -21,7 +21,10 @@ tracer = spans.Tracer()
 tracer.install(seqquant)
 for argv in (["track", fixtures + "/stream10.txt", "--p", "0.5", "--method", "beta_binomial"],
              ["abtest", fixtures + "/ab3_210.txt", "--mode", "global"],
-             ["ks", fixtures + "/ks6.txt", "--mode", "two_sample"]):
+             ["ks", fixtures + "/ks6.txt", "--mode", "two_sample"],
+             ["bai", "--scenario", "uniform_shift", "--pi", "0.5", "--eps", "0.05",
+              "--k-arms", "3", "--runs", "2"],
+             ["abtest", "--simulate", "--runs", "1", "--max-pairs", "400"]):
     print(seqquant.cli.main([*argv, "--out", out]))
 print(" ".join(sorted({spans.KINDS[k] for k in tracer.kind})))
 """
@@ -37,6 +40,8 @@ def test_tracer_installs_and_records_spans(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     *rcs, kinds = proc.stdout.splitlines()
-    assert rcs == ["0", "0", "0"]
-    # the A/B evaluation and KS wrappers ran, besides those of track
-    assert {"confseq.update", "seqtest.eval", "seqtest.ks"} <= set(kinds.split())
+    assert rcs == ["0"] * 5
+    # the A/B evaluation and KS wrappers ran, besides those of track, and the
+    # QLUCB run, arm sampling and A/B simulation spans the simulate split reads
+    assert {"confseq.update", "seqtest.eval", "seqtest.ks", "bandit.run", "bandit.sample",
+            "seqtest.sim"} <= set(kinds.split())

@@ -943,6 +943,29 @@ class TestAbVsNaiveBlocks:
         assert row == _ab_vs_naive_reference(**kwargs)
         assert row.capped_test > 0 and row.capped_naive > 0
 
+    @pytest.mark.parametrize("scenario, pi", [("uniform_shift", 0.5), ("cauchy_shift", 0.5),
+                                              ("normal_scale", 0.75)])
+    def test_rows_at_the_default_cap_equal_up_front_draws(self, scenario, pi):
+        # the runs stop at 100-3000 pairs, so arm 2's values come from far past
+        # the draws the simulation makes; the reference draws both arms up front
+        kwargs = dict(scenario=scenario, pi=pi, alpha=0.05, runs=3, seed=17, eps=0.05,
+                      max_pairs=200_000)
+        row = ab_vs_naive_benchmark(**kwargs)
+        assert row == _ab_vs_naive_reference(**kwargs)
+        assert row.capped_test == row.capped_naive == 0
+
+    def test_draws_only_the_values_the_blocks_read(self, monkeypatch):
+        # work-count gate: both arms up front were 2 * 4 * 200,000 = 1,600,000
+        # values; drawn block by block they are 75,020 (each run to the end of
+        # the block where its later rule stops); the bound leaves about 10%
+        drawn = []
+        sample = bandit.ArmSpec.sample
+        monkeypatch.setattr(bandit.ArmSpec, "sample",
+                            lambda arm, rng, size: (drawn.append(size), sample(arm, rng, size))[1])
+        row = ab_vs_naive_benchmark(runs=4, seed=7)
+        assert row.capped_test == row.capped_naive == 0
+        assert 0 < sum(drawn) <= 82_000
+
     def test_schedules_cover_partial_and_whole_blocks(self):
         assert len(_check_schedule(32)) % _SIM_BLOCK == 0
         for max_pairs in (40, 63, 300, 3000):
