@@ -523,8 +523,6 @@ def ab_vs_naive_benchmark(
     stops_naive = []
     capped_test = capped_naive = 0
     for run in range(runs):
-        # arm 1 takes the first max_pairs draws of the run's stream and arm 2
-        # the next max_pairs, each drawn as far as the next block reads it
         seed_seq = np.random.SeedSequence((seed, run))
         rng1 = np.random.default_rng(seed_seq)
         rng2 = np.random.default_rng(seed_seq)

@@ -114,7 +114,7 @@ GOLDEN_CASES = {
     "abtest_one_sided_deep.csv": ["abtest", str(FIXTURES / "ab_deep2000.txt"),
                                   "--mode", "one_sided"],
     # pin the simulation at the default --max-pairs on every scenario, with runs
-    # that stop at 500-16000 pairs, far below the cap, so which draws each arm
+    # that stop at 1076-12247 pairs, far below the cap, so which draws each arm
     # gets is pinned past the first blocks
     **{f"abtest_simulate_default_{scenario}.csv": ["abtest", "--simulate", "--scenario", scenario,
                                                    "--p", p, "--runs", "4", "--seed", seed]

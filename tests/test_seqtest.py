@@ -946,8 +946,8 @@ class TestAbVsNaiveBlocks:
     @pytest.mark.parametrize("scenario, pi", [("uniform_shift", 0.5), ("cauchy_shift", 0.5),
                                               ("normal_scale", 0.75)])
     def test_rows_at_the_default_cap_equal_up_front_draws(self, scenario, pi):
-        # the runs stop at 100-3000 pairs, so arm 2's values come from far past
-        # the draws the simulation makes; the reference draws both arms up front
+        # the runs stop at 269-2122 pairs, and arm 2's values start 200,000 draws
+        # into the run's stream; the reference draws both arms up front
         kwargs = dict(scenario=scenario, pi=pi, alpha=0.05, runs=3, seed=17, eps=0.05,
                       max_pairs=200_000)
         row = ab_vs_naive_benchmark(**kwargs)
